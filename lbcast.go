@@ -32,6 +32,7 @@ package lbcast
 
 import (
 	"fmt"
+	"sync"
 
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
@@ -152,7 +153,10 @@ type Network struct {
 
 	onReceive func(node int, d Delivery)
 	onAck     func(node int, id MessageID)
-	acked     map[MessageID]bool
+	// ackMu guards acked: under DriverWorkerPool, nodes in different
+	// ranges ack concurrently.
+	ackMu sync.Mutex
+	acked map[MessageID]bool
 }
 
 // NewGeometric builds a network from an explicit embedding: vertices within
@@ -243,7 +247,9 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 			}
 		})
 		nw.bank.Node(u).SetOnAck(func(m core.Message) {
+			nw.ackMu.Lock()
 			nw.acked[m.ID] = true
+			nw.ackMu.Unlock()
 			if nw.onAck != nil {
 				nw.onAck(node, m.ID)
 			}
@@ -289,7 +295,10 @@ func (nw *Network) Schedule() Schedule {
 	}
 }
 
-// OnReceive registers the recv output handler (one per network).
+// OnReceive registers the recv output handler (one per network). Under
+// DriverWorkerPool and DriverGoroutinePerNode, handler calls for different
+// nodes may run concurrently; calls for one node never overlap. The same
+// holds for OnAck.
 func (nw *Network) OnReceive(fn func(node int, d Delivery)) { nw.onReceive = fn }
 
 // OnAck registers the ack output handler (one per network).
@@ -309,7 +318,11 @@ func (nw *Network) Broadcast(node int, payload any) (MessageID, error) {
 func (nw *Network) Busy(node int) bool { return nw.bank.Node(node).Active() }
 
 // Acked reports whether the given broadcast has been acknowledged.
-func (nw *Network) Acked(id MessageID) bool { return nw.acked[id] }
+func (nw *Network) Acked(id MessageID) bool {
+	nw.ackMu.Lock()
+	defer nw.ackMu.Unlock()
+	return nw.acked[id]
+}
 
 // Round returns the number of executed rounds.
 func (nw *Network) Round() int { return nw.engine.Round() }
@@ -326,12 +339,12 @@ func (nw *Network) Run(rounds int) { nw.engine.Run(rounds) }
 func (nw *Network) RunUntilAck(id MessageID) bool {
 	deadline := nw.engine.Round() + nw.params.TAckBound() + nw.params.PhaseLen()
 	for nw.engine.Round() < deadline {
-		if nw.acked[id] {
+		if nw.Acked(id) {
 			return true
 		}
 		nw.engine.Step()
 	}
-	return nw.acked[id]
+	return nw.Acked(id)
 }
 
 // Stats returns aggregate channel statistics for the executed rounds.
