@@ -259,6 +259,9 @@ func planEventCount(sc *chaos.Scenario) int {
 }
 
 func run(topo string, n int, r, eps float64, schedName string, schedP float64, phases, senders int, seed uint64, traceFile string) error {
+	if senders < 0 {
+		return fmt.Errorf("-senders %d is negative", senders)
+	}
 	rng := xrand.New(seed)
 	var (
 		d   *dualgraph.Dual
@@ -291,6 +294,9 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 	p, err := core.DeriveParams(d.Delta(), d.DeltaPrime(), maxf(d.R, 1), eps)
 	if err != nil {
 		return err
+	}
+	if maxPhases := core.MaxRounds / p.PhaseLen(); phases < 1 || phases > maxPhases {
+		return fmt.Errorf("-phases %d outside [1, %d] for %d-round phases", phases, maxPhases, p.PhaseLen())
 	}
 
 	var linkSched sim.LinkScheduler

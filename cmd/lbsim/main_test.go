@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -98,5 +99,39 @@ func TestListPolicies(t *testing.T) {
 		if !strings.Contains(out, p.Description) {
 			t.Errorf("listing missing description for %q", p.Name)
 		}
+	}
+}
+
+// TestHostileFlagsReturnErrors runs the single-configuration report with
+// flag values that once panicked, spun or printed nonsense: each must come
+// back as an error (main exits non-zero) before any round runs.
+func TestHostileFlagsReturnErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		topo    string
+		n       int
+		r, eps  float64
+		phases  int
+		senders int
+	}{
+		{"-n -3", "cluster", -3, 1.5, 0.1, 6, 3},
+		{"-eps 1e-300", "cluster", 16, 1.5, 1e-300, 6, 3},
+		{"-phases -1", "cluster", 16, 1.5, 0.1, -1, 3},
+		{"-phases 0", "cluster", 16, 1.5, 0.1, 0, 3},
+		{"-phases beyond int32 rounds", "cluster", 16, 1.5, 0.1, 1 << 40, 3},
+		{"-senders -1", "cluster", 16, 1.5, 0.1, 6, -1},
+		{"-r 1e9 -topo geometric", "geometric", 16, 1e9, 0.1, 6, 3},
+		{"-r NaN -topo geometric", "geometric", 16, math.NaN(), 0.1, 6, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if err := run(tc.topo, tc.n, tc.r, tc.eps, "random", 0.5, tc.phases, tc.senders, 1, ""); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }

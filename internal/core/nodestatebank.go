@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"lbcast/internal/seedagree"
 	"lbcast/internal/sim"
@@ -20,20 +22,49 @@ import (
 // Why columns: at n = 10⁵⁻⁶ the per-node structs are ~200 B apart on the
 // heap, so a round's Transmit sweep takes one or two cache misses per node
 // before any protocol work happens, plus two interface dispatches. The bank
-// packs the per-round hot fields (position memo, state, flags, coin span
-// header) into parallel arrays swept linearly, keeps the coin bytes in one
-// slab indexed by a fixed stride, and leaves the cold pointer-shaped state
-// (seed agreement instance, committed-seed buffers, dedupe sets, callbacks)
-// in separate columns touched only at phase boundaries or on delivery.
+// packs the per-round hot fields (flags, sending phases left, coin span
+// header) into parallel arrays, keeps the coin bytes in one slab indexed by
+// a fixed stride, and leaves the cold pointer-shaped state (seed agreement
+// instance, committed-seed buffers, dedupe sets, callbacks) in separate
+// columns touched only at phase boundaries or on delivery.
+//
+// Why sparse rounds: every node of a bank runs on the same global round, so
+// one (phase, pos, pre) cursor computed from t replaces per-node position
+// memos, and in most rounds most nodes have nothing to do — the paper's
+// service is "truly local". Work bits in the flags byte (seed machine live,
+// seed leader, body sender) plus the engine's touched column
+// (RoundView.Touched) tell a range call which nodes its round can change;
+// the range calls test eight flag bytes per load and visit only those, in
+// ascending node order. Every skipped call is a provable no-op of the
+// per-node body:
+//
+//   - transmit at pos == 0 and receive at pos == pre−1 are dense: every
+//     node begins the phase (beginPhase) and commits its seed (commitSeed);
+//   - preamble transmit visits seed leaders every round (a leader draws its
+//     advertising coin, and is retired lazily on its next call) and every
+//     live seed machine at seed sub-phase starts (the election draw); on
+//     all other rounds seedagree.Alg.Transmit changes nothing;
+//   - body transmit visits body senders only (coins valid, sending,
+//     pending); anyone else transmits nothing;
+//   - receive visits touched nodes — only they can hear anything — plus, at
+//     the last body round, sending nodes, which spend one of their Tack
+//     phases there.
 
-// flag bits of NodeStateBank.flags — the four booleans of LBAlg packed into
-// one byte per node.
+// flag bits of NodeStateBank.flags. The first four are LBAlg's booleans
+// (bankSeedLive is the inverse of LBAlg.seedIdle); the last two are work
+// bits derived from the others and kept in sync at every edge, so a range
+// scan needs one bit test per node.
 const (
-	bankSeedIdle       = 1 << iota // LBAlg.seedIdle
+	bankSeedLive       = 1 << iota // the seed machine is Active or Leader
 	bankCoinsValid                 // LBAlg.coins.valid
-	bankSendingStarted             // LBAlg.sendingStarted
+	bankSendingStarted             // LBAlg.sendingStarted, ⇔ LBAlg.state == StateSending
 	bankHasPending                 // LBAlg.pending != nil
+	bankSeedLeader                 // the seed machine is a Leader
+	bankBodySender                 // coins valid, sending and pending: body rounds may transmit
 )
+
+// bankSenderBits are the flags whose conjunction is bankBodySender.
+const bankSenderBits = bankCoinsValid | bankSendingStarted | bankHasPending
 
 // NodeStateBank holds the protocol state of n LBAlg nodes in columns. It
 // implements sim.ProcessBank; its per-node handles (Node) implement Service
@@ -45,16 +76,11 @@ type NodeStateBank struct {
 	p    Params
 	n    int
 
-	// Hot columns, swept linearly by TransmitRange/ReceiveRange. Narrow
-	// types are deliberate: a round index fits int32 for any feasible run
-	// length, and state/flags are single bytes, so a node's whole hot row
-	// is 21 bytes across the columns.
-	memoT, memoPhase, memoPos []int32
-	curPreLen                 []int32
-	state                     []uint8
-	flags                     []uint8
-	phasesLeft                []int32
-	coinsBehind               []int32
+	// Hot columns. flags is scanned eight nodes per load by the range calls;
+	// phasesLeft and coinLen are read only for visited nodes.
+	flags       []uint8
+	phasesLeft  []int32
+	coinsBehind []int32
 
 	// coins is the decoded-coin slab: node u's span is
 	// coins[u*coinStride : u*coinStride+coinLen[u]], valid iff
@@ -99,9 +125,6 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 	stride := plan.phaseLen // ≥ every BodyRounds value (Tprog and phaseLen)
 	bk := &NodeStateBank{
 		plan: plan, p: plan.params, n: n,
-		memoT: make([]int32, n), memoPhase: make([]int32, n), memoPos: make([]int32, n),
-		curPreLen:  make([]int32, n),
-		state:      make([]uint8, n),
 		flags:      make([]uint8, n),
 		phasesLeft: make([]int32, n), coinsBehind: make([]int32, n),
 		coins: make([]uint8, n*stride), coinLen: make([]int32, n), coinStride: stride,
@@ -115,12 +138,8 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 		recordHears: true,
 		handles:     make([]BankNode, n),
 	}
-	pre := int32(plan.preambleLen(1))
 	for u := 0; u < n; u++ {
-		bk.state[u] = uint8(StateReceiving)
-		bk.memoPhase[u] = 1
-		bk.memoPos[u] = -1
-		bk.curPreLen[u] = pre
+		bk.flags[u] = bankSeedLive // Init's fresh seed machine is Active
 		bk.seen[u] = make(map[sim.MsgID]struct{})
 		bk.handles[u] = BankNode{bank: bk, u: int32(u)}
 	}
@@ -149,39 +168,148 @@ func (bk *NodeStateBank) Procs() []sim.Process {
 // SetRecordHears toggles EvHear recording for every node (LBAlg.RecordHears).
 func (bk *NodeStateBank) SetRecordHears(on bool) { bk.recordHears = on }
 
-// TransmitRange implements sim.ProcessBank.
+// cursor is round t's place in the phase schedule, shared by every node:
+// the 1-based phase, the 0-based position within it, and the phase's
+// preamble cut (positions below pre are preamble slots).
+type cursor struct {
+	t, phase, pos, pre int
+}
+
+// cursorAt resolves round t's cursor.
+func (bk *NodeStateBank) cursorAt(t int) cursor {
+	phase, pos := bk.plan.PhaseOf(t)
+	return cursor{t: t, phase: phase, pos: pos, pre: bk.plan.preambleLen(phase)}
+}
+
+// TransmitRange implements sim.ProcessBank. It clears the range's Transmit
+// flags and visits only the nodes whose work bits say round t's transmit
+// can do something (see the file comment); payloads are written for
+// transmitters only.
 func (bk *NodeStateBank) TransmitRange(t, lo, hi int, v *sim.RoundView) {
-	if v.Down != nil {
+	c := bk.cursorAt(t)
+	clear(v.Transmit[lo:hi])
+	if c.pos == 0 {
 		for u := lo; u < hi; u++ {
-			if v.Down[u] {
-				v.Payloads[u], v.Transmit[u] = nil, false
-				continue
-			}
-			v.Payloads[u], v.Transmit[u] = bk.transmit(u, t)
+			bk.transmitView(u, c, v)
 		}
 		return
 	}
-	for u := lo; u < hi; u++ {
-		v.Payloads[u], v.Transmit[u] = bk.transmit(u, t)
+	var mask uint8 = bankBodySender
+	if c.pos < c.pre {
+		mask = bankSeedLeader
+		if c.pos%bk.plan.Seed.PhaseLen() == 0 {
+			mask = bankSeedLive
+		}
+	}
+	for u := nextFlagged(bk.flags, mask, lo, hi); u < hi; u = nextFlagged(bk.flags, mask, u+1, hi) {
+		bk.transmitView(u, c, v)
 	}
 }
 
-// ReceiveRange implements sim.ProcessBank, resolving each node's outcome
-// from the round view exactly as the engine's deliver does for per-node
-// processes.
+// transmitView runs node u's transmit and writes a transmission into v.
+// Down nodes do not run.
+func (bk *NodeStateBank) transmitView(u int, c cursor, v *sim.RoundView) {
+	if v.Down != nil && v.Down[u] {
+		return
+	}
+	if payload, tx := bk.transmit(u, c); tx {
+		v.Payloads[u], v.Transmit[u] = payload, true
+	}
+}
+
+// ReceiveRange implements sim.ProcessBank, resolving each visited node's
+// outcome from the round view exactly as the engine's deliver does for
+// per-node processes. It visits touched nodes, plus sending nodes at the
+// last body round, plus every node at the last preamble round.
 func (bk *NodeStateBank) ReceiveRange(t, lo, hi int, v *sim.RoundView) {
-	t32 := int32(t)
-	down := v.Down
-	for u := lo; u < hi; u++ {
-		if down != nil && down[u] {
-			continue
+	c := bk.cursorAt(t)
+	if c.pos == c.pre-1 {
+		for u := lo; u < hi; u++ {
+			bk.receiveView(u, c, v)
 		}
-		if s := v.Rx[u]; !v.Transmit[u] && s.Stamp == t32 && s.Count == 1 {
-			bk.receive(u, t, int(s.From), v.Payloads[s.From], true)
-		} else {
-			bk.receive(u, t, sim.NoTransmitter, nil, false)
+		return
+	}
+	var mask uint8
+	if c.pos == bk.plan.phaseLen-1 {
+		mask = bankSendingStarted
+	}
+	for u := nextReceiver(v.Touched, bk.flags, mask, lo, hi); u < hi; u = nextReceiver(v.Touched, bk.flags, mask, u+1, hi) {
+		bk.receiveView(u, c, v)
+	}
+}
+
+// receiveView delivers node u's outcome of the round in v. Only a touched
+// node's Rx slot is read; down nodes do not run.
+func (bk *NodeStateBank) receiveView(u int, c cursor, v *sim.RoundView) {
+	if v.Down != nil && v.Down[u] {
+		return
+	}
+	if v.Touched[u] != 0 && !v.Transmit[u] {
+		if s := &v.Rx[u]; s.Count == 1 {
+			bk.receive(u, c, int(s.From), v.Payloads[s.From], true)
+			return
 		}
 	}
+	bk.receive(u, c, sim.NoTransmitter, nil, false)
+}
+
+// nextFlagged returns the first node in [from, hi) whose flags share a bit
+// with mask, or hi. It tests eight flag bytes per load.
+func nextFlagged(flags []uint8, mask uint8, from, hi int) int {
+	m := uint64(mask) * 0x0101010101010101
+	u := from
+	for ; u+8 <= hi; u += 8 {
+		if w := binary.LittleEndian.Uint64(flags[u:]) & m; w != 0 {
+			return u + bits.TrailingZeros64(w)>>3
+		}
+	}
+	for ; u < hi; u++ {
+		if flags[u]&mask != 0 {
+			return u
+		}
+	}
+	return hi
+}
+
+// nextReceiver returns the first node in [from, hi) that is touched or
+// whose flags share a bit with mask, or hi. It tests eight nodes per load.
+func nextReceiver(touched, flags []uint8, mask uint8, from, hi int) int {
+	m := uint64(mask) * 0x0101010101010101
+	u := from
+	for ; u+8 <= hi; u += 8 {
+		w := binary.LittleEndian.Uint64(touched[u:]) | binary.LittleEndian.Uint64(flags[u:])&m
+		if w != 0 {
+			return u + bits.TrailingZeros64(w)>>3
+		}
+	}
+	for ; u < hi; u++ {
+		if touched[u] != 0 || flags[u]&mask != 0 {
+			return u
+		}
+	}
+	return hi
+}
+
+// setFlags sets and clears node u's flag bits and re-derives its
+// body-sender bit: the single write path for the bits it depends on.
+func (bk *NodeStateBank) setFlags(u int, set, clr uint8) {
+	f := (bk.flags[u]&^clr | set) &^ bankBodySender
+	if f&bankSenderBits == bankSenderBits {
+		f |= bankBodySender
+	}
+	bk.flags[u] = f
+}
+
+// syncSeed refreshes node u's seed-machine bits from its status.
+func (bk *NodeStateBank) syncSeed(u int) {
+	var set uint8
+	switch bk.seeds[u].Status() {
+	case seedagree.StatusActive:
+		set = bankSeedLive
+	case seedagree.StatusLeader:
+		set = bankSeedLive | bankSeedLeader
+	}
+	bk.flags[u] = bk.flags[u]&^(bankSeedLive|bankSeedLeader) | set
 }
 
 // initNode is BankNode.Init's body: LBAlg.Init ported to columns.
@@ -190,62 +318,27 @@ func (bk *NodeStateBank) initNode(u int, env *sim.NodeEnv) {
 	bk.seeds[u] = seedagree.NewAlgWithPlan(bk.plan.Seed, env.ID, env.Rng)
 }
 
-// advanceRound is LBAlg.advanceRound over columns: the position cursor's
-// slow path shared by transmit and receive.
-func (bk *NodeStateBank) advanceRound(u, t int) int {
-	if t == int(bk.memoT[u])+1 {
-		pos := int(bk.memoPos[u]) + 1
-		if pos == bk.plan.phaseLen {
-			pos = 0
-			bk.memoPhase[u]++
-			bk.curPreLen[u] = int32(bk.plan.preambleLen(int(bk.memoPhase[u])))
-		}
-		bk.memoPos[u] = int32(pos)
-	} else {
-		phase, pos := bk.plan.PhaseOf(t)
-		bk.memoPhase[u], bk.memoPos[u] = int32(phase), int32(pos)
-		bk.curPreLen[u] = int32(bk.plan.preambleLen(phase))
+// transmit is LBAlg.Transmit ported to columns: node u's decision in the
+// round at cursor c, with the same preamble dispatch, body-round gating and
+// private coin draws.
+func (bk *NodeStateBank) transmit(u int, c cursor) (any, bool) {
+	if c.pos == 0 {
+		bk.beginPhase(u, c.phase)
 	}
-	bk.memoT[u] = int32(t)
-	return int(bk.memoPos[u])
-}
-
-// transmit is LBAlg.Transmit ported to columns, byte for byte: same memo
-// fast path, same preamble dispatch, same body-round gating and private
-// coin draws.
-func (bk *NodeStateBank) transmit(u, t int) (any, bool) {
-	pos := int(bk.memoPos[u]) + 1
-	if t != int(bk.memoT[u])+1 || pos == bk.plan.phaseLen {
-		pos = bk.advanceRound(u, t)
-	} else {
-		bk.memoT[u], bk.memoPos[u] = int32(t), int32(pos)
-	}
-
-	if pos == 0 {
-		bk.beginPhase(u, int(bk.memoPhase[u]))
-	}
-
-	pre := int(bk.curPreLen[u])
-	if pos < pre { // a RoundPreamble slot of this phase's table
-		if bk.flags[u]&bankSeedIdle != 0 {
+	if c.pos < c.pre { // a RoundPreamble slot of this phase's table
+		if bk.flags[u]&bankSeedLive == 0 {
 			return nil, false // decided, not advertising: a no-op round
 		}
-		seed := bk.seeds[u]
-		payload, tx := seed.Transmit(pos + 1)
-		if seed.Idle() {
-			bk.flags[u] |= bankSeedIdle
-		} else {
-			bk.flags[u] &^= bankSeedIdle
-		}
+		payload, tx := bk.seeds[u].Transmit(c.pos + 1)
+		bk.syncSeed(u)
 		return payload, tx
 	}
-	// A RoundBody slot with scratch index pos − curPreLen, exactly as
+	// A RoundBody slot with scratch index pos − pre, exactly as
 	// LBAlg.Transmit's hand-inlined bodyRound.
-	f := bk.flags[u]
-	if f&bankCoinsValid == 0 || State(bk.state[u]) != StateSending || f&bankHasPending == 0 {
+	if bk.flags[u]&bankBodySender == 0 {
 		return nil, false
 	}
-	j := pos - pre
+	j := c.pos - c.pre
 	if j >= int(bk.coinLen[u]) {
 		return nil, false // out-of-order jump past the decoded span; fail closed
 	}
@@ -259,25 +352,24 @@ func (bk *NodeStateBank) transmit(u, t int) (any, bool) {
 // beginPhase is LBAlg.beginPhase over columns.
 func (bk *NodeStateBank) beginPhase(u, phase int) {
 	if f := bk.flags[u]; f&bankHasPending != 0 && f&bankSendingStarted == 0 {
-		bk.flags[u] |= bankSendingStarted
-		bk.state[u] = uint8(StateSending)
+		bk.setFlags(u, bankSendingStarted, 0)
 		bk.phasesLeft[u] = int32(bk.p.Tack)
 	}
 	if bk.plan.RunsPreamble(phase) {
 		bk.seeds[u].Reset()
-		bk.flags[u] &^= bankSeedIdle | bankCoinsValid
+		bk.setFlags(u, bankSeedLive, bankSeedLeader|bankCoinsValid)
 		bk.committed[u] = nil
 		bk.coinsBehind[u] = 0
 	} else if bk.committed[u] != nil {
 		rounds := bk.plan.BodyRounds(phase)
-		if State(bk.state[u]) == StateSending {
+		if bk.flags[u]&bankSendingStarted != 0 {
 			if bk.coinsBehind[u] > 0 {
 				bk.plan.skipCoins(bk.committed[u], int(bk.coinsBehind[u]))
 				bk.coinsBehind[u] = 0
 			}
 			bk.decodeInto(u, rounds)
 		} else {
-			bk.flags[u] &^= bankCoinsValid
+			bk.setFlags(u, 0, bankCoinsValid)
 			bk.coinsBehind[u] += int32(rounds)
 		}
 	}
@@ -289,7 +381,7 @@ func (bk *NodeStateBank) decodeInto(u, rounds int) {
 	off := u * bk.coinStride
 	bk.plan.walkCoins(bk.committed[u], bk.coins[off:off+rounds], &bk.raw[u], rounds)
 	bk.coinLen[u] = int32(rounds)
-	bk.flags[u] |= bankCoinsValid
+	bk.setFlags(u, bankCoinsValid, 0)
 }
 
 // participate is LBAlg.participate over columns.
@@ -302,25 +394,15 @@ func (bk *NodeStateBank) participate(u, b int) (any, bool) {
 	return bk.frame[u], true
 }
 
-// receive is LBAlg.Receive ported to columns.
-func (bk *NodeStateBank) receive(u, t, from int, payload any, ok bool) {
-	pos := int(bk.memoPos[u])
-	if t != int(bk.memoT[u]) {
-		pos = bk.advanceRound(u, t)
-	}
-
-	pre := int(bk.curPreLen[u])
-	if pos < pre { // a RoundPreamble slot of this phase's table
-		if bk.flags[u]&bankSeedIdle == 0 {
-			seed := bk.seeds[u]
-			seed.Receive(pos+1, payload, ok)
-			if seed.Idle() {
-				bk.flags[u] |= bankSeedIdle
-			} else {
-				bk.flags[u] &^= bankSeedIdle
-			}
+// receive is LBAlg.Receive ported to columns: node u's reception outcome
+// of the round at cursor c.
+func (bk *NodeStateBank) receive(u int, c cursor, from int, payload any, ok bool) {
+	if c.pos < c.pre { // a RoundPreamble slot of this phase's table
+		if bk.flags[u]&bankSeedLive != 0 {
+			bk.seeds[u].Receive(c.pos+1, payload, ok)
+			bk.syncSeed(u)
 		}
-		if pos == pre-1 {
+		if c.pos == c.pre-1 {
 			bk.commitSeed(u)
 		}
 		return
@@ -329,15 +411,15 @@ func (bk *NodeStateBank) receive(u, t, from int, payload any, ok bool) {
 	// Body rounds: all states deliver first receptions as recv outputs.
 	if ok {
 		if dm, isData := payload.(DataMsg); isData {
-			bk.deliver(u, t, from, dm.Msg)
+			bk.deliver(u, c.t, from, dm.Msg)
 		}
 	}
 
 	// End of phase: sending nodes consume one of their Tack phases.
-	if pos == bk.plan.phaseLen-1 && State(bk.state[u]) == StateSending {
+	if c.pos == bk.plan.phaseLen-1 && bk.flags[u]&bankSendingStarted != 0 {
 		bk.phasesLeft[u]--
 		if bk.phasesLeft[u] <= 0 {
-			bk.ack(u, t)
+			bk.ack(u, c.t)
 		}
 	}
 }
@@ -346,6 +428,7 @@ func (bk *NodeStateBank) receive(u, t, from int, payload any, ok bool) {
 func (bk *NodeStateBank) commitSeed(u int) {
 	seed := bk.seeds[u]
 	seed.Finalize() // defensive; Receive at Ts already finalizes
+	bk.syncSeed(u)
 	d := seed.Decision()
 	if bk.committedBuf[u] == nil {
 		bk.committedBuf[u] = d.Seed.Clone()
@@ -355,10 +438,10 @@ func (bk *NodeStateBank) commitSeed(u int) {
 	bk.committedBuf[u].Reset()
 	bk.committed[u] = bk.committedBuf[u]
 	bk.coinsBehind[u] = 0
-	if State(bk.state[u]) == StateSending {
+	if bk.flags[u]&bankSendingStarted != 0 {
 		bk.decodeInto(u, bk.plan.tprog)
 	} else {
-		bk.flags[u] &^= bankCoinsValid
+		bk.setFlags(u, 0, bankCoinsValid)
 		bk.coinsBehind[u] = int32(bk.plan.tprog)
 	}
 }
@@ -384,8 +467,7 @@ func (bk *NodeStateBank) ack(u, t int) {
 	m := bk.pending[u]
 	bk.pending[u] = Message{}
 	bk.frame[u] = nil
-	bk.flags[u] &^= bankHasPending | bankSendingStarted
-	bk.state[u] = uint8(StateReceiving)
+	bk.setFlags(u, 0, bankHasPending|bankSendingStarted)
 	env := bk.envs[u]
 	env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvAck, MsgID: m.ID})
 	if fn := bk.onAck[u]; fn != nil {
@@ -401,10 +483,9 @@ func (bk *NodeStateBank) bcast(u int, payload any) (sim.MsgID, error) {
 	bk.seq[u]++
 	m := Message{ID: sim.NewMsgID(bk.envs[u].ID, int(bk.seq[u])), Payload: payload}
 	bk.pending[u] = m
-	bk.flags[u] |= bankHasPending
 	// Box the on-air frame once per broadcast, as LBAlg.Bcast does.
 	bk.frame[u] = DataMsg{Msg: m}
-	bk.flags[u] &^= bankSendingStarted
+	bk.setFlags(u, bankHasPending, bankSendingStarted)
 	// Round 0 is stamped with the current round by the trace drain.
 	bk.envs[u].Rec.Record(sim.Event{Node: bk.envs[u].ID, Kind: sim.EvBcast, MsgID: m.ID, Payload: payload})
 	return m.ID, nil
@@ -425,12 +506,15 @@ var _ Service = (*BankNode)(nil)
 func (h *BankNode) Init(env *sim.NodeEnv) { h.bank.initNode(int(h.u), env) }
 
 // Transmit implements sim.Process (the goroutine-per-node driver and the
-// lockstep oracle call it; batch drivers go through TransmitRange).
-func (h *BankNode) Transmit(t int) (any, bool) { return h.bank.transmit(int(h.u), t) }
+// lockstep oracle call it; batch drivers go through TransmitRange). It runs
+// the same body as a range visit.
+func (h *BankNode) Transmit(t int) (any, bool) {
+	return h.bank.transmit(int(h.u), h.bank.cursorAt(t))
+}
 
-// Receive implements sim.Process.
+// Receive implements sim.Process, running the same body as a range visit.
 func (h *BankNode) Receive(t, from int, payload any, ok bool) {
-	h.bank.receive(int(h.u), t, from, payload, ok)
+	h.bank.receive(int(h.u), h.bank.cursorAt(t), from, payload, ok)
 }
 
 // Bcast implements Service.
@@ -454,7 +538,12 @@ func (h *BankNode) SetOnAck(fn func(Message)) { h.bank.onAck[h.u] = fn }
 func (h *BankNode) SetOnRecv(fn func(Message, int)) { h.bank.onRecv[h.u] = fn }
 
 // State returns the node's current phase state.
-func (h *BankNode) State() State { return State(h.bank.state[h.u]) }
+func (h *BankNode) State() State {
+	if h.bank.flags[h.u]&bankSendingStarted != 0 {
+		return StateSending
+	}
+	return StateReceiving
+}
 
 // Params returns the node's schedule parameters.
 func (h *BankNode) Params() Params { return h.bank.p }

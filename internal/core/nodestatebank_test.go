@@ -14,17 +14,51 @@ type captureRec struct{ evs *[]sim.Event }
 
 func (r captureRec) Record(ev sim.Event) { *r.evs = append(*r.evs, ev) }
 
-// TestNodeStateBankLockstep drives a NodeStateBank and a per-node LBAlg
+// lockstepNode is the per-node surface both representations expose.
+type lockstepNode interface {
+	Service
+	State() State
+	BodyStats() (participations, transmissions int)
+}
+
+// lockstepSide is one representation under the lockstep test: its nodes
+// and everything they emitted.
+type lockstepSide struct {
+	name  string
+	nodes []lockstepNode
+	evs   [][]sim.Event
+	acks  [][]sim.MsgID
+	recvs [][]sim.MsgID
+}
+
+func newLockstepSide(name string, nodes []lockstepNode) *lockstepSide {
+	n := len(nodes)
+	s := &lockstepSide{name: name, nodes: nodes,
+		evs: make([][]sim.Event, n), acks: make([][]sim.MsgID, n), recvs: make([][]sim.MsgID, n)}
+	for u, nd := range nodes {
+		nd.Init(&sim.NodeEnv{ID: u, Delta: 8, DeltaPrime: 8, R: 1,
+			Rng: xrand.NodeSource(7, u), Rec: captureRec{&s.evs[u]}})
+		nd.SetOnAck(func(m Message) { s.acks[u] = append(s.acks[u], m.ID) })
+		nd.SetOnRecv(func(m Message, _ int) { s.recvs[u] = append(s.recvs[u], m.ID) })
+	}
+	return s
+}
+
+// TestNodeStateBankLockstep drives a NodeStateBank through its batch range
+// surface, a second bank through its per-node handles, and a per-node LBAlg
 // array through identical lossy executions — same per-node randomness, same
-// staggered bcast schedule, same single-hop channel with drops, a crash
-// window for one node — and requires byte-identical behavior: every round's
-// transmit decision and payload, every recorded event, every recv and ack
-// callback, Active/State, and the body-round statistics. The bank side runs
-// through the batch TransmitRange/ReceiveRange surface (split into two
-// ranges per phase, as the worker-pool driver would call it), so the test
-// pins both the column port and the RoundView contract, at the paper's
-// k = 1 schedule and the Section 4.2 k = 3 variant whose mid-cycle sender
-// arrivals exercise the deferred decode and cursor-debt settlement.
+// staggered bcast schedule, same channel outcomes, a crash window for one
+// node — and requires byte-identical behavior: every round's transmit
+// decision and payload, every recorded event, every recv and ack callback,
+// Active/State, and the body-round statistics. The channel fills the
+// RoundView the way the engine does: Touched marks every reached node —
+// clean receptions, collisions (Count ≥ 2), transmitters' own stamped slots
+// and down nodes — while silent listeners' Rx slots and non-transmitters'
+// payloads hold poison that a bank must never read. The range side runs in
+// three ranges whose boundaries fall inside 8-node words, so the word scans
+// meet ragged heads and tails. Runs cover the paper's k = 1 schedule and
+// the Section 4.2 k = 3 variant whose mid-cycle sender arrivals exercise
+// the deferred decode and cursor-debt settlement.
 func TestNodeStateBankLockstep(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -34,7 +68,8 @@ func TestNodeStateBankLockstep(t *testing.T) {
 		{"ablation-k3", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const n = 6
+			const n = 27
+			ranges := [][2]int{{0, 5}, {5, 22}, {22, n}}
 			p, err := DeriveParams(8, 8, 1, 0.25, WithSeedEveryKPhases(tc.seedEvery))
 			if err != nil {
 				t.Fatal(err)
@@ -42,149 +77,181 @@ func TestNodeStateBankLockstep(t *testing.T) {
 			plan := NewPhasePlan(p)
 
 			bank := NewNodeStateBank(plan, n)
-			oracle := make([]*LBAlg, n)
-			bankEvs := make([][]sim.Event, n)
-			oracleEvs := make([][]sim.Event, n)
-			var bankAcks, oracleAcks [][]sim.MsgID
-			var bankRecvs, oracleRecvs [][]sim.MsgID
+			handles := NewNodeStateBank(plan, n)
+			var bankNodes, handleNodes, oracleNodes []lockstepNode
 			for u := 0; u < n; u++ {
-				env := func(evs *[]sim.Event) *sim.NodeEnv {
-					return &sim.NodeEnv{ID: u, Delta: 8, DeltaPrime: 8, R: 1,
-						Rng: xrand.NodeSource(7, u), Rec: captureRec{evs}}
-				}
-				bank.Node(u).Init(env(&bankEvs[u]))
-				oracle[u] = NewLBAlgWithPlan(plan)
-				oracle[u].Init(env(&oracleEvs[u]))
-				bankAcks, oracleAcks = append(bankAcks, nil), append(oracleAcks, nil)
-				bankRecvs, oracleRecvs = append(bankRecvs, nil), append(oracleRecvs, nil)
-				uu := u
-				bank.Node(u).SetOnAck(func(m Message) { bankAcks[uu] = append(bankAcks[uu], m.ID) })
-				bank.Node(u).SetOnRecv(func(m Message, _ int) { bankRecvs[uu] = append(bankRecvs[uu], m.ID) })
-				oracle[u].SetOnAck(func(m Message) { oracleAcks[uu] = append(oracleAcks[uu], m.ID) })
-				oracle[u].SetOnRecv(func(m Message, _ int) { oracleRecvs[uu] = append(oracleRecvs[uu], m.ID) })
+				bankNodes = append(bankNodes, bank.Node(u))
+				handleNodes = append(handleNodes, handles.Node(u))
+				oracleNodes = append(oracleNodes, NewLBAlgWithPlan(plan))
 			}
+			sides := []*lockstepSide{
+				newLockstepSide("bank", bankNodes),
+				newLockstepSide("handles", handleNodes),
+				newLockstepSide("oracle", oracleNodes),
+			}
+			ref := sides[2]
 
 			view := sim.RoundView{
 				Payloads: make([]any, n),
 				Transmit: make([]bool, n),
+				Touched:  make([]uint8, n),
 				Rx:       make([]sim.RxSlot, n),
 				Down:     make([]bool, n),
 			}
-			oPayloads := make([]any, n)
-			oTransmit := make([]bool, n)
+			type poison struct{}
+			pPayloads := [][]any{nil, make([]any, n), make([]any, n)}
+			pTransmit := [][]bool{nil, make([]bool, n), make([]bool, n)}
+			heard := make([]int, n) // per node: the transmitter heard, or -1
 
 			rounds := (2*tc.seedEvery + 2) * p.Tack * p.PhaseLen()
-			// Crash node 2's radio for a window in the middle of the run: both
-			// sides must skip it identically (no RNG draws, no receptions).
+			// Crash node 2's radio for a window in the middle of the run: every
+			// side must skip it identically (no RNG draws, no receptions).
 			downFrom, downTo := rounds/3, rounds/2
 			loss := xrand.New(41)
+			var txs []int
 			for tr := 1; tr <= rounds; tr++ {
-				if tr%(p.PhaseLen()/2+3) == 0 {
+				if tr%(p.PhaseLen()/4+3) == 0 {
 					u := tr % n
-					idBank, errBank := bank.Node(u).Bcast(tr)
-					idOracle, errOracle := oracle[u].Bcast(tr)
-					if (errBank == nil) != (errOracle == nil) || idBank != idOracle {
-						t.Fatalf("round %d: bcast diverged (bank %v/%v, oracle %v/%v)",
-							tr, idBank, errBank, idOracle, errOracle)
+					var ids [3]sim.MsgID
+					var errs [3]error
+					for i, s := range sides {
+						ids[i], errs[i] = s.nodes[u].Bcast(tr)
+					}
+					for i := range 2 {
+						if (errs[i] == nil) != (errs[2] == nil) || ids[i] != ids[2] {
+							t.Fatalf("round %d: %s bcast diverged (%v/%v, oracle %v/%v)",
+								tr, sides[i].name, ids[i], errs[i], ids[2], errs[2])
+						}
 					}
 				}
 				view.Down[2] = tr >= downFrom && tr < downTo
 
-				// Transmit phase: bank through the batch surface in two
-				// ranges, oracle per node with the engine's stepTx semantics.
-				mid := n / 2
-				bank.TransmitRange(tr, 0, mid, &view)
-				bank.TransmitRange(tr, mid, n, &view)
-				for u := 0; u < n; u++ {
-					if view.Down[u] {
-						oPayloads[u], oTransmit[u] = nil, false
-						continue
-					}
-					oPayloads[u], oTransmit[u] = oracle[u].Transmit(tr)
+				// Transmit phase: the bank through the batch surface, over stale
+				// payloads; the other sides per node with the engine's stepTx
+				// semantics.
+				for u := range view.Payloads {
+					view.Payloads[u] = poison{}
 				}
-				from := -1
-				tx := 0
+				for _, r := range ranges {
+					bank.TransmitRange(tr, r[0], r[1], &view)
+				}
+				for i := 1; i < 3; i++ {
+					for u := 0; u < n; u++ {
+						if view.Down[u] {
+							pPayloads[i][u], pTransmit[i][u] = nil, false
+							continue
+						}
+						pPayloads[i][u], pTransmit[i][u] = sides[i].nodes[u].Transmit(tr)
+					}
+				}
+				txs = txs[:0]
 				for u := 0; u < n; u++ {
-					if view.Transmit[u] != oTransmit[u] {
-						t.Fatalf("round %d node %d: transmit decision diverged (bank %v, oracle %v)",
-							tr, u, view.Transmit[u], oTransmit[u])
+					for i := 1; i < 3; i++ {
+						if view.Transmit[u] != pTransmit[i][u] {
+							t.Fatalf("round %d node %d: %s transmit decision diverged (bank %v, %s %v)",
+								tr, u, sides[i].name, view.Transmit[u], sides[i].name, pTransmit[i][u])
+						}
+						if view.Transmit[u] && !samePayload(view.Payloads[u], pPayloads[i][u]) {
+							t.Fatalf("round %d node %d: payload diverged (bank %v, %s %v)",
+								tr, u, view.Payloads[u], sides[i].name, pPayloads[i][u])
+						}
 					}
 					if view.Transmit[u] {
-						if !samePayload(view.Payloads[u], oPayloads[u]) {
-							t.Fatalf("round %d node %d: payload diverged (%v vs %v)",
-								tr, u, view.Payloads[u], oPayloads[u])
-						}
-						from, tx = u, tx+1
+						txs = append(txs, u)
 					}
 				}
 
-				// Reception: single-transmitter rounds deliver to everyone
-				// unless the lossy channel drops them. Rx slots are stamped
-				// for every node (including the transmitter) — the Transmit
-				// guard in ReceiveRange must filter, as the engine's deliver
-				// does.
-				deliver := tx == 1 && !loss.Coin(0.3)
-				if deliver {
-					for u := 0; u < n; u++ {
-						view.Rx[u] = sim.RxSlot{Stamp: int32(tr), Count: 1, From: int32(from)}
-					}
-				}
-				bank.ReceiveRange(tr, 0, mid, &view)
-				bank.ReceiveRange(tr, mid, n, &view)
+				// Channel: a silent listener keeps a poisoned slot that looks
+				// like a clean reception; a reached node is touched with a clean
+				// reception of one transmitter or a collision. Transmitters and
+				// down nodes are reached too — ReceiveRange must filter them.
 				for u := 0; u < n; u++ {
-					if view.Down[u] {
+					heard[u] = -1
+					poisonFrom := u
+					if len(txs) > 0 {
+						poisonFrom = txs[0] // a real frame, heard only if misread
+					}
+					view.Rx[u] = sim.RxSlot{Stamp: int32(tr), Count: 1, From: int32(poisonFrom)}
+					if len(txs) == 0 || loss.Coin(0.2) {
 						continue
 					}
-					if deliver && u != from {
-						oracle[u].Receive(tr, from, oPayloads[from], true)
-					} else {
-						oracle[u].Receive(tr, sim.NoTransmitter, nil, false)
+					view.Touched[u] = 1
+					if loss.Coin(0.3) {
+						view.Rx[u].Count = int32(2 + loss.Intn(3))
+						continue
+					}
+					from := txs[loss.Intn(len(txs))]
+					view.Rx[u].From = int32(from)
+					if !view.Transmit[u] && !view.Down[u] {
+						heard[u] = from
 					}
 				}
+				for _, r := range ranges {
+					bank.ReceiveRange(tr, r[0], r[1], &view)
+				}
+				for i := 1; i < 3; i++ {
+					for u := 0; u < n; u++ {
+						if view.Down[u] {
+							continue
+						}
+						if from := heard[u]; from >= 0 {
+							sides[i].nodes[u].Receive(tr, from, pPayloads[i][from], true)
+						} else {
+							sides[i].nodes[u].Receive(tr, sim.NoTransmitter, nil, false)
+						}
+					}
+				}
+				clear(view.Touched)
 			}
 
-			sent := 0
+			sent, acks := 0, 0
 			for u := 0; u < n; u++ {
-				if got, want := bank.Node(u).Active(), oracle[u].Active(); got != want {
-					t.Errorf("node %d: Active diverged (bank %v, oracle %v)", u, got, want)
-				}
-				if got, want := bank.Node(u).State(), oracle[u].State(); got != want {
-					t.Errorf("node %d: State diverged (bank %v, oracle %v)", u, got, want)
-				}
-				pb, tb := bank.Node(u).BodyStats()
-				po, to := oracle[u].BodyStats()
-				if pb != po || tb != to {
-					t.Errorf("node %d: body stats diverged (bank %d/%d, oracle %d/%d)", u, pb, tb, po, to)
-				}
-				sent += tb
-				if len(bankEvs[u]) != len(oracleEvs[u]) {
-					t.Fatalf("node %d: %d events vs oracle %d", u, len(bankEvs[u]), len(oracleEvs[u]))
-				}
-				for i := range bankEvs[u] {
-					if bankEvs[u][i] != oracleEvs[u][i] {
-						t.Errorf("node %d event %d: %+v vs oracle %+v", u, i, bankEvs[u][i], oracleEvs[u][i])
+				want := ref.nodes[u]
+				po, to := want.BodyStats()
+				sent += to
+				acks += len(ref.acks[u])
+				for _, s := range sides[:2] {
+					got := s.nodes[u]
+					if got.Active() != want.Active() {
+						t.Errorf("%s node %d: Active diverged (%v, oracle %v)", s.name, u, got.Active(), want.Active())
 					}
-				}
-				if len(bankAcks[u]) != len(oracleAcks[u]) {
-					t.Fatalf("node %d: %d acks vs oracle %d", u, len(bankAcks[u]), len(oracleAcks[u]))
-				}
-				for i := range bankAcks[u] {
-					if bankAcks[u][i] != oracleAcks[u][i] {
-						t.Errorf("node %d ack %d: %v vs oracle %v", u, i, bankAcks[u][i], oracleAcks[u][i])
+					if got.State() != want.State() {
+						t.Errorf("%s node %d: State diverged (%v, oracle %v)", s.name, u, got.State(), want.State())
 					}
-				}
-				if len(bankRecvs[u]) != len(oracleRecvs[u]) {
-					t.Fatalf("node %d: %d recvs vs oracle %d", u, len(bankRecvs[u]), len(oracleRecvs[u]))
-				}
-				for i := range bankRecvs[u] {
-					if bankRecvs[u][i] != oracleRecvs[u][i] {
-						t.Errorf("node %d recv %d: %v vs oracle %v", u, i, bankRecvs[u][i], oracleRecvs[u][i])
+					if pb, tb := got.BodyStats(); pb != po || tb != to {
+						t.Errorf("%s node %d: body stats diverged (%d/%d, oracle %d/%d)", s.name, u, pb, tb, po, to)
 					}
+					if len(s.evs[u]) != len(ref.evs[u]) {
+						t.Fatalf("%s node %d: %d events vs oracle %d", s.name, u, len(s.evs[u]), len(ref.evs[u]))
+					}
+					for i := range s.evs[u] {
+						if s.evs[u][i] != ref.evs[u][i] {
+							t.Errorf("%s node %d event %d: %+v vs oracle %+v", s.name, u, i, s.evs[u][i], ref.evs[u][i])
+						}
+					}
+					sameIDs(t, s.name+" acks", u, s.acks[u], ref.acks[u])
+					sameIDs(t, s.name+" recvs", u, s.recvs[u], ref.recvs[u])
 				}
 			}
 			if sent == 0 {
 				t.Error("execution produced no data transmissions; equivalence vacuous")
 			}
+			if acks == 0 {
+				t.Error("execution produced no acks; the ack edge went untested")
+			}
 		})
+	}
+}
+
+// sameIDs requires two per-node message id sequences to be identical.
+func sameIDs(t *testing.T, what string, u int, got, want []sim.MsgID) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s node %d: %d vs oracle %d", what, u, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s node %d #%d: %v vs oracle %v", what, u, i, got[i], want[i])
+		}
 	}
 }

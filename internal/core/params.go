@@ -93,6 +93,11 @@ func WithSeedEveryKPhases(k int) Option { return func(d *derivation) { d.seedEve
 // process knows (Δ, Δ′, r) and the requested error bound ε₁, following
 // Appendix C.1 with calibrated constants. No global parameter (n) enters
 // any formula — the paper's "true locality".
+//
+// Every length is computed in floating point and checked before it becomes
+// an int, and the schedule is rejected unless its t_ack bound fits in
+// MaxRounds: rounds are int32 in the engine's reception slots and in the
+// trace columns.
 func DeriveParams(delta, deltaPrime int, r, eps1 float64, opts ...Option) (Params, error) {
 	if !(eps1 > 0 && eps1 <= 0.5) {
 		return Params{}, fmt.Errorf("core: ε₁ = %v outside (0, ½]", eps1)
@@ -100,14 +105,14 @@ func DeriveParams(delta, deltaPrime int, r, eps1 float64, opts ...Option) (Param
 	if delta < 1 || deltaPrime < delta {
 		return Params{}, fmt.Errorf("core: degree bounds Δ=%d, Δ′=%d invalid", delta, deltaPrime)
 	}
-	if r < 1 {
-		return Params{}, fmt.Errorf("core: r = %v < 1", r)
+	if !(r >= 1) || math.IsInf(r, 1) {
+		return Params{}, fmt.Errorf("core: r = %v not a finite value ≥ 1", r)
 	}
 	d := derivation{c1: DefaultC1, cAck: DefaultCAck, seedC4: DefaultSeedC4, seedEvery: 1}
 	for _, opt := range opts {
 		opt(&d)
 	}
-	if d.c1 <= 0 || d.cAck <= 0 || d.seedC4 <= 0 || d.seedEvery < 1 {
+	if !(d.c1 > 0) || !(d.cAck > 0) || !(d.seedC4 > 0) || d.seedEvery < 1 {
 		return Params{}, fmt.Errorf("core: non-positive constant override")
 	}
 
@@ -119,12 +124,16 @@ func DeriveParams(delta, deltaPrime int, r, eps1 float64, opts ...Option) (Param
 	log1e1 := math.Log2(1 / eps1)
 	log1e2 := math.Log2(1 / eps2)
 
-	k1 := bitsFor(int(math.Ceil(r * r * log1e2)))
+	groupSize, err := schedLen("participation range r²·log(1/ε₂)", r*r*log1e2)
+	if err != nil {
+		return Params{}, err
+	}
+	k1 := bitsFor(groupSize)
 	k2 := bitsFor(logDelta)
 
-	tprog := int(math.Ceil(d.c1 * r * r * log1e1 * log1e2 * float64(logDelta)))
-	if tprog < 1 {
-		tprog = 1
+	tprog, err := schedLen("T_prog", d.c1*r*r*log1e1*log1e2*float64(logDelta))
+	if err != nil {
+		return Params{}, err
 	}
 
 	// Seed sizing. With the default k = 1 a seed must cover Tprog body
@@ -136,17 +145,20 @@ func DeriveParams(delta, deltaPrime int, r, eps1 float64, opts ...Option) (Param
 		return Params{}, fmt.Errorf("core: deriving seed parameters: %w", err)
 	}
 	ts := sp.Rounds()
-	bodyRoundsPerCycle := tprog + (d.seedEvery-1)*(ts+tprog)
-	kappa := bodyRoundsPerCycle * (k1 + k2)
-	if kappa < 1 {
-		kappa = 1
+	bodyRoundsPerCycle := float64(tprog) + float64(d.seedEvery-1)*float64(ts+tprog)
+	kappa, err := schedLen("seed length κ", bodyRoundsPerCycle*float64(k1+k2))
+	if err != nil {
+		return Params{}, err
 	}
 	sp.Kappa = kappa
 
-	tack := int(math.Ceil(d.cAck * math.Log(2*float64(delta)/eps1) * float64(deltaPrime) /
-		(log1e1 * (1 - eps1/2))))
-	if tack < 1 {
-		tack = 1
+	tack, err := schedLen("T_ack", d.cAck*math.Log(2*float64(delta)/eps1)*float64(deltaPrime)/
+		(log1e1*(1-eps1/2)))
+	if err != nil {
+		return Params{}, err
+	}
+	if tAck := float64(tack+1) * float64(ts+tprog); tAck > MaxRounds {
+		return Params{}, fmt.Errorf("core: t_ack bound of %v rounds exceeds %d", tAck, MaxRounds)
 	}
 
 	return Params{
@@ -165,6 +177,20 @@ func DeriveParams(delta, deltaPrime int, r, eps1 float64, opts ...Option) (Param
 		K2:               k2,
 		SeedEveryKPhases: d.seedEvery,
 	}, nil
+}
+
+// MaxRounds is the longest schedule DeriveParams accepts: t_ack must fit
+// the int32 round numbers of the engine and the trace.
+const MaxRounds = math.MaxInt32
+
+// schedLen rounds a schedule quantity up to an int of at least 1, rejecting
+// values that are not finite or exceed MaxRounds.
+func schedLen(name string, v float64) (int, error) {
+	v = math.Ceil(v)
+	if !(v <= MaxRounds) {
+		return 0, fmt.Errorf("core: %s = %v exceeds %d", name, v, MaxRounds)
+	}
+	return max(int(v), 1), nil
 }
 
 // PhaseLen returns the full phase length Ts + Tprog — the service's t_prog

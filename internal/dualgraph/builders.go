@@ -68,8 +68,11 @@ const parallelScanMinVertices = 1 << 14
 // topology's identity, so it always scans sequentially (the graph assembly
 // still parallelises).
 func buildFromEmbeddingWorkers(emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source, workers int) (*Dual, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("dualgraph: r = %v < 1", r)
+	if err := checkR(r); err != nil {
+		return nil, err
+	}
+	if err := geo.CheckPoints(emb); err != nil {
+		return nil, fmt.Errorf("dualgraph: %w", err)
 	}
 	switch policy {
 	case GreyUnreliable, GreyNone, GreyReliable, GreyMixed:
@@ -78,7 +81,7 @@ func buildFromEmbeddingWorkers(emb []geo.Point, r float64, policy GreyPolicy, rn
 	}
 	n := len(emb)
 	gi := geo.BuildGridIndexWorkers(emb, workers)
-	stencil := geo.NeighborStencil(r)
+	stencil := gi.Stencil(r)
 	var gEdges, gpOnly []Edge
 	if policy == GreyMixed || workers <= 1 || n < parallelScanMinVertices {
 		gEdges, gpOnly = scanPairs(gi, stencil, emb, r, policy, rng, 0, n)
@@ -97,6 +100,14 @@ func buildFromEmbeddingWorkers(emb []geo.Point, r float64, policy GreyPolicy, rn
 	g := NewGraphFromEdgesWorkers(n, gEdges, workers)
 	gp := NewGraphFromEdgesWorkers(n, append(gEdges, gpOnly...), workers)
 	return newDualTrusted(g, gp, emb, r), nil
+}
+
+// checkR rejects a geographic parameter that is not a finite value ≥ 1.
+func checkR(r float64) error {
+	if !(r >= 1) || math.IsInf(r, 1) {
+		return fmt.Errorf("dualgraph: r = %v not a finite value ≥ 1", r)
+	}
+	return nil
 }
 
 // scanPairs runs the policy pair scan for u in [lo, hi), returning the
@@ -154,7 +165,7 @@ func RandomGeometric(n int, w, h, r float64, policy GreyPolicy, rng *xrand.Sourc
 // point order — and the result is structurally identical to RandomGeometric
 // for every worker count.
 func RandomGeometricWorkers(n int, w, h, r float64, policy GreyPolicy, rng *xrand.Source, workers int) (*Dual, error) {
-	if n < 0 || w <= 0 || h <= 0 {
+	if n < 0 || !(w > 0 && w <= geo.MaxCoord) || !(h > 0 && h <= geo.MaxCoord) {
 		return nil, fmt.Errorf("dualgraph: invalid geometry n=%d w=%v h=%v", n, w, h)
 	}
 	emb := make([]geo.Point, n)
@@ -168,6 +179,9 @@ func RandomGeometricWorkers(n int, w, h, r float64, policy GreyPolicy, rng *xran
 // is a clique: the single-hop setting used for the progress and
 // acknowledgement experiments (a receiver surrounded by broadcasters).
 func SingleHopCluster(n int, r float64, rng *xrand.Source) (*Dual, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("dualgraph: negative cluster size %d", n)
+	}
 	emb := make([]geo.Point, n)
 	for i := range emb {
 		// Rejection-sample the unit-diameter disc centred at the origin.

@@ -331,8 +331,8 @@ func (d *Dual) Validate() error {
 	if d.G.N() != d.Gp.N() {
 		return fmt.Errorf("dualgraph: vertex count mismatch: G has %d, G' has %d", d.G.N(), d.Gp.N())
 	}
-	if d.R < 1 {
-		return fmt.Errorf("dualgraph: r = %v < 1", d.R)
+	if err := checkR(d.R); err != nil {
+		return err
 	}
 	for u := 0; u < d.G.N(); u++ {
 		for _, v := range d.G.Neighbors(u) {
@@ -344,6 +344,9 @@ func (d *Dual) Validate() error {
 	if d.Emb != nil {
 		if len(d.Emb) != d.G.N() {
 			return fmt.Errorf("dualgraph: embedding has %d points for %d vertices", len(d.Emb), d.G.N())
+		}
+		if err := geo.CheckPoints(d.Emb); err != nil {
+			return fmt.Errorf("dualgraph: %w", err)
 		}
 		if err := d.checkGeographic(); err != nil {
 			return err

@@ -31,6 +31,24 @@ type RegionID struct {
 // String implements fmt.Stringer.
 func (r RegionID) String() string { return fmt.Sprintf("R(%d,%d)", r.I, r.J) }
 
+// MaxCoord bounds the magnitude of an embedding coordinate. Region
+// coordinates are int32, and so are the spans between regions: ±10⁸ keeps
+// both within range with room to spare.
+const MaxCoord = 1e8
+
+// CheckPoints returns an error for the first point with a NaN, infinite or
+// out-of-range (|coordinate| > MaxCoord) coordinate. Every consumer of an
+// embedding — RegionOf, the grid index, distances — assumes finite,
+// in-range points.
+func CheckPoints(emb []Point) error {
+	for i, p := range emb {
+		if !(math.Abs(p.X) <= MaxCoord && math.Abs(p.Y) <= MaxCoord) {
+			return fmt.Errorf("geo: point %d at (%v, %v) is not within ±%g", i, p.X, p.Y, MaxCoord)
+		}
+	}
+	return nil
+}
+
 // RegionOf returns the ID of the grid region containing p.
 //
 // The paper makes each square half-open so the squares form a true

@@ -297,7 +297,8 @@ type CellOffset struct {
 //
 // Offsets are sorted (DI, DJ) lexicographic — the same order as the square
 // di/dj window scans the stencil replaces, so pair visit orders (and the
-// builders' RNG coin sequences) are unchanged.
+// builders' RNG coin sequences) are unchanged. Its size grows as r²; a scan
+// over a known index should use GridIndex.Stencil, which caps it.
 func NeighborStencil(r float64) []CellOffset {
 	if r < 0 {
 		return nil
@@ -305,15 +306,54 @@ func NeighborStencil(r float64) []CellOffset {
 	// RegionDist between cells offset by (di, dj) is
 	// side·hypot(max(|di|−1,0), max(|dj|−1,0)), so |di| ≤ r/side + 1.
 	w := int32(math.Floor(r/RegionSide)) + 1
-	out := make([]CellOffset, 0, (2*w+1)*(2*w+1))
-	for di := -w; di <= w; di++ {
-		for dj := -w; dj <= w; dj++ {
+	return boxStencil(r, w, w)
+}
+
+// boxStencil lists the offsets within distance r in the window |DI| ≤ wi,
+// |DJ| ≤ wj, in (DI, DJ) order.
+func boxStencil(r float64, wi, wj int32) []CellOffset {
+	out := make([]CellOffset, 0, (2*int(wi)+1)*(2*int(wj)+1))
+	for di := -wi; di <= wi; di++ {
+		for dj := -wj; dj <= wj; dj++ {
 			if RegionDist(RegionID{}, RegionID{I: di, J: dj}) <= r {
 				out = append(out, CellOffset{DI: di, DJ: dj})
 			}
 		}
 	}
 	return out
+}
+
+// Stencil is NeighborStencil(r) without the offsets that cannot relate two
+// of the index's occupied regions: no offset exceeds the bounding box, and
+// when the box holds more cells than there are pairs of occupied regions,
+// only the offsets between occupied regions remain. The offsets dropped
+// hold no points, so a scan visits the same pairs in the same order as with
+// the full stencil, while the stencil's size stays bounded by the embedding
+// (the full stencil's grows as r², without limit).
+func (gi *GridIndex) Stencil(r float64) []CellOffset {
+	if !(r >= 0) {
+		return nil
+	}
+	reach := math.Floor(r/RegionSide) + 1 // as in NeighborStencil
+	wi := int32(min(reach, float64(max(gi.nI-1, 0))))
+	wj := int32(min(reach, float64(max(gi.nJ-1, 0))))
+	regions := int64(len(gi.ids))
+	if int64(2*wi+1)*int64(2*wj+1) <= regions*regions {
+		return boxStencil(r, wi, wj)
+	}
+	var out []CellOffset
+	for _, a := range gi.ids {
+		for _, b := range gi.ids {
+			o := CellOffset{DI: b.I - a.I, DJ: b.J - a.J}
+			if RegionDist(RegionID{}, RegionID{I: o.DI, J: o.DJ}) <= r {
+				out = append(out, o)
+			}
+		}
+	}
+	slices.SortFunc(out, func(x, y CellOffset) int {
+		return compareRegionIDs(RegionID{I: x.DI, J: x.DJ}, RegionID{I: y.DI, J: y.DJ})
+	})
+	return slices.Compact(out)
 }
 
 // sortRegionIDs orders region keys in the canonical (I, J) order shared by

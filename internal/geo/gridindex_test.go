@@ -169,6 +169,60 @@ func TestNeighborStencil(t *testing.T) {
 	}
 }
 
+// TestGridStencilVisitsSamePairs pins GridIndex.Stencil against the full
+// NeighborStencil: for every vertex, the same neighbours in the same order,
+// on compact and spread embeddings, at radii whose full stencil fits the
+// embedding and radii far beyond it — while the clamped stencil stays
+// bounded by the embedding instead of growing as r².
+func TestGridStencilVisitsSamePairs(t *testing.T) {
+	rng := xrand.New(12)
+	spread := randomEmbedding(12, 60, rng)
+	for _, tc := range []struct {
+		name string
+		emb  []Point
+		r    float64
+	}{
+		{"compact r=1.5", randomEmbedding(150, 5, rng), 1.5},
+		{"compact r=40", randomEmbedding(60, 3, rng), 40},
+		{"spread r=3", spread, 3},
+		{"spread r=25", spread, 25},
+		{"spread r=200", spread, 200},
+		{"single point", []Point{{1, 1}}, 7},
+	} {
+		gi := BuildGridIndex(tc.emb)
+		full, clamped := NeighborStencil(tc.r), gi.Stencil(tc.r)
+		for u := range tc.emb {
+			var want, got []int32
+			gi.VisitNear(u, full, func(v int32) { want = append(want, v) })
+			gi.VisitNear(u, clamped, func(v int32) { got = append(got, v) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: vertex %d visits %v, full stencil %v", tc.name, u, got, want)
+			}
+		}
+		_, _, nI, nJ := gi.Bounds()
+		if box := (2*int(nI) - 1) * (2*int(nJ) - 1); len(clamped) > box {
+			t.Errorf("%s: %d offsets, more than the %d-cell bounding window", tc.name, len(clamped), box)
+		}
+	}
+	// A radius whose full stencil would hold ~10¹⁸ offsets.
+	if st := BuildGridIndex(spread).Stencil(1e9); len(st) > len(spread)*len(spread) {
+		t.Errorf("r=1e9: %d offsets for %d points", len(st), len(spread))
+	}
+}
+
+// TestCheckPoints accepts finite in-range coordinates and rejects NaN,
+// infinite and out-of-range ones.
+func TestCheckPoints(t *testing.T) {
+	if err := CheckPoints([]Point{{0, 0}, {-MaxCoord, MaxCoord}}); err != nil {
+		t.Errorf("rejected in-range points: %v", err)
+	}
+	for _, p := range []Point{{math.NaN(), 0}, {0, math.Inf(-1)}, {2 * MaxCoord, 0}} {
+		if err := CheckPoints([]Point{{0, 0}, p}); err == nil {
+			t.Errorf("accepted %v", p)
+		}
+	}
+}
+
 // TestGridIndexPairCoverage: scanning stencil neighborhoods from every vertex
 // must visit every pair within distance r at least once (both directions are
 // scanned, callers dedupe with v > u).

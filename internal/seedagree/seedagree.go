@@ -95,11 +95,25 @@ func (p Params) Validate() error {
 	if p.Delta < 1 {
 		return fmt.Errorf("seedagree: Δ = %d < 1", p.Delta)
 	}
-	if p.C4 <= 0 {
-		return fmt.Errorf("seedagree: c₄ = %v ≤ 0", p.C4)
+	if !(p.C4 > 0) {
+		return fmt.Errorf("seedagree: c₄ = %v not > 0", p.C4)
+	}
+	// The packed plan tables (Plan.pp) hold phase and position in 16 bits
+	// each; check in floating point so no length overflows int first.
+	l := math.Log2(1 / p.Eps1)
+	if phaseLen := math.Ceil(p.C4 * l * l); !(phaseLen <= maxPlanAxis) {
+		return fmt.Errorf("seedagree: phase length %v (c₄ = %v, ε₁ = %v) exceeds %d rounds",
+			phaseLen, p.C4, p.Eps1, maxPlanAxis)
+	}
+	if p.Phases() > maxPlanAxis {
+		return fmt.Errorf("seedagree: %d phases exceed %d", p.Phases(), maxPlanAxis)
 	}
 	return nil
 }
+
+// maxPlanAxis is the largest phase length and phase count the packed plan
+// tables can address.
+const maxPlanAxis = 0xffff
 
 // log2Delta returns log₂ of Δ rounded up to a power of two, at least 1.
 func (p Params) log2Delta() int {
@@ -170,10 +184,10 @@ type Plan struct {
 
 // NewPlan computes the schedule tables for p. It panics on invalid
 // parameters (callers validate with Params.Validate first, as NewAlg always
-// has).
+// has; Validate rejects every schedule the tables cannot hold).
 func NewPlan(p Params) *Plan {
 	pl := &Plan{p: p, phaseLen: p.PhaseLen(), rounds: p.Rounds(), bcastP: p.broadcastProb()}
-	if pl.phaseLen > 0xffff || p.Phases() > 0xffff {
+	if pl.phaseLen > maxPlanAxis || p.Phases() > maxPlanAxis {
 		panic("seedagree: schedule too long for the packed plan tables")
 	}
 	pl.pp = make([]uint32, pl.rounds+1)

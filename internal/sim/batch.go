@@ -33,18 +33,29 @@ type RxSlot struct {
 // only touch the index range a TransmitRange/ReceiveRange call names.
 type RoundView struct {
 	// Payloads and Transmit receive the transmit-phase decisions:
-	// TransmitRange must fill both for every node in its range, exactly as
-	// Process.Transmit would have through the engine's stepTx.
+	// TransmitRange must set Transmit for every node in its range exactly as
+	// Process.Transmit would have through the engine's stepTx, and
+	// Payloads[u] wherever it sets Transmit[u]. Payloads[u] only has meaning
+	// where Transmit[u] is set: the engine reads no other payload, so a bank
+	// may leave stale entries elsewhere.
 	Payloads []any
 	Transmit []bool
-	// Rx holds the resolved reception state, valid during ReceiveRange. A
-	// node hears transmitter Rx[u].From iff it is not itself transmitting,
-	// Rx[u].Stamp equals the current round, and Rx[u].Count == 1; every
-	// other combination is ⊥.
+	// Touched marks, with 1, the nodes this round's scatter or reception
+	// model reached — exactly the nodes whose Rx slot holds this round's
+	// reception state; every other entry is 0. The engine sets it before the
+	// receive phase and clears it after the round's statistics, so it is
+	// all-zero during TransmitRange.
+	Touched []uint8
+	// Rx holds the resolved reception state, valid during ReceiveRange and
+	// only where Touched is set. A node hears transmitter Rx[u].From iff it
+	// is touched, it is not itself transmitting, and Rx[u].Count == 1; every
+	// other combination is ⊥, so a bank never needs a silent listener's
+	// slot. (Rx[u].Stamp equals the current round exactly where Touched[u]
+	// is set.)
 	Rx []RxSlot
 	// Down is the engine's crashed-node mask; nil when no node has ever been
-	// down. A down node's process must not run: TransmitRange writes
-	// (nil, false) for it without consulting protocol state, ReceiveRange
+	// down. A down node's process must not run: TransmitRange leaves
+	// Transmit false for it without consulting protocol state, ReceiveRange
 	// skips it entirely — mirroring stepTx and deliver.
 	Down []bool
 }
@@ -68,15 +79,19 @@ type RoundFlusher interface {
 // Range calls for the same phase never overlap and jointly cover [0, n);
 // under the worker-pool driver they run concurrently on disjoint ranges, so
 // a bank's per-node state must be independent across nodes exactly as
-// Process implementations must confine their state.
+// Process implementations must confine their state. A bank may skip any
+// node whose per-node call would provably change nothing, as long as the
+// nodes it does run see their calls in ascending node order (so recorded
+// events and protocol callbacks keep the per-node path's order).
 type ProcessBank interface {
 	// TransmitRange fixes round t's broadcast decisions for nodes [lo, hi):
-	// for each node u, v.Payloads[u] and v.Transmit[u] exactly as
-	// Process.Transmit(t) would have returned them (and (nil, false) for
-	// down nodes).
+	// for each node u, v.Transmit[u] exactly as Process.Transmit(t) would
+	// have returned it (false for down nodes), and v.Payloads[u] wherever
+	// v.Transmit[u] is set.
 	TransmitRange(t, lo, hi int, v *RoundView)
 	// ReceiveRange delivers round t's reception outcomes to nodes [lo, hi),
-	// resolving each node's outcome from v (see RoundView.Rx) exactly as the
-	// engine's deliver would have, and skipping down nodes.
+	// resolving each node's outcome from v (see RoundView.Touched and
+	// RoundView.Rx) exactly as the engine's deliver would have, and
+	// skipping down nodes.
 	ReceiveRange(t, lo, hi int, v *RoundView)
 }

@@ -242,6 +242,9 @@ func New(cfg Config) (*Engine, error) {
 		recs:     make([]nodeRecorder, n),
 	}
 	e.view = RoundView{Payloads: e.payloads, Transmit: e.transmit, Rx: e.rx}
+	if cfg.Bank != nil {
+		e.view.Touched = make([]uint8, n)
+	}
 	e.seed = cfg.Seed
 	if f, ok := cfg.Bank.(RoundFlusher); ok {
 		e.flush = f
@@ -460,6 +463,14 @@ func (e *Engine) Step() {
 // It expects the per-node reception state (rx slots, touched)
 // for round t to be fully resolved.
 func (e *Engine) finishRound(t int) {
+	// A bank reads the touched list as a per-node column (RoundView.Touched),
+	// so its receive range visits reached nodes without reading every slot.
+	if e.bank != nil {
+		for _, u := range e.touched {
+			e.view.Touched[u] = 1
+		}
+	}
+
 	// Delivery mutates process state; each node resolves its own reception
 	// outcome from the scatter counts (deliver fuses the per-node outcome
 	// decision with the Receive call, so no separate O(n) pass runs).
@@ -497,6 +508,11 @@ func (e *Engine) finishRound(t int) {
 			e.trace.Deliveries++
 		} else {
 			e.trace.Collisions++
+		}
+	}
+	if e.bank != nil {
+		for _, u := range e.touched {
+			e.view.Touched[u] = 0
 		}
 	}
 	if e.trace.SampleRounds {

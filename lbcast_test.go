@@ -1,6 +1,7 @@
 package lbcast
 
 import (
+	"math"
 	"testing"
 )
 
@@ -195,5 +196,64 @@ func TestDriverParityThroughFacade(t *testing.T) {
 		if t1 != t2 || d1 != d2 || c1 != c2 {
 			t.Errorf("driver %d diverged: (%d,%d,%d) vs (%d,%d,%d)", d, t2, d2, c2, t1, d1, c1)
 		}
+	}
+}
+
+// TestHostileInputsReturnErrors feeds every constructor input class a
+// caller controls — sizes, coordinates, r, w, h, ε and the seed-agreement
+// period — values that are negative, NaN, infinite or so large that the
+// schedule or the neighbour stencil would not fit. Each must come back as
+// an error, promptly: never a panic, a hang or a giant allocation.
+func TestHostileInputsReturnErrors(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		build func() (*Network, error)
+	}{
+		{"negative cluster", func() (*Network, error) { return NewCluster(-1) }},
+		{"NaN coordinate", func() (*Network, error) {
+			return NewGeometric([]Point{{0, 0}, {nan, 0.5}}, 1.5)
+		}},
+		{"infinite coordinate", func() (*Network, error) {
+			return NewGeometric([]Point{{0, 0}, {0.5, -inf}}, 1.5)
+		}},
+		{"coordinate beyond the grid", func() (*Network, error) {
+			return NewGeometric([]Point{{0, 0}, {1e300, 0}}, 1.5)
+		}},
+		{"NaN r, explicit placement", func() (*Network, error) {
+			return NewGeometric([]Point{{0, 0}, {0.5, 0}}, nan)
+		}},
+		{"infinite r, explicit placement", func() (*Network, error) {
+			return NewGeometric([]Point{{0, 0}, {0.5, 0}}, inf)
+		}},
+		{"NaN r", func() (*Network, error) { return NewRandomGeometric(10, 3, 3, nan) }},
+		{"infinite r", func() (*Network, error) { return NewRandomGeometric(10, 3, 3, inf) }},
+		{"NaN w", func() (*Network, error) { return NewRandomGeometric(10, nan, 3, 1.5) }},
+		{"infinite w", func() (*Network, error) { return NewRandomGeometric(10, inf, 3, 1.5) }},
+		{"NaN h", func() (*Network, error) { return NewRandomGeometric(10, 3, nan, 1.5) }},
+		{"infinite h", func() (*Network, error) { return NewRandomGeometric(10, 3, inf, 1.5) }},
+		{"unbounded radius", func() (*Network, error) { return NewRandomGeometric(10, 3, 3, 1e9) }},
+		{"radius 1000", func() (*Network, error) { return NewRandomGeometric(10, 3, 3, 1000) }},
+		{"unbounded radius, spread placement", func() (*Network, error) {
+			return NewRandomGeometric(10, 1e6, 1e6, 1e9)
+		}},
+		{"tiny epsilon", func() (*Network, error) { return NewCluster(8, WithEpsilon(1e-300)) }},
+		{"NaN epsilon", func() (*Network, error) { return NewCluster(8, WithEpsilon(nan)) }},
+		{"huge seed-agreement period", func() (*Network, error) {
+			return NewCluster(8, WithSeedAgreementEvery(1<<40))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			nw, err := tc.build()
+			if err == nil {
+				nw.Close()
+				t.Fatal("accepted")
+			}
+		})
 	}
 }
