@@ -62,29 +62,33 @@ func (e *SingleShotEnv) Pending() int { return len(e.queue) }
 type SaturatingEnv struct {
 	procs   []Service
 	senders []int
-	ready   map[int]bool
-	acks    map[int]int
-	seq     int
+	// Per-node state indexed by node id, so each OnAck hook — run on the
+	// engine's worker goroutines — writes only its own node's entries.
+	sender, ready []bool
+	acks          []int
+	seq           int
 }
 
 // NewSaturatingEnv builds the environment and hooks the senders' OnAck
 // callbacks. Senders must not have competing OnAck handlers.
 func NewSaturatingEnv(procs []Service, senders []int) *SaturatingEnv {
-	e := &SaturatingEnv{
-		procs:   procs,
-		senders: append([]int(nil), senders...),
-		ready:   make(map[int]bool, len(senders)),
-		acks:    make(map[int]int, len(senders)),
-	}
+	n := len(procs)
+	e := &SaturatingEnv{procs: procs, senders: append([]int(nil), senders...),
+		sender: make([]bool, n), ready: make([]bool, n), acks: make([]int, n)}
 	for _, s := range e.senders {
-		e.ready[s] = true
-		node := s
-		procs[s].SetOnAck(func(Message) {
-			e.acks[node]++
-			e.ready[node] = true
-		})
+		e.sender[s] = true
+		e.arm(s)
 	}
 	return e
+}
+
+// arm hooks node's OnAck and marks it ready for a fresh bcast.
+func (e *SaturatingEnv) arm(node int) {
+	e.procs[node].SetOnAck(func(Message) {
+		e.acks[node]++
+		e.ready[node] = true
+	})
+	e.ready[node] = true
 }
 
 // BeforeRound implements sim.Environment.
@@ -113,14 +117,9 @@ func (e *SaturatingEnv) AfterRound(int) {}
 // the next BeforeRound (any broadcast in flight at the crash is counted as
 // lost, not acked). No-op for nodes that are not senders.
 func (e *SaturatingEnv) Rearm(node int) {
-	if _, ok := e.ready[node]; !ok {
-		return
+	if node >= 0 && node < len(e.sender) && e.sender[node] {
+		e.arm(node)
 	}
-	e.procs[node].SetOnAck(func(Message) {
-		e.acks[node]++
-		e.ready[node] = true
-	})
-	e.ready[node] = true
 }
 
 // Acks returns the ack count observed for the given sender.

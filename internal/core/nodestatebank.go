@@ -14,19 +14,34 @@ import (
 // NodeStateBank owns the whole network's protocol state in flat per-field
 // columns and steps contiguous node ranges per round through the engine's
 // batch path (sim.ProcessBank). The per-node LBAlg remains the reference
-// implementation — every method here is a field-by-field port of the
-// corresponding lbalg.go method, and nodestatebank_test.go runs the two in
-// lockstep over lossy executions comparing every transmit decision, payload,
-// recv, ack and counter.
+// implementation — every method here ports the corresponding lbalg.go
+// method field by field, except that sender-only state is held differently
+// (below) — and nodestatebank_test.go runs the two in lockstep over lossy
+// executions comparing every transmit decision, payload, recv, ack and
+// counter.
 //
 // Why columns: at n = 10⁵⁻⁶ the per-node structs are ~200 B apart on the
 // heap, so a round's Transmit sweep takes one or two cache misses per node
 // before any protocol work happens, plus two interface dispatches. The bank
-// packs the per-round hot fields (flags, sending phases left, coin span
-// header) into parallel arrays, keeps the coin bytes in one slab indexed by
-// a fixed stride, and leaves the cold pointer-shaped state (seed agreement
-// instance, committed-seed buffers, dedupe sets, callbacks) in separate
-// columns touched only at phase boundaries or on delivery.
+// packs the per-round hot fields (flags, sending phases left, coin debt)
+// into parallel arrays and leaves the cold pointer-shaped state (seed
+// agreement instance, committed seed and its cursor, coin buffers, dedupe
+// sets, callbacks) in separate columns touched only at phase boundaries, on
+// delivery, or by senders.
+//
+// Why sender-only state exists only for senders: most nodes only listen,
+// and listeners never read coins or committed-seed bits. So a node holds a
+// coin buffer from its first decode until its ack, and a dedupe set from
+// its first delivery; a commitment is not a clone of the decided seed, as
+// in LBAlg, but a pointer to the owner's own seedagree initial seed plus a
+// per-node bit cursor (seedCur) walked with PhasePlan.walkWords — the
+// shared BitString's cursor is never used. This is sound because a seed's
+// words never change once drawn: every preamble restarts each node's seed
+// machine with seedagree.NewAlgWithPlan, which makes the RNG draws an
+// in-place Reset would make, into a new buffer. So a committer reads the
+// words it committed to however long it holds them, as LBAlg's clone does,
+// even if it was down while its owner restarted. A future per-row restart
+// must likewise draw into a fresh seed buffer, never Refill one in place.
 //
 // Why sparse rounds: every node of a bank runs on the same global round, so
 // one (phase, pos, pre) cursor computed from t replaces per-node position
@@ -77,33 +92,28 @@ type NodeStateBank struct {
 	n    int
 
 	// Hot columns. flags is scanned eight nodes per load by the range calls;
-	// phasesLeft and coinLen are read only for visited nodes.
+	// phasesLeft and coinsBehind are read only for visited nodes.
 	flags       []uint8
 	phasesLeft  []int32
 	coinsBehind []int32
 
-	// coins is the decoded-coin slab: node u's span is
-	// coins[u*coinStride : u*coinStride+coinLen[u]], valid iff
-	// flags[u]&bankCoinsValid. coinStride is the largest decode any phase
-	// performs (the full phase length covers both Tprog and the Section 4.2
-	// body-only phases).
-	coins      []uint8
-	coinLen    []int32
-	coinStride int
+	// Sender-only state (see the file comment): coins[u] holds the last
+	// decode, valid iff flags[u]&bankCoinsValid; committed[u] is the owner's
+	// shared seed and seedCur[u] this node's bit cursor into it.
+	coins     [][]uint8
+	committed []*xrand.BitString
+	seedCur   []int32
 
 	// Cold columns: touched at phase boundaries, deliveries, and the
-	// Bcast/ack edges only.
-	pending      []Message
-	frame        []any
-	envs         []*sim.NodeEnv
-	seeds        []*seedagree.Alg
-	committed    []*xrand.BitString
-	committedBuf []*xrand.BitString
-	raw          [][]uint64 // per-node word scratch for walkCoins' bulk path
-	seen         []map[sim.MsgID]struct{}
-	seq          []int32
-	onAck        []func(Message)
-	onRecv       []func(Message, int)
+	// Bcast/ack edges only. seen[u] is allocated at u's first delivery.
+	pending []Message
+	frame   []any
+	envs    []*sim.NodeEnv
+	seeds   []*seedagree.Alg
+	seen    []map[sim.MsgID]struct{}
+	seq     []int32
+	onAck   []func(Message)
+	onRecv  []func(Message, int)
 
 	participations, transmissions []int64
 
@@ -122,16 +132,13 @@ var _ sim.ProcessBank = (*NodeStateBank)(nil)
 // phase plan, each node initialised exactly as NewLBAlgWithPlan initialises
 // a fresh LBAlg.
 func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
-	stride := plan.phaseLen // ≥ every BodyRounds value (Tprog and phaseLen)
 	bk := &NodeStateBank{
 		plan: plan, p: plan.params, n: n,
 		flags:      make([]uint8, n),
 		phasesLeft: make([]int32, n), coinsBehind: make([]int32, n),
-		coins: make([]uint8, n*stride), coinLen: make([]int32, n), coinStride: stride,
+		coins: make([][]uint8, n), committed: make([]*xrand.BitString, n), seedCur: make([]int32, n),
 		pending: make([]Message, n), frame: make([]any, n),
 		envs: make([]*sim.NodeEnv, n), seeds: make([]*seedagree.Alg, n),
-		committed: make([]*xrand.BitString, n), committedBuf: make([]*xrand.BitString, n),
-		raw:  make([][]uint64, n),
 		seen: make([]map[sim.MsgID]struct{}, n), seq: make([]int32, n),
 		onAck: make([]func(Message), n), onRecv: make([]func(Message, int), n),
 		participations: make([]int64, n), transmissions: make([]int64, n),
@@ -140,7 +147,6 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 	}
 	for u := 0; u < n; u++ {
 		bk.flags[u] = bankSeedLive // Init's fresh seed machine is Active
-		bk.seen[u] = make(map[sim.MsgID]struct{})
 		bk.handles[u] = BankNode{bank: bk, u: int32(u)}
 	}
 	return bk
@@ -184,11 +190,13 @@ func (bk *NodeStateBank) cursorAt(t int) cursor {
 // TransmitRange implements sim.ProcessBank. It clears the range's Transmit
 // flags and visits only the nodes whose work bits say round t's transmit
 // can do something (see the file comment); payloads are written for
-// transmitters only.
+// transmitters only, and the range's are cleared once per phase.
 func (bk *NodeStateBank) TransmitRange(t, lo, hi int, v *sim.RoundView) {
 	c := bk.cursorAt(t)
 	clear(v.Transmit[lo:hi])
 	if c.pos == 0 {
+		// A stale preamble frame would keep a superseded seed reachable.
+		clear(v.Payloads[lo:hi])
 		for u := lo; u < hi; u++ {
 			bk.transmitView(u, c, v)
 		}
@@ -312,8 +320,12 @@ func (bk *NodeStateBank) syncSeed(u int) {
 	bk.flags[u] = bk.flags[u]&^(bankSeedLive|bankSeedLeader) | set
 }
 
-// initNode is BankNode.Init's body: LBAlg.Init ported to columns.
+// initNode is BankNode.Init's body: LBAlg.Init ported to columns. Node u
+// must carry id u, because commitSeed finds a decided owner's seed by id.
 func (bk *NodeStateBank) initNode(u int, env *sim.NodeEnv) {
+	if env.ID != u {
+		panic(fmt.Sprintf("core: bank node %d initialised with id %d", u, env.ID))
+	}
 	bk.envs[u] = env
 	bk.seeds[u] = seedagree.NewAlgWithPlan(bk.plan.Seed, env.ID, env.Rng)
 }
@@ -339,10 +351,10 @@ func (bk *NodeStateBank) transmit(u int, c cursor) (any, bool) {
 		return nil, false
 	}
 	j := c.pos - c.pre
-	if j >= int(bk.coinLen[u]) {
+	if j >= len(bk.coins[u]) {
 		return nil, false // out-of-order jump past the decoded span; fail closed
 	}
-	b := bk.coins[u*bk.coinStride+j]
+	b := bk.coins[u][j]
 	if b == 0 {
 		return nil, false // non-participant round for this owner group
 	}
@@ -356,7 +368,8 @@ func (bk *NodeStateBank) beginPhase(u, phase int) {
 		bk.phasesLeft[u] = int32(bk.p.Tack)
 	}
 	if bk.plan.RunsPreamble(phase) {
-		bk.seeds[u].Reset()
+		// Reset's draws, into a new buffer: committers keep the old words.
+		bk.seeds[u] = seedagree.NewAlgWithPlan(bk.plan.Seed, bk.envs[u].ID, bk.envs[u].Rng)
 		bk.setFlags(u, bankSeedLive, bankSeedLeader|bankCoinsValid)
 		bk.committed[u] = nil
 		bk.coinsBehind[u] = 0
@@ -364,7 +377,7 @@ func (bk *NodeStateBank) beginPhase(u, phase int) {
 		rounds := bk.plan.BodyRounds(phase)
 		if bk.flags[u]&bankSendingStarted != 0 {
 			if bk.coinsBehind[u] > 0 {
-				bk.plan.skipCoins(bk.committed[u], int(bk.coinsBehind[u]))
+				bk.walkSeed(u, nil, int(bk.coinsBehind[u]))
 				bk.coinsBehind[u] = 0
 			}
 			bk.decodeInto(u, rounds)
@@ -375,12 +388,21 @@ func (bk *NodeStateBank) beginPhase(u, phase int) {
 	}
 }
 
-// decodeInto is decodeCoins targeting node u's slab span: same walkCoins
-// pass, same cursor advance, the bytes just land in the shared slab.
+// walkSeed is decodeCoins (dst non-nil) or skipCoins (dst nil) over node
+// u's shared committed seed, from and back to u's own cursor.
+func (bk *NodeStateBank) walkSeed(u int, dst []uint8, rounds int) {
+	seed := bk.committed[u]
+	bk.seedCur[u] = int32(bk.plan.walkWords(seed.Words(), seed.Len(), int(bk.seedCur[u]), dst, rounds))
+}
+
+// decodeInto decodes into node u's coin buffer, allocated on its first
+// decode with room for any phase (phaseLen covers Tprog and body-only).
 func (bk *NodeStateBank) decodeInto(u, rounds int) {
-	off := u * bk.coinStride
-	bk.plan.walkCoins(bk.committed[u], bk.coins[off:off+rounds], &bk.raw[u], rounds)
-	bk.coinLen[u] = int32(rounds)
+	if bk.coins[u] == nil {
+		bk.coins[u] = make([]uint8, 0, bk.plan.phaseLen)
+	}
+	bk.coins[u] = bk.coins[u][:rounds]
+	bk.walkSeed(u, bk.coins[u], rounds)
 	bk.setFlags(u, bankCoinsValid, 0)
 }
 
@@ -424,19 +446,17 @@ func (bk *NodeStateBank) receive(u int, c cursor, from int, payload any, ok bool
 	}
 }
 
-// commitSeed is LBAlg.commitSeed over columns.
+// commitSeed is LBAlg.commitSeed with a shared commitment: node u points at
+// the decided owner's current seed and rewinds its own cursor instead of
+// cloning. That is the decision's seed unless u was down across its owner's
+// restart: LBAlg's owners Reset in place, so its clone reads the owner's
+// current words, and so must the bank (initNode pins owner id == index).
 func (bk *NodeStateBank) commitSeed(u int) {
 	seed := bk.seeds[u]
 	seed.Finalize() // defensive; Receive at Ts already finalizes
 	bk.syncSeed(u)
-	d := seed.Decision()
-	if bk.committedBuf[u] == nil {
-		bk.committedBuf[u] = d.Seed.Clone()
-	} else {
-		bk.committedBuf[u].CopyFrom(d.Seed)
-	}
-	bk.committedBuf[u].Reset()
-	bk.committed[u] = bk.committedBuf[u]
+	bk.committed[u] = bk.seeds[seed.Decision().Owner].InitialSeed()
+	bk.seedCur[u] = 0
 	bk.coinsBehind[u] = 0
 	if bk.flags[u]&bankSendingStarted != 0 {
 		bk.decodeInto(u, bk.plan.tprog)
@@ -452,7 +472,9 @@ func (bk *NodeStateBank) deliver(u, t, from int, m Message) {
 	if bk.recordHears {
 		env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
 	}
-	if _, dup := bk.seen[u][m.ID]; dup {
+	if bk.seen[u] == nil {
+		bk.seen[u] = make(map[sim.MsgID]struct{})
+	} else if _, dup := bk.seen[u][m.ID]; dup {
 		return
 	}
 	bk.seen[u][m.ID] = struct{}{}
@@ -462,12 +484,14 @@ func (bk *NodeStateBank) deliver(u, t, from int, m Message) {
 	}
 }
 
-// ack is LBAlg.ack over columns.
+// ack is LBAlg.ack over columns, and drops node u's coin buffer: body
+// rounds need bankSendingStarted, so no coin is read before the next decode.
 func (bk *NodeStateBank) ack(u, t int) {
 	m := bk.pending[u]
 	bk.pending[u] = Message{}
 	bk.frame[u] = nil
-	bk.setFlags(u, 0, bankHasPending|bankSendingStarted)
+	bk.coins[u] = nil
+	bk.setFlags(u, 0, bankHasPending|bankSendingStarted|bankCoinsValid)
 	env := bk.envs[u]
 	env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvAck, MsgID: m.ID})
 	if fn := bk.onAck[u]; fn != nil {
@@ -502,7 +526,8 @@ type BankNode struct {
 
 var _ Service = (*BankNode)(nil)
 
-// Init implements sim.Process.
+// Init implements sim.Process. env.ID must be the handle's index in the
+// bank, as the engine assigns it.
 func (h *BankNode) Init(env *sim.NodeEnv) { h.bank.initNode(int(h.u), env) }
 
 // Transmit implements sim.Process (the goroutine-per-node driver and the

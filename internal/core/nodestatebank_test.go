@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"lbcast/internal/sim"
@@ -59,6 +61,17 @@ func newLockstepSide(name string, nodes []lockstepNode) *lockstepSide {
 // meet ragged heads and tails. Runs cover the paper's k = 1 schedule and
 // the Section 4.2 k = 3 variant whose mid-cycle sender arrivals exercise
 // the deferred decode and cursor-debt settlement.
+//
+// The bank shares committed seeds (a pointer to the owner's seed plus a
+// per-node cursor) and holds coin buffers only for senders, so the test
+// also checks that sharing from the range side: after every round a node
+// holds a coin buffer only while it is sending, and the run must reach
+// rounds where two or more sending nodes hold coins decoded from the same
+// owner's seed. Besides node 2's window, later crash windows straddle
+// preamble restarts — one node per window, back mid-preamble (it commits
+// from a decision it kept across its owner's restart) or mid-body (it
+// keeps an old commitment across its owner's restart and decodes it in
+// the next body-only phase).
 func TestNodeStateBankLockstep(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -104,11 +117,26 @@ func TestNodeStateBankLockstep(t *testing.T) {
 			heard := make([]int, n) // per node: the transmitter heard, or -1
 
 			rounds := (2*tc.seedEvery + 2) * p.Tack * p.PhaseLen()
-			// Crash node 2's radio for a window in the middle of the run: every
-			// side must skip it identically (no RNG draws, no receptions).
-			downFrom, downTo := rounds/3, rounds/2
+			// Crash windows, [from, to) in rounds: every side must skip a down
+			// node identically (no RNG draws, no receptions). Node 2 goes down
+			// in the middle of the run; from there on, every odd node from 3
+			// goes down one round before a preamble phase and comes back
+			// mid-preamble (u ≡ 3 mod 4) or mid-body (u ≡ 1 mod 4).
+			type window struct{ u, from, to int }
+			windows := []window{{2, rounds / 3, rounds / 2}}
+			firstPre := (rounds/3)/(tc.seedEvery*p.PhaseLen()) + 1
+			lastPre := rounds/(tc.seedEvery*p.PhaseLen()) - 1
+			for u := 3; u < n; u += 2 {
+				start := (firstPre + u%(lastPre-firstPre+1)) * tc.seedEvery * p.PhaseLen()
+				back := start + p.Ts/2
+				if u%4 == 1 {
+					back = start + p.Ts + p.Tprog/2
+				}
+				windows = append(windows, window{u, start, back})
+			}
 			loss := xrand.New(41)
 			var txs []int
+			shared := 0 // rounds where two sending nodes hold one owner's coins
 			for tr := 1; tr <= rounds; tr++ {
 				if tr%(p.PhaseLen()/4+3) == 0 {
 					u := tr % n
@@ -124,7 +152,9 @@ func TestNodeStateBankLockstep(t *testing.T) {
 						}
 					}
 				}
-				view.Down[2] = tr >= downFrom && tr < downTo
+				for _, w := range windows {
+					view.Down[w.u] = tr >= w.from && tr < w.to
+				}
 
 				// Transmit phase: the bank through the batch surface, over stale
 				// payloads; the other sides per node with the engine's stepTx
@@ -189,6 +219,9 @@ func TestNodeStateBankLockstep(t *testing.T) {
 				for _, r := range ranges {
 					bank.ReceiveRange(tr, r[0], r[1], &view)
 				}
+				if sharingSenders(t, bank, tr) {
+					shared++
+				}
 				for i := 1; i < 3; i++ {
 					for u := 0; u < n; u++ {
 						if view.Down[u] {
@@ -239,8 +272,34 @@ func TestNodeStateBankLockstep(t *testing.T) {
 			if acks == 0 {
 				t.Error("execution produced no acks; the ack edge went untested")
 			}
+			if shared == 0 {
+				t.Error("no two sending nodes ever decoded one owner's seed; the shared commitment went untested")
+			}
+			t.Logf("%d of %d rounds had two or more sending nodes on one owner's seed", shared, rounds)
 		})
 	}
+}
+
+// sharingSenders checks the bank's sender-only state after round tr: a
+// node holds a coin buffer only while it is sending. It reports whether two
+// or more sending nodes hold valid coins decoded from the same owner's seed.
+func sharingSenders(t *testing.T, bk *NodeStateBank, tr int) bool {
+	t.Helper()
+	holders := make(map[*xrand.BitString]int)
+	shared := false
+	for u := 0; u < bk.n; u++ {
+		if bk.coins[u] == nil {
+			continue
+		}
+		if bk.Node(u).State() != StateSending {
+			t.Fatalf("round %d node %d: holds a coin buffer while %v", tr, u, bk.Node(u).State())
+		}
+		if bk.flags[u]&bankCoinsValid != 0 {
+			holders[bk.committed[u]]++
+			shared = shared || holders[bk.committed[u]] > 1
+		}
+	}
+	return shared
 }
 
 // sameIDs requires two per-node message id sequences to be identical.
@@ -254,4 +313,40 @@ func sameIDs(t *testing.T, what string, u int, got, want []sim.MsgID) {
 			t.Errorf("%s node %d #%d: %v vs oracle %v", what, u, i, got[i], want[i])
 		}
 	}
+}
+
+// TestNodeStateBankFootprint pins what NewNodeStateBank allocates: per-node
+// columns only. Coin buffers and dedupe sets are allocated by the nodes that
+// use them and committed seeds are shared, so no construction cost follows
+// the phase length, and the columns stay under 256 B per node.
+func TestNodeStateBankFootprint(t *testing.T) {
+	const n = 20000
+	perNode := func(eps float64) (bytes float64, phaseLen int) {
+		p, err := DeriveParams(8, 8, 1, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := NewPhasePlan(p)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bk := NewNodeStateBank(plan, n)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(bk)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n, plan.PhaseLen()
+	}
+	short, shortLen := perNode(0.25)
+	long, longLen := perNode(0.05)
+	if shortLen == longLen {
+		t.Fatalf("both plans have phase length %d; the comparison is vacuous", shortLen)
+	}
+	if math.Abs(short-long) >= 1 {
+		t.Errorf("constructor allocates %.1f B/node at phase length %d but %.1f B/node at %d; it must not depend on the phase length",
+			short, shortLen, long, longLen)
+	}
+	for _, b := range []float64{short, long} {
+		if b >= 256 {
+			t.Errorf("constructor allocates %.1f B/node, want < 256", b)
+		}
+	}
+	t.Logf("%.1f B/node at phase length %d, %.1f B/node at %d", short, shortLen, long, longLen)
 }

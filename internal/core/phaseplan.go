@@ -177,8 +177,6 @@ func (pl *PhasePlan) PhaseOf(t int) (phase, pos int) {
 type phaseCoins struct {
 	b     []uint8
 	valid bool
-	// raw is the word scratch of the pure-K1 bulk decode path.
-	raw []uint64
 }
 
 // invalidate drops the scratch when its seed is superseded.
@@ -197,7 +195,8 @@ func (pl *PhasePlan) decodeCoins(seed *xrand.BitString, c *phaseCoins, rounds in
 	}
 	c.b = c.b[:rounds]
 	c.valid = true
-	pl.walkCoins(seed, c.b, &c.raw, rounds)
+	start := seed.Offset()
+	seed.Skip(pl.walkWords(seed.Words(), seed.Len(), start, c.b, rounds) - start)
 }
 
 // skipCoins advances seed's cursor over `rounds` body rounds' worth of
@@ -207,60 +206,26 @@ func (pl *PhasePlan) decodeCoins(seed *xrand.BitString, c *phaseCoins, rounds in
 // read while receiving, but which bits the next phase starts at depends on
 // them).
 func (pl *PhasePlan) skipCoins(seed *xrand.BitString, rounds int) {
-	pl.walkCoins(seed, nil, nil, rounds)
+	start := seed.Offset()
+	seed.Skip(pl.walkWords(seed.Words(), seed.Len(), start, nil, rounds) - start)
 }
 
-// walkCoins is the shared word-level pass behind decodeCoins, skipCoins and
-// the state bank's slab decode (NodeStateBank decodes into flat per-node
-// column segments rather than a phaseCoins): dst receives the per-round coin
-// bytes when non-nil, raw points at the caller's reusable word scratch for
-// the pure-K1 bulk path (unused when dst is nil), and the cursor advance is
-// identical either way.
-func (pl *PhasePlan) walkCoins(seed *xrand.BitString, dst []uint8, raw *[]uint64, rounds int) {
-	if pl.k2 == 0 && pl.k1 > 0 {
-		// Pure fixed-width stream (log Δ = 1, so b is always 1 and no
-		// selection bits exist): one bulk ConsumeMany sweep, or a plain
-		// cursor Skip when the values are being discarded.
-		m := rounds
-		if avail := seed.Remaining() / pl.k1; avail < m {
-			m = avail
-		}
-		if dst == nil {
-			seed.Skip(m * pl.k1)
-			return
-		}
-		if cap(*raw) < m {
-			*raw = make([]uint64, m)
-		}
-		*raw = (*raw)[:m]
-		seed.ConsumeMany(pl.k1, *raw)
-		for j, w := range *raw {
-			if w == 0 {
-				dst[j] = 1
-			} else {
-				dst[j] = 0
-			}
-		}
-		for j := m; j < rounds; j++ {
-			dst[j] = 0
-		}
-		return
-	}
-	// General interleaved stream: one word-level pass over the seed's
-	// backing array with the cursor in locals, committed back once via
-	// Skip. Field extraction mirrors BitString.Consume exactly — a field
-	// only fits if that many bits remain, and a field that does not fit
-	// consumes nothing — so the cursor ends where `rounds` incremental
-	// Consume walks would have left it. The second-word merge is
-	// branch-free: the double shift is well-defined at off = 0 (<<1<<63
-	// clears the word) and the i+1 bound check only fails in the last
-	// word.
-	words, n, start := seed.Words(), seed.Len(), seed.Offset()
+// walkWords is the one coin pass behind every decode: it walks `rounds`
+// body rounds' worth of coins over a seed's words (n bits, read-only) from
+// bit cursor cur, writes the coin bytes to dst when non-nil, and returns
+// the new cursor. LBAlg wraps it around its clone's own cursor
+// (decodeCoins, skipCoins); NodeStateBank keeps a cursor per node over the
+// owner's shared words. Field extraction mirrors BitString.Consume exactly
+// — a field that does not fit consumes nothing — so the cursor ends where
+// `rounds` incremental Consume walks would have left it, for K2 = 0 too.
+// The second-word merge is branch-free: the double shift is well-defined
+// at off = 0 (<<1<<63 clears the word) and the i+1 bound check only fails
+// in the last word.
+func (pl *PhasePlan) walkWords(words []uint64, n, cur int, dst []uint8, rounds int) int {
 	k1, k2 := pl.k1, pl.k2
 	m1 := uint64(1)<<uint(k1) - 1
 	m2 := uint64(1)<<uint(k2) - 1
 	logDelta := uint64(pl.logDelta)
-	cur := start
 	for j := 0; j < rounds; j++ {
 		var b uint8
 		if n-cur >= k1 { // else: seed exhausted, round fails closed
@@ -294,5 +259,5 @@ func (pl *PhasePlan) walkCoins(seed *xrand.BitString, dst []uint8, raw *[]uint64
 			dst[j] = b
 		}
 	}
-	seed.Skip(cur - start)
+	return cur
 }

@@ -36,7 +36,7 @@ func (s Status) String() string {
 
 // Msg is the (j, s) pair a leader broadcasts: its id and its initial seed.
 // The Seed field is shared, never mutated by receivers; committers clone it
-// before consuming bits.
+// or read its words through a cursor of their own.
 type Msg struct {
 	Owner int
 	Seed  *xrand.BitString
@@ -267,8 +267,9 @@ func NewAlgWithPlan(plan *Plan, id int, rng *xrand.Source) *Alg {
 // Reset rewinds the machine for a fresh run with a freshly drawn initial
 // seed (used by LBAlg, which runs seed agreement at every phase preamble).
 // The seed buffer is redrawn in place, consuming the same randomness a
-// fresh allocation would; committers that need the previous run's seed hold
-// clones by the time Reset runs.
+// fresh allocation would (NewAlgWithPlan draws the same words into a new
+// buffer); committers that need the previous run's seed hold clones by the
+// time Reset runs.
 func (a *Alg) Reset() {
 	if a.initialSeed == nil {
 		a.initialSeed = xrand.NewBitString(a.rng, a.p.Kappa)

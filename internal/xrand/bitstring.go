@@ -103,8 +103,7 @@ func (b *BitString) Consume(k int) (v uint64, ok bool) {
 // repeated Consume(k) calls would. It is all-or-nothing: if fewer than
 // len(dst)·k bits remain or k is outside [0, 64], it reports ok=false and
 // consumes nothing. The bulk loop keeps the cursor in a register and pays
-// the range check once instead of per field — the batched path behind the
-// protocol layer's once-per-phase coin decode.
+// the range check once instead of per field.
 func (b *BitString) ConsumeMany(k int, dst []uint64) (ok bool) {
 	if k < 0 || k > 64 || b.Remaining() < k*len(dst) {
 		return false
@@ -140,7 +139,8 @@ func (b *BitString) ConsumeMany(k int, dst []uint64) (ok bool) {
 // protocol layer's once-per-phase coin pass) can run a word-level loop
 // with the cursor in locals instead of a cursor-checked Consume call per
 // field. Pair with Offset to find the next unconsumed bit and Skip to
-// commit how far the batch read.
+// commit how far the batch read, or keep cursors of your own over the
+// shared words, as the protocol layer's state bank does.
 func (b *BitString) Words() []uint64 { return b.words }
 
 // Offset returns the consumption cursor: the index of the next unconsumed
@@ -160,8 +160,9 @@ func (b *BitString) Skip(k int) bool {
 }
 
 // Clone returns a copy sharing no state with b, including the cursor
-// position. Nodes that commit to the same owner's seed each hold their own
-// clone so cursors advance independently.
+// position. Per-node LBAlg nodes that commit to the same owner's seed each
+// hold their own clone so cursors advance independently (core's state bank
+// keeps per-node cursors over the shared words instead).
 func (b *BitString) Clone() *BitString {
 	words := make([]uint64, len(b.words))
 	copy(words, b.words)
