@@ -19,7 +19,7 @@ func TestSeedExhaustionFailsClosed(t *testing.T) {
 	l.pending = &Message{ID: sim.NewMsgID(0, 1)}
 	// A seed far too short for even one round's K1 bits: every decoded
 	// round fails closed.
-	commitDirect(l, xrand.NewBitString(xrand.New(2), 1))
+	commitDirect(l, xrand.New(2).DrawSeed(1))
 	for i := 0; i < 20; i++ {
 		if _, sent := l.bodyRound(i % p.Tprog); sent {
 			t.Fatal("transmitted with an exhausted seed")

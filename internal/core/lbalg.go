@@ -86,8 +86,11 @@ type LBAlg struct {
 	// seedIdle caches seed.Idle(): once the preamble state machine has
 	// decided and is not advertising, its Transmit/Receive are no-ops (no
 	// private coin draws), so the calls are skipped for the rest of the
-	// preamble.
-	seedIdle bool
+	// preamble. It shares a word with sendingStarted and cur, which keeps
+	// LBAlg at 384 B.
+	seedIdle       bool
+	sendingStarted bool  // pending has entered its sending phases
+	cur            int32 // the next unread bit of committed
 	// coins is the per-phase scratch of shared coins decoded from committed
 	// (see PhasePlan.decodeCoins); body rounds read it instead of consuming
 	// from the seed. Only sending nodes decode — a receiver's body round
@@ -107,14 +110,10 @@ type LBAlg struct {
 	plan *PhasePlan
 
 	seed      *seedagree.Alg
-	committed *xrand.BitString // this phase's committed seed (private copy)
-	// committedBuf is the reusable backing buffer for committed; commitSeed
-	// overwrites it in place each phase instead of cloning.
-	committedBuf *xrand.BitString
+	committed xrand.Seed // this phase's committed seed; zero until a commit
 
-	frame          any  // pending's on-air DataMsg, boxed once at Bcast
-	sendingStarted bool // pending has entered its sending phases
-	phasesLeft     int  // full sending phases remaining for pending
+	frame      any // pending's on-air DataMsg, boxed once at Bcast
+	phasesLeft int // full sending phases remaining for pending
 
 	p Params
 
@@ -287,10 +286,10 @@ func (l *LBAlg) beginPhase(phase int) {
 	if l.plan.RunsPreamble(phase) {
 		l.seed.Reset()
 		l.seedIdle = false
-		l.committed = nil
+		l.committed = xrand.Seed{}
 		l.coins.invalidate()
 		l.coinsBehind = 0
-	} else if l.committed != nil {
+	} else if l.committed.Len() > 0 {
 		// The whole phase is body rounds on the previous commitment. A
 		// sending node settles any cursor debt from receiver phases, then
 		// decodes this phase's coins from where the cursor left off; a
@@ -299,10 +298,10 @@ func (l *LBAlg) beginPhase(phase int) {
 		rounds := l.plan.BodyRounds(phase)
 		if l.state == StateSending {
 			if l.coinsBehind > 0 {
-				l.plan.skipCoins(l.committed, l.coinsBehind)
+				l.plan.skipCoins(l.committed, &l.cur, l.coinsBehind)
 				l.coinsBehind = 0
 			}
-			l.plan.decodeCoins(l.committed, &l.coins, rounds)
+			l.plan.decodeCoins(l.committed, &l.cur, l.coins.reuse(rounds))
 		} else {
 			l.coins.invalidate()
 			l.coinsBehind += rounds
@@ -386,26 +385,17 @@ func (l *LBAlg) Receive(t, from int, payload any, ok bool) {
 	}
 }
 
-// commitSeed adopts this phase's seed agreement decision. Each node copies
-// the committed bit string into its own reusable buffer so contents stay
-// identical within an owner group while consumption advances independently;
-// the copy must happen here, before any owner refills its seed for the next
-// preamble. The phase's remaining body rounds (Tprog of them) have their
-// coins decoded immediately — same bits, same order as the incremental
-// per-round consumption.
+// commitSeed adopts this phase's seed agreement decision: the decided seed
+// by value, read from its first bit, so every node of an owner group sees
+// the same bits while its cursor advances on its own. The phase's remaining
+// body rounds (Tprog of them) have their coins decoded immediately — same
+// bits, same order as the incremental per-round consumption.
 func (l *LBAlg) commitSeed() {
 	l.seed.Finalize() // defensive; Receive at Ts already finalizes
-	d := l.seed.Decision()
-	if l.committedBuf == nil {
-		l.committedBuf = d.Seed.Clone()
-	} else {
-		l.committedBuf.CopyFrom(d.Seed)
-	}
-	l.committedBuf.Reset()
-	l.committed = l.committedBuf
+	l.committed, l.cur = l.seed.Decision().Seed, 0
 	l.coinsBehind = 0
 	if l.state == StateSending {
-		l.plan.decodeCoins(l.committed, &l.coins, l.plan.tprog)
+		l.plan.decodeCoins(l.committed, &l.cur, l.coins.reuse(l.plan.tprog))
 	} else {
 		// Receivers never read the decoded values; leave the scratch
 		// invalid and record the debt in case this commitment spans a

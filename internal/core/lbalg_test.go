@@ -45,9 +45,9 @@ func testParams(t testing.TB, delta, deltaPrime int, eps float64) Params {
 // commitDirect installs a committed seed bypassing the preamble (the
 // whitebox tests' stand-in for commitSeed) and decodes one phase of body
 // coins from it, exactly as commitSeed does.
-func commitDirect(l *LBAlg, seed *xrand.BitString) {
-	l.committed = seed
-	l.plan.decodeCoins(seed, &l.coins, l.plan.tprog)
+func commitDirect(l *LBAlg, seed xrand.Seed) {
+	l.committed, l.cur = seed, 0
+	l.plan.decodeCoins(seed, &l.cur, l.coins.reuse(l.plan.tprog))
 }
 
 func TestSingletonAckWithinBound(t *testing.T) {
@@ -193,20 +193,18 @@ func TestValidityOnTrace(t *testing.T) {
 }
 
 func TestOwnerGroupLockstep(t *testing.T) {
-	// Two sending nodes holding clones of the same committed seed must make
-	// identical participation decisions and consume identical bit counts in
-	// every body round.
+	// Two sending nodes committed to the same seed must make identical
+	// participation decisions and consume identical bit counts in every
+	// body round.
 	p := testParams(t, 8, 8, 0.1)
-	shared := xrand.NewBitString(xrand.New(9), p.Kappa)
+	shared := xrand.New(9).DrawSeed(p.Kappa)
 
 	mk := func(id int, rngSeed uint64) *LBAlg {
 		l := NewLBAlg(p)
 		l.Init(&sim.NodeEnv{ID: id, Delta: 8, DeltaPrime: 8, R: 1, Rng: xrand.New(rngSeed), Rec: nopRec{}})
 		l.pending = &Message{ID: sim.NewMsgID(id, 1)}
 		l.state = StateSending
-		c := shared.Clone()
-		c.Reset()
-		commitDirect(l, c)
+		commitDirect(l, shared)
 		return l
 	}
 	a, b := mk(1, 100), mk(2, 200)
@@ -225,11 +223,10 @@ func TestOwnerGroupLockstep(t *testing.T) {
 			participants++
 		}
 	}
-	if a.committed.Remaining() != b.committed.Remaining() {
-		t.Fatalf("group members consumed different totals: %d vs %d bits remain",
-			a.committed.Remaining(), b.committed.Remaining())
+	if a.cur != b.cur {
+		t.Fatalf("group members consumed different totals: %d vs %d bits", a.cur, b.cur)
 	}
-	consumed := p.Kappa - a.committed.Remaining()
+	consumed := int(a.cur)
 	if want := p.Tprog*p.K1 + participants*p.K2; consumed != want {
 		t.Fatalf("phase decode consumed %d bits, want Tprog·K1 + participants·K2 = %d", consumed, want)
 	}
@@ -258,7 +255,7 @@ func TestDifferentGroupsDiverge(t *testing.T) {
 	// Nodes holding different seeds should not be in lockstep.
 	p := testParams(t, 8, 8, 0.1)
 	r := xrand.New(10)
-	mk := func(id int, seed *xrand.BitString) *LBAlg {
+	mk := func(id int, seed xrand.Seed) *LBAlg {
 		l := NewLBAlg(p)
 		l.Init(&sim.NodeEnv{ID: id, Delta: 8, DeltaPrime: 8, R: 1, Rng: xrand.New(uint64(id)), Rec: nopRec{}})
 		l.pending = &Message{ID: sim.NewMsgID(id, 1)}
@@ -266,8 +263,8 @@ func TestDifferentGroupsDiverge(t *testing.T) {
 		commitDirect(l, seed)
 		return l
 	}
-	a := mk(1, xrand.NewBitString(r, p.Kappa))
-	b := mk(2, xrand.NewBitString(r, p.Kappa))
+	a := mk(1, r.DrawSeed(p.Kappa))
+	b := mk(2, r.DrawSeed(p.Kappa))
 	same := true
 	for round := 0; round < p.Tprog; round++ {
 		if a.coins.b[round] != b.coins.b[round] {
@@ -416,7 +413,7 @@ func TestBodyStatsAccounting(t *testing.T) {
 		t.Error("fresh node has nonzero stats")
 	}
 	// Not sending: body rounds must not count participations.
-	commitDirect(l, xrand.NewBitString(xrand.New(2), p.Kappa))
+	commitDirect(l, xrand.New(2).DrawSeed(p.Kappa))
 	for i := 0; i < 50; i++ {
 		if _, sent := l.bodyRound(i % p.Tprog); sent {
 			t.Fatal("receiver transmitted")

@@ -24,24 +24,18 @@ import (
 // heap, so a round's Transmit sweep takes one or two cache misses per node
 // before any protocol work happens, plus two interface dispatches. The bank
 // packs the per-round hot fields (flags, sending phases left, coin debt)
-// into parallel arrays and leaves the cold pointer-shaped state (seed
-// agreement instance, committed seed and its cursor, coin buffers, dedupe
-// sets, callbacks) in separate columns touched only at phase boundaries, on
-// delivery, or by senders.
+// into parallel arrays and leaves the cold state (seed agreement instance,
+// committed seed and its cursor, coin buffers, dedupe sets, callbacks) in
+// separate columns touched only at phase boundaries, on delivery, or by
+// senders.
 //
 // Why sender-only state exists only for senders: most nodes only listen,
 // and listeners never read coins or committed-seed bits. So a node holds a
 // coin buffer from its first decode until its ack, and a dedupe set from
-// its first delivery; a commitment is not a clone of the decided seed, as
-// in LBAlg, but a pointer to the owner's own seedagree initial seed plus a
-// per-node bit cursor (seedCur) walked with PhasePlan.walkWords — the
-// shared BitString's cursor is never used. This is sound because a seed's
-// words never change once drawn: every preamble restarts each node's seed
-// machine with seedagree.NewAlgWithPlan, which makes the RNG draws an
-// in-place Reset would make, into a new buffer. So a committer reads the
-// words it committed to however long it holds them, as LBAlg's clone does,
-// even if it was down while its owner restarted. A future per-row restart
-// must likewise draw into a fresh seed buffer, never Refill one in place.
+// its first delivery. A commitment is a 40-byte xrand.Seed value plus a
+// per-node bit cursor, as in LBAlg; a seed's words are regenerated only
+// where a sender decodes. Each node's seed machine is allocated once at
+// Init and Reset in place at every preamble.
 //
 // Why sparse rounds: every node of a bank runs on the same global round, so
 // one (phase, pos, pre) cursor computed from t replaces per-node position
@@ -98,10 +92,10 @@ type NodeStateBank struct {
 	coinsBehind []int32
 
 	// Sender-only state (see the file comment): coins[u] holds the last
-	// decode, valid iff flags[u]&bankCoinsValid; committed[u] is the owner's
-	// shared seed and seedCur[u] this node's bit cursor into it.
+	// decode, valid iff flags[u]&bankCoinsValid; committed[u] is the decided
+	// seed (zero until a commit) and seedCur[u] this node's bit cursor in it.
 	coins     [][]uint8
-	committed []*xrand.BitString
+	committed []xrand.Seed
 	seedCur   []int32
 
 	// Cold columns: touched at phase boundaries, deliveries, and the
@@ -136,7 +130,7 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 		plan: plan, p: plan.params, n: n,
 		flags:      make([]uint8, n),
 		phasesLeft: make([]int32, n), coinsBehind: make([]int32, n),
-		coins: make([][]uint8, n), committed: make([]*xrand.BitString, n), seedCur: make([]int32, n),
+		coins: make([][]uint8, n), committed: make([]xrand.Seed, n), seedCur: make([]int32, n),
 		pending: make([]Message, n), frame: make([]any, n),
 		envs: make([]*sim.NodeEnv, n), seeds: make([]*seedagree.Alg, n),
 		seen: make([]map[sim.MsgID]struct{}, n), seq: make([]int32, n),
@@ -190,13 +184,11 @@ func (bk *NodeStateBank) cursorAt(t int) cursor {
 // TransmitRange implements sim.ProcessBank. It clears the range's Transmit
 // flags and visits only the nodes whose work bits say round t's transmit
 // can do something (see the file comment); payloads are written for
-// transmitters only, and the range's are cleared once per phase.
+// transmitters only.
 func (bk *NodeStateBank) TransmitRange(t, lo, hi int, v *sim.RoundView) {
 	c := bk.cursorAt(t)
 	clear(v.Transmit[lo:hi])
 	if c.pos == 0 {
-		// A stale preamble frame would keep a superseded seed reachable.
-		clear(v.Payloads[lo:hi])
 		for u := lo; u < hi; u++ {
 			bk.transmitView(u, c, v)
 		}
@@ -320,12 +312,8 @@ func (bk *NodeStateBank) syncSeed(u int) {
 	bk.flags[u] = bk.flags[u]&^(bankSeedLive|bankSeedLeader) | set
 }
 
-// initNode is BankNode.Init's body: LBAlg.Init ported to columns. Node u
-// must carry id u, because commitSeed finds a decided owner's seed by id.
+// initNode is BankNode.Init's body: LBAlg.Init ported to columns.
 func (bk *NodeStateBank) initNode(u int, env *sim.NodeEnv) {
-	if env.ID != u {
-		panic(fmt.Sprintf("core: bank node %d initialised with id %d", u, env.ID))
-	}
 	bk.envs[u] = env
 	bk.seeds[u] = seedagree.NewAlgWithPlan(bk.plan.Seed, env.ID, env.Rng)
 }
@@ -368,16 +356,15 @@ func (bk *NodeStateBank) beginPhase(u, phase int) {
 		bk.phasesLeft[u] = int32(bk.p.Tack)
 	}
 	if bk.plan.RunsPreamble(phase) {
-		// Reset's draws, into a new buffer: committers keep the old words.
-		bk.seeds[u] = seedagree.NewAlgWithPlan(bk.plan.Seed, bk.envs[u].ID, bk.envs[u].Rng)
+		bk.seeds[u].Reset()
 		bk.setFlags(u, bankSeedLive, bankSeedLeader|bankCoinsValid)
-		bk.committed[u] = nil
+		bk.committed[u] = xrand.Seed{}
 		bk.coinsBehind[u] = 0
-	} else if bk.committed[u] != nil {
+	} else if bk.committed[u].Len() > 0 {
 		rounds := bk.plan.BodyRounds(phase)
 		if bk.flags[u]&bankSendingStarted != 0 {
 			if bk.coinsBehind[u] > 0 {
-				bk.walkSeed(u, nil, int(bk.coinsBehind[u]))
+				bk.plan.skipCoins(bk.committed[u], &bk.seedCur[u], int(bk.coinsBehind[u]))
 				bk.coinsBehind[u] = 0
 			}
 			bk.decodeInto(u, rounds)
@@ -388,13 +375,6 @@ func (bk *NodeStateBank) beginPhase(u, phase int) {
 	}
 }
 
-// walkSeed is decodeCoins (dst non-nil) or skipCoins (dst nil) over node
-// u's shared committed seed, from and back to u's own cursor.
-func (bk *NodeStateBank) walkSeed(u int, dst []uint8, rounds int) {
-	seed := bk.committed[u]
-	bk.seedCur[u] = int32(bk.plan.walkWords(seed.Words(), seed.Len(), int(bk.seedCur[u]), dst, rounds))
-}
-
 // decodeInto decodes into node u's coin buffer, allocated on its first
 // decode with room for any phase (phaseLen covers Tprog and body-only).
 func (bk *NodeStateBank) decodeInto(u, rounds int) {
@@ -402,7 +382,7 @@ func (bk *NodeStateBank) decodeInto(u, rounds int) {
 		bk.coins[u] = make([]uint8, 0, bk.plan.phaseLen)
 	}
 	bk.coins[u] = bk.coins[u][:rounds]
-	bk.walkSeed(u, bk.coins[u], rounds)
+	bk.plan.decodeCoins(bk.committed[u], &bk.seedCur[u], bk.coins[u])
 	bk.setFlags(u, bankCoinsValid, 0)
 }
 
@@ -446,17 +426,12 @@ func (bk *NodeStateBank) receive(u int, c cursor, from int, payload any, ok bool
 	}
 }
 
-// commitSeed is LBAlg.commitSeed with a shared commitment: node u points at
-// the decided owner's current seed and rewinds its own cursor instead of
-// cloning. That is the decision's seed unless u was down across its owner's
-// restart: LBAlg's owners Reset in place, so its clone reads the owner's
-// current words, and so must the bank (initNode pins owner id == index).
+// commitSeed is LBAlg.commitSeed over columns.
 func (bk *NodeStateBank) commitSeed(u int) {
 	seed := bk.seeds[u]
 	seed.Finalize() // defensive; Receive at Ts already finalizes
 	bk.syncSeed(u)
-	bk.committed[u] = bk.seeds[seed.Decision().Owner].InitialSeed()
-	bk.seedCur[u] = 0
+	bk.committed[u], bk.seedCur[u] = seed.Decision().Seed, 0
 	bk.coinsBehind[u] = 0
 	if bk.flags[u]&bankSendingStarted != 0 {
 		bk.decodeInto(u, bk.plan.tprog)
@@ -526,8 +501,7 @@ type BankNode struct {
 
 var _ Service = (*BankNode)(nil)
 
-// Init implements sim.Process. env.ID must be the handle's index in the
-// bank, as the engine assigns it.
+// Init implements sim.Process.
 func (h *BankNode) Init(env *sim.NodeEnv) { h.bank.initNode(int(h.u), env) }
 
 // Transmit implements sim.Process (the goroutine-per-node driver and the

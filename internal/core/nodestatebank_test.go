@@ -62,15 +62,14 @@ func newLockstepSide(name string, nodes []lockstepNode) *lockstepSide {
 // the Section 4.2 k = 3 variant whose mid-cycle sender arrivals exercise
 // the deferred decode and cursor-debt settlement.
 //
-// The bank shares committed seeds (a pointer to the owner's seed plus a
-// per-node cursor) and holds coin buffers only for senders, so the test
-// also checks that sharing from the range side: after every round a node
-// holds a coin buffer only while it is sending, and the run must reach
-// rounds where two or more sending nodes hold coins decoded from the same
-// owner's seed. Besides node 2's window, later crash windows straddle
-// preamble restarts — one node per window, back mid-preamble (it commits
-// from a decision it kept across its owner's restart) or mid-body (it
-// keeps an old commitment across its owner's restart and decodes it in
+// The bank holds coin buffers only for senders, so the test also checks
+// from the range side that after every round a node holds a coin buffer
+// only while it is sending, and the run must reach rounds where two or more
+// sending nodes hold coins decoded from one committed seed value. Besides
+// node 2's window, later crash windows straddle preamble restarts — one
+// node per window, back mid-preamble (it commits to the (j, s) it decided
+// before it went down, not to the seed its owner drew since) or mid-body
+// (it keeps an old commitment across its owner's restart and decodes it in
 // the next body-only phase).
 func TestNodeStateBankLockstep(t *testing.T) {
 	for _, tc := range []struct {
@@ -273,19 +272,19 @@ func TestNodeStateBankLockstep(t *testing.T) {
 				t.Error("execution produced no acks; the ack edge went untested")
 			}
 			if shared == 0 {
-				t.Error("no two sending nodes ever decoded one owner's seed; the shared commitment went untested")
+				t.Error("no two sending nodes ever decoded one seed; the shared commitment went untested")
 			}
-			t.Logf("%d of %d rounds had two or more sending nodes on one owner's seed", shared, rounds)
+			t.Logf("%d of %d rounds had two or more sending nodes on one seed", shared, rounds)
 		})
 	}
 }
 
 // sharingSenders checks the bank's sender-only state after round tr: a
 // node holds a coin buffer only while it is sending. It reports whether two
-// or more sending nodes hold valid coins decoded from the same owner's seed.
+// or more sending nodes hold valid coins decoded from one seed value.
 func sharingSenders(t *testing.T, bk *NodeStateBank, tr int) bool {
 	t.Helper()
-	holders := make(map[*xrand.BitString]int)
+	holders := make(map[xrand.Seed]int)
 	shared := false
 	for u := 0; u < bk.n; u++ {
 		if bk.coins[u] == nil {
@@ -315,27 +314,54 @@ func sameIDs(t *testing.T, what string, u int, got, want []sim.MsgID) {
 	}
 }
 
-// TestNodeStateBankFootprint pins what NewNodeStateBank allocates: per-node
-// columns only. Coin buffers and dedupe sets are allocated by the nodes that
-// use them and committed seeds are shared, so no construction cost follows
-// the phase length, and the columns stay under 256 B per node.
+// TestNodeStateBankFootprint pins what the bank allocates. The constructor
+// allocates per-node columns only: coin buffers and dedupe sets are
+// allocated by the nodes that use them, so no construction cost follows the
+// phase length, and the columns stay under 256 B per node. Seeds are
+// values, so Init's one seed machine per node does not follow κ either, and
+// the round-1 reseed pass, which resets every machine in place, allocates
+// nothing per node.
 func TestNodeStateBankFootprint(t *testing.T) {
 	const n = 20000
-	perNode := func(eps float64) (bytes float64, phaseLen int) {
+	type footprint struct {
+		ctor, total     float64 // B/node: the constructor, and it plus every Init
+		reseed          uint64  // B: the round-1 TransmitRange pass
+		phaseLen, kappa int
+	}
+	perNode := func(eps float64) footprint {
 		p, err := DeriveParams(8, 8, 1, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan := NewPhasePlan(p)
-		var before, after runtime.MemStats
+		envs := make([]sim.NodeEnv, n)
+		for u := range envs {
+			envs[u] = sim.NodeEnv{ID: u, Delta: 8, DeltaPrime: 8, R: 1,
+				Rng: xrand.NodeSource(1, u), Rec: nopRec{}}
+		}
+		view := sim.RoundView{Payloads: make([]any, n), Transmit: make([]bool, n),
+			Touched: make([]uint8, n), Rx: make([]sim.RxSlot, n)}
+		var before, built, inited, reseeded runtime.MemStats
 		runtime.ReadMemStats(&before)
 		bk := NewNodeStateBank(plan, n)
-		runtime.ReadMemStats(&after)
+		runtime.ReadMemStats(&built)
+		for u := range envs {
+			bk.Node(u).Init(&envs[u])
+		}
+		runtime.ReadMemStats(&inited)
+		bk.TransmitRange(1, 0, n, &view)
+		runtime.ReadMemStats(&reseeded)
 		runtime.KeepAlive(bk)
-		return float64(after.TotalAlloc-before.TotalAlloc) / n, plan.PhaseLen()
+		return footprint{
+			ctor:     float64(built.TotalAlloc-before.TotalAlloc) / n,
+			total:    float64(inited.TotalAlloc-before.TotalAlloc) / n,
+			reseed:   reseeded.TotalAlloc - inited.TotalAlloc,
+			phaseLen: plan.PhaseLen(), kappa: p.Kappa,
+		}
 	}
-	short, shortLen := perNode(0.25)
-	long, longLen := perNode(0.05)
+	fs, fl := perNode(0.25), perNode(0.05)
+	short, shortLen := fs.ctor, fs.phaseLen
+	long, longLen := fl.ctor, fl.phaseLen
 	if shortLen == longLen {
 		t.Fatalf("both plans have phase length %d; the comparison is vacuous", shortLen)
 	}
@@ -349,4 +375,21 @@ func TestNodeStateBankFootprint(t *testing.T) {
 		}
 	}
 	t.Logf("%.1f B/node at phase length %d, %.1f B/node at %d", short, shortLen, long, longLen)
+
+	if fs.kappa == fl.kappa {
+		t.Fatalf("both plans have κ = %d; the comparison is vacuous", fs.kappa)
+	}
+	if math.Abs(fs.total-fl.total) >= 1 {
+		t.Errorf("through Init the bank allocates %.1f B/node at κ = %d but %.1f B/node at κ = %d; it must not depend on κ",
+			fs.total, fs.kappa, fl.total, fl.kappa)
+	}
+	// The runtime may itself allocate a few hundred bytes while the pass
+	// runs; one allocation per node would cost at least 8 B/node.
+	for _, f := range []footprint{fs, fl} {
+		if b := float64(f.reseed) / n; b >= 1 {
+			t.Errorf("the round-1 reseed pass allocates %d B (%.1f B/node) at κ = %d, want 0 per node",
+				f.reseed, b, f.kappa)
+		}
+	}
+	t.Logf("through Init: %.1f B/node at κ = %d, %.1f B/node at κ = %d", fs.total, fs.kappa, fl.total, fl.kappa)
 }

@@ -70,7 +70,7 @@ func TestPhaseTrafficSeparation(t *testing.T) {
 	for _, tx := range air {
 		_, pos := p.PhaseOf(tx.round)
 		switch tx.payload.(type) {
-		case seedagree.Msg:
+		case *seedagree.Msg:
 			seedMsgs++
 			if !p.IsPreamble(pos) {
 				t.Fatalf("seed message on the air in body round %d", tx.round)
@@ -133,7 +133,7 @@ func TestParticipationRateMatchesFormula(t *testing.T) {
 	participations := 0
 	src := xrand.New(9)
 	for ph := 0; ph < phases; ph++ {
-		commitDirect(l, xrand.NewBitString(src, p.Kappa))
+		commitDirect(l, src.DrawSeed(p.Kappa))
 		before, _ := l.BodyStats()
 		for j := 0; j < p.Tprog; j++ {
 			l.bodyRound(j)

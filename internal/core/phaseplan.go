@@ -13,7 +13,7 @@ import (
 // node, so the per-node-per-round work in Transmit/Receive collapses to a
 // slot lookup — and the committed-seed coin stream is decoded once per
 // phase into a scratch buffer (phaseCoins) in one word-level pass instead
-// of two BitString.Consume calls per node per round.
+// of two cursor-checked bit reads per node per round.
 //
 // The plan changes when coins are decoded, never which bits feed which
 // decision: the decode walks the committed seed in exactly the order the
@@ -173,7 +173,7 @@ func (pl *PhasePlan) PhaseOf(t int) (phase, pos int) {
 // group stays silent (non-participant round, short participation coin, or
 // an exhausted seed) and the selected probability exponent b ∈ [1, log Δ]
 // otherwise. A body round then costs one byte load instead of one or two
-// cursor-checked Consume calls.
+// cursor-checked bit reads.
 type phaseCoins struct {
 	b     []uint8
 	valid bool
@@ -182,42 +182,47 @@ type phaseCoins struct {
 // invalidate drops the scratch when its seed is superseded.
 func (c *phaseCoins) invalidate() { c.valid = false }
 
-// decodeCoins decodes the next `rounds` body rounds' worth of shared coins
-// from seed into c, advancing seed's cursor exactly as `rounds` incremental
-// bodyRound executions would have: K1 participation bits per round, then K2
-// selection bits only on participant rounds, with per-field exhaustion
-// semantics (a field that does not fit leaves the cursor in place and the
-// round silent). One call replaces a phase's worth of per-round Consume
-// pairs.
-func (pl *PhasePlan) decodeCoins(seed *xrand.BitString, c *phaseCoins, rounds int) {
+// reuse sizes the scratch for `rounds` body rounds, growing it only when
+// needed, and marks it valid for the decode that fills it.
+func (c *phaseCoins) reuse(rounds int) []uint8 {
 	if cap(c.b) < rounds {
 		c.b = make([]uint8, rounds)
 	}
 	c.b = c.b[:rounds]
 	c.valid = true
-	start := seed.Offset()
-	seed.Skip(pl.walkWords(seed.Words(), seed.Len(), start, c.b, rounds) - start)
+	return c.b
 }
 
-// skipCoins advances seed's cursor over `rounds` body rounds' worth of
-// shared coins without materialising them — how a node that spent one or
-// more phases of a SeedEveryKPhases cycle as a pure receiver catches its
-// cursor up when it enters the sending state (the decoded values are never
-// read while receiving, but which bits the next phase starts at depends on
-// them).
-func (pl *PhasePlan) skipCoins(seed *xrand.BitString, rounds int) {
-	start := seed.Offset()
-	seed.Skip(pl.walkWords(seed.Words(), seed.Len(), start, nil, rounds) - start)
+// decodeCoins decodes len(dst) body rounds' worth of shared coins from seed
+// into dst, starting at bit *cur and advancing *cur exactly as len(dst)
+// incremental bodyRound executions would have: K1 participation bits per
+// round, then K2 selection bits only on participant rounds, with per-field
+// exhaustion semantics (a field that does not fit leaves the cursor in
+// place and the round silent). The seed's words are regenerated on the
+// stack for κ ≤ 4096, so a decode does not allocate.
+func (pl *PhasePlan) decodeCoins(seed xrand.Seed, cur *int32, dst []uint8) {
+	var buf [64]uint64
+	*cur = int32(pl.walkWords(seed.Words(buf[:0]), seed.Len(), int(*cur), dst, len(dst)))
+}
+
+// skipCoins advances *cur over `rounds` body rounds' worth of shared coins
+// without materialising them — how a node that spent one or more phases of
+// a SeedEveryKPhases cycle as a pure receiver catches its cursor up when it
+// enters the sending state (the decoded values are never read while
+// receiving, but which bits the next phase starts at depends on them).
+func (pl *PhasePlan) skipCoins(seed xrand.Seed, cur *int32, rounds int) {
+	var buf [64]uint64
+	*cur = int32(pl.walkWords(seed.Words(buf[:0]), seed.Len(), int(*cur), nil, rounds))
 }
 
 // walkWords is the one coin pass behind every decode: it walks `rounds`
 // body rounds' worth of coins over a seed's words (n bits, read-only) from
 // bit cursor cur, writes the coin bytes to dst when non-nil, and returns
-// the new cursor. LBAlg wraps it around its clone's own cursor
-// (decodeCoins, skipCoins); NodeStateBank keeps a cursor per node over the
-// owner's shared words. Field extraction mirrors BitString.Consume exactly
-// — a field that does not fit consumes nothing — so the cursor ends where
-// `rounds` incremental Consume walks would have left it, for K2 = 0 too.
+// the new cursor. Both LBAlg representations reach it through decodeCoins
+// and skipCoins with a cursor of their own. Field extraction reads each
+// field all-or-nothing — a field that does not fit consumes nothing — so
+// the cursor ends where `rounds` incremental bit-field reads would have
+// left it, for K2 = 0 too.
 // The second-word merge is branch-free: the double shift is well-defined
 // at off = 0 (<<1<<63 clears the word) and the i+1 bound check only fails
 // in the last word.

@@ -85,73 +85,111 @@ func TestPhasePlanMatchesIncrementalArithmetic(t *testing.T) {
 	}
 }
 
+// refBits is a bit-by-bit reader over a seed's words: the incremental
+// per-round consumption the plan batched away, kept as plain as possible so
+// it can serve as the oracle.
+type refBits struct {
+	words  []uint64
+	n, cur int
+}
+
+// consume reads the next k bits little-endian (the first bit read is the
+// least significant). It reports false, reading nothing, if fewer than k
+// bits remain.
+func (r *refBits) consume(k int) (uint64, bool) {
+	if r.n-r.cur < k {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < k; i++ {
+		bit := r.cur + i
+		v |= (r.words[bit/64] >> (bit % 64) & 1) << i
+	}
+	r.cur += k
+	return v, true
+}
+
 // refDecodeCoin replays the incremental bodyRound consumption the plan
 // batched away: K1 participation bits, then K2 selection bits only on
 // all-zero participation coins, each field all-or-nothing against the
 // remaining seed.
-func refDecodeCoin(seed *xrand.BitString, k1, k2, logDelta int) uint8 {
-	v, ok := seed.Consume(k1)
+func refDecodeCoin(seed *refBits, k1, k2, logDelta int) uint8 {
+	v, ok := seed.consume(k1)
 	if !ok || v != 0 {
 		return 0
 	}
-	bv, ok := seed.Consume(k2)
+	bv, ok := seed.consume(k2)
 	if !ok {
 		return 0
 	}
 	return uint8(1 + int(bv)%logDelta)
 }
 
-// TestDecodeCoinsMatchesIncrementalConsume: decodeCoins must produce the
-// byte sequence of per-round refDecodeCoin walks and leave the cursor
-// exactly where the incremental walk would — including across word
-// boundaries and on seeds too short for their schedule (exhaustion fails
-// closed per field). skipCoins must advance the cursor identically while
-// materialising nothing.
-func TestDecodeCoinsMatchesIncrementalConsume(t *testing.T) {
-	seedSrc := xrand.New(77)
-	f := func(rawK1, rawK2, rawLD, rawRounds uint8, rawBits uint16, seed uint64) bool {
-		k1 := int(rawK1) % 13
-		k2 := int(rawK2) % 13
+// FuzzDecodeCoins: decodeCoins must produce the byte sequence of per-round
+// refDecodeCoin walks and leave the cursor exactly where the incremental
+// walk would — from any start cursor (a k > 1 catch-up decode never starts
+// at 0), across word boundaries, and on seeds too short for their schedule
+// (exhaustion fails closed per field). skipCoins must advance the cursor
+// identically while materialising nothing. The reference reads words taken
+// straight from the source's stream, so the target also checks that a
+// drawn seed regenerates them. The seed corpus is 400 fixed-seed cases over
+// κ < 1200, k1, k2 < 13, log Δ ≤ 64 and fewer than 50 rounds, plus the
+// boundaries κ ∈ {0, 64, 65}, k1 + k2 = 0 and start = κ.
+func FuzzDecodeCoins(f *testing.F) {
+	gen := xrand.New(77)
+	for range 400 {
+		kappa := gen.Intn(1200)
+		f.Add(gen.Uint64(), uint16(kappa), uint8(gen.Intn(13)), uint8(gen.Intn(13)),
+			uint8(gen.Intn(64)), uint8(gen.Intn(50)), uint16(gen.Intn(kappa+1)))
+	}
+	for _, kappa := range []uint16{0, 64, 65} {
+		f.Add(uint64(kappa), kappa, uint8(3), uint8(2), uint8(2), uint8(40), uint16(0))
+		f.Add(uint64(kappa), kappa, uint8(0), uint8(0), uint8(2), uint8(40), kappa/2)
+		f.Add(uint64(kappa), kappa, uint8(3), uint8(2), uint8(2), uint8(40), kappa)
+	}
+	f.Fuzz(func(t *testing.T, state uint64, rawKappa uint16, rawK1, rawK2, rawLD, rawRounds uint8, rawStart uint16) {
+		kappa := int(rawKappa) % 5000 // past 4096 bits the words no longer fit the stack buffer
+		k1, k2 := int(rawK1)%13, int(rawK2)%13
 		logDelta := 1 + int(rawLD)%64
 		rounds := int(rawRounds) % 50
-		bits := int(rawBits) % 1200 // often shorter than rounds·(k1+k2)
+		start := int(rawStart) % (kappa + 1)
 
 		sp, err := seedagree.NewParams(0.25, 8, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Params{Eps1: 0.2, Eps2: 0.1, R: 1, Delta: 4, DeltaPrime: 4,
+		pl := NewPhasePlan(Params{Eps1: 0.2, Eps2: 0.1, R: 1, Delta: 4, DeltaPrime: 4,
 			LogDelta: logDelta, SeedParams: sp, Ts: sp.Rounds(), Tprog: rounds,
-			Tack: 1, Kappa: bits, K1: k1, K2: k2, SeedEveryKPhases: 1}
-		pl := NewPhasePlan(p)
+			Tack: 1, Kappa: kappa, K1: k1, K2: k2, SeedEveryKPhases: 1})
 
-		ref := xrand.NewBitString(xrand.New(seed^seedSrc.Uint64()), bits)
-		got := ref.Clone()
-		skp := ref.Clone()
-
-		var c phaseCoins
-		pl.decodeCoins(got, &c, rounds)
-		if len(c.b) != rounds || !c.valid {
-			return false
+		stream := xrand.New(state)
+		ref := &refBits{words: make([]uint64, (kappa+63)/64), n: kappa, cur: start}
+		for i := range ref.words {
+			ref.words[i] = stream.Uint64()
 		}
-		for j := 0; j < rounds; j++ {
-			if c.b[j] != refDecodeCoin(ref, k1, k2, logDelta) {
-				return false
+		seed := xrand.New(state).DrawSeed(kappa)
+
+		cur := int32(start)
+		dst := make([]uint8, rounds)
+		pl.decodeCoins(seed, &cur, dst)
+		for j, b := range dst {
+			if want := refDecodeCoin(ref, k1, k2, logDelta); b != want {
+				t.Fatalf("round %d: decoded %d, reference %d", j, b, want)
 			}
 		}
-		if got.Remaining() != ref.Remaining() {
-			return false
+		if int(cur) != ref.cur {
+			t.Fatalf("decode left the cursor at %d, reference at %d", cur, ref.cur)
 		}
-		pl.skipCoins(skp, rounds)
-		return skp.Remaining() == ref.Remaining()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
+		skip := int32(start)
+		pl.skipCoins(seed, &skip, rounds)
+		if skip != cur {
+			t.Fatalf("skip left the cursor at %d, decode at %d", skip, cur)
+		}
+	})
 }
 
 // refLB is the pre-plan LBAlg: the incremental per-round implementation
-// (div/mod phase arithmetic, per-round BitString.Consume) ported verbatim
+// (div/mod phase arithmetic, per-round refBits.consume) ported verbatim
 // as the equivalence oracle. It mirrors the transmit-side state machine,
 // ack timing and recv outputs; TestPlanEquivalence drives it in lockstep
 // with the table-driven LBAlg over identical randomness and asserts
@@ -162,9 +200,8 @@ type refLB struct {
 	id       int
 	rng      *xrand.Source
 
-	seed         *seedagree.Alg
-	committed    *xrand.BitString
-	committedBuf *xrand.BitString
+	seed      *seedagree.Alg
+	committed *refBits
 
 	state          State
 	pending        *Message
@@ -231,14 +268,14 @@ func (l *refLB) bodyRound() (any, bool) {
 	if l.committed == nil {
 		return nil, false
 	}
-	v, ok := l.committed.Consume(l.p.K1)
+	v, ok := l.committed.consume(l.p.K1)
 	if !ok {
 		return nil, false
 	}
 	if v != 0 {
 		return nil, false
 	}
-	bv, ok := l.committed.Consume(l.p.K2)
+	bv, ok := l.committed.consume(l.p.K2)
 	if !ok {
 		return nil, false
 	}
@@ -261,13 +298,7 @@ func (l *refLB) Receive(t, from int, payload any, ok bool) {
 		if pos == l.p.Ts-1 {
 			l.seed.Finalize()
 			d := l.seed.Decision()
-			if l.committedBuf == nil {
-				l.committedBuf = d.Seed.Clone()
-			} else {
-				l.committedBuf.CopyFrom(d.Seed)
-			}
-			l.committedBuf.Reset()
-			l.committed = l.committedBuf
+			l.committed = &refBits{words: d.Seed.Words(nil), n: d.Seed.Len()}
 		}
 		return
 	}
@@ -292,13 +323,13 @@ func (l *refLB) Receive(t, from int, payload any, ok bool) {
 	}
 }
 
-// samePayload compares on-air frames structurally: the two clusters hold
-// distinct BitString objects, so seed advertisements compare by owner and
-// content rather than pointer identity.
+// samePayload compares on-air frames structurally: each cluster's leaders
+// advertise pointers to their own Msg values, so seed advertisements
+// compare by value rather than pointer identity.
 func samePayload(a, b any) bool {
-	if am, ok := a.(seedagree.Msg); ok {
-		bm, ok := b.(seedagree.Msg)
-		return ok && am.Owner == bm.Owner && am.Seed.Equal(bm.Seed)
+	if am, ok := a.(*seedagree.Msg); ok {
+		bm, ok := b.(*seedagree.Msg)
+		return ok && *am == *bm
 	}
 	return a == b
 }

@@ -184,7 +184,7 @@ func runSeedSpec(size Size, seed uint64) (*Result, error) {
 				if err := seedagree.CheckConsistency(ds); err != nil {
 					violations++
 				}
-				initial := make(map[int]*xrand.BitString, len(procs))
+				initial := make(map[int]xrand.Seed, len(procs))
 				for u, pr := range procs {
 					initial[u] = pr.Alg().InitialSeed()
 				}

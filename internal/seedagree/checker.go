@@ -28,13 +28,13 @@ func CollectDecisions(procs []*Process) ([]Decision, error) {
 // CheckConsistency verifies condition 2: decisions naming the same owner
 // carry the same seed value.
 func CheckConsistency(ds []Decision) error {
-	seeds := make(map[int]*xrand.BitString, len(ds))
+	seeds := make(map[int]xrand.Seed, len(ds))
 	for u, d := range ds {
-		if d.Seed == nil {
-			return fmt.Errorf("seedagree: node %d committed a nil seed", u)
+		if d.Seed.Len() == 0 {
+			return fmt.Errorf("seedagree: node %d committed an empty seed", u)
 		}
 		if prev, ok := seeds[d.Owner]; ok {
-			if !prev.Equal(d.Seed) {
+			if prev != d.Seed {
 				return fmt.Errorf("seedagree: owner %d committed with two distinct seeds", d.Owner)
 			}
 			continue
@@ -46,13 +46,13 @@ func CheckConsistency(ds []Decision) error {
 
 // CheckOwnership verifies the Lemma B.1 structure: every committed seed is
 // the initial seed of its owner, and owners are real vertices.
-func CheckOwnership(ds []Decision, initial map[int]*xrand.BitString) error {
+func CheckOwnership(ds []Decision, initial map[int]xrand.Seed) error {
 	for u, d := range ds {
 		own, ok := initial[d.Owner]
 		if !ok {
 			return fmt.Errorf("seedagree: node %d committed to unknown owner %d", u, d.Owner)
 		}
-		if !own.Equal(d.Seed) {
+		if own != d.Seed {
 			return fmt.Errorf("seedagree: node %d committed a seed that is not owner %d's initial seed", u, d.Owner)
 		}
 	}
@@ -89,8 +89,8 @@ func AgreementHolds(d *dualgraph.Dual, ds []Decision, u, delta int) bool {
 
 // OwnerSeeds returns the distinct owners' committed seed values, for the
 // statistical independence checks of the E-SEED-SPEC experiment.
-func OwnerSeeds(ds []Decision) map[int]*xrand.BitString {
-	out := make(map[int]*xrand.BitString)
+func OwnerSeeds(ds []Decision) map[int]xrand.Seed {
+	out := make(map[int]xrand.Seed)
 	for _, d := range ds {
 		out[d.Owner] = d.Seed
 	}

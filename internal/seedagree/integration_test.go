@@ -28,8 +28,8 @@ func runSeedAgreement(t testing.TB, d *dualgraph.Dual, p Params, s sim.LinkSched
 	return procs
 }
 
-func initialSeeds(procs []*Process) map[int]*xrand.BitString {
-	out := make(map[int]*xrand.BitString, len(procs))
+func initialSeeds(procs []*Process) map[int]xrand.Seed {
+	out := make(map[int]xrand.Seed, len(procs))
 	for u, p := range procs {
 		out[u] = p.Alg().InitialSeed()
 	}
@@ -206,7 +206,7 @@ func TestIndependenceStatistical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range OwnerSeeds(ds) {
-			ones += s.Bit(0)
+			ones += int(s.Words(nil)[0] & 1)
 			total++
 		}
 	}
@@ -218,20 +218,20 @@ func TestIndependenceStatistical(t *testing.T) {
 
 func TestCheckConsistencyDetectsViolation(t *testing.T) {
 	r := xrand.New(7)
-	s1, s2 := xrand.NewBitString(r, 16), xrand.NewBitString(r, 16)
+	s1, s2 := r.DrawSeed(16), r.DrawSeed(16)
 	ds := []Decision{{Owner: 1, Seed: s1}, {Owner: 1, Seed: s2}}
 	if err := CheckConsistency(ds); err == nil {
 		t.Error("conflicting seeds for one owner passed consistency")
 	}
-	if err := CheckConsistency([]Decision{{Owner: 1, Seed: nil}}); err == nil {
-		t.Error("nil seed passed consistency")
+	if err := CheckConsistency([]Decision{{Owner: 1}}); err == nil {
+		t.Error("empty seed passed consistency")
 	}
 }
 
 func TestCheckOwnershipDetectsViolation(t *testing.T) {
 	r := xrand.New(8)
-	s1, s2 := xrand.NewBitString(r, 16), xrand.NewBitString(r, 16)
-	initial := map[int]*xrand.BitString{1: s1}
+	s1, s2 := r.DrawSeed(16), r.DrawSeed(16)
+	initial := map[int]xrand.Seed{1: s1}
 	if err := CheckOwnership([]Decision{{Owner: 2, Seed: s1}}, initial); err == nil {
 		t.Error("unknown owner passed")
 	}
@@ -248,7 +248,7 @@ func TestOwnerCountSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := []Decision{{Owner: 0, Seed: xrand.NewBitString(xrand.New(1), 8)}}
+	ds := []Decision{{Owner: 0, Seed: xrand.New(1).DrawSeed(8)}}
 	if got := OwnerCount(d, ds, 0); got != 1 {
 		t.Errorf("OwnerCount = %d, want 1", got)
 	}

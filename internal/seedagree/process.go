@@ -2,6 +2,7 @@ package seedagree
 
 import (
 	"lbcast/internal/sim"
+	"lbcast/internal/xrand"
 )
 
 // Process adapts Alg to the simulator for standalone seed agreement runs
@@ -59,7 +60,7 @@ func (sp *Process) Decided() bool { return sp.alg != nil && sp.alg.Decided() }
 func (sp *Process) Decision() Decision { return sp.alg.Decision() }
 
 // InitialSeed exposes the node's own generated seed for spec checking.
-func (sp *Process) InitialSeed() interface{ Len() int } { return sp.alg.InitialSeed() }
+func (sp *Process) InitialSeed() xrand.Seed { return sp.alg.InitialSeed() }
 
 // Alg exposes the underlying state machine (tests and checkers).
 func (sp *Process) Alg() *Alg { return sp.alg }

@@ -35,11 +35,11 @@ func (s Status) String() string {
 }
 
 // Msg is the (j, s) pair a leader broadcasts: its id and its initial seed.
-// The Seed field is shared, never mutated by receivers; committers clone it
-// or read its words through a cursor of their own.
+// A leader puts a pointer to its own Msg on the air; a receiver that
+// decides copies the value, so Reset may redraw the seed in place.
 type Msg struct {
 	Owner int
-	Seed  *xrand.BitString
+	Seed  xrand.Seed
 }
 
 // Decision is one decide(j, s)_u output.
@@ -47,7 +47,7 @@ type Decision struct {
 	// Owner is j: the id of the node whose seed was committed.
 	Owner int
 	// Seed is s: the committed seed value.
-	Seed *xrand.BitString
+	Seed xrand.Seed
 	// Round is the local SeedAlg round at which the decision happened
 	// (1-based; Rounds()+0 for in-run decisions, Rounds() for defaults).
 	Round int
@@ -238,10 +238,9 @@ type Alg struct {
 	id  int
 	rng *xrand.Source
 
-	initialSeed *xrand.BitString
-	// frame is the boxed Msg{id, initialSeed} a leader puts on the air.
-	// Reset refills initialSeed in place, so the same boxed value stays
-	// valid across runs and advertising rounds never allocate.
+	// msg is this run's (id, initial seed); frame is &msg, boxed once, so
+	// neither Reset nor advertising allocates.
+	msg   Msg
 	frame any
 
 	decision Decision
@@ -260,23 +259,17 @@ func NewAlg(p Params, id int, rng *xrand.Source) *Alg {
 // of nodes may share one.
 func NewAlgWithPlan(plan *Plan, id int, rng *xrand.Source) *Alg {
 	a := &Alg{p: plan.p, plan: plan, id: id, rng: rng}
+	a.frame = &a.msg
 	a.Reset()
 	return a
 }
 
 // Reset rewinds the machine for a fresh run with a freshly drawn initial
 // seed (used by LBAlg, which runs seed agreement at every phase preamble).
-// The seed buffer is redrawn in place, consuming the same randomness a
-// fresh allocation would (NewAlgWithPlan draws the same words into a new
-// buffer); committers that need the previous run's seed hold clones by the
-// time Reset runs.
+// The draw replaces the previous seed in place; decisions already made hold
+// their seed by value, so nothing else observes it.
 func (a *Alg) Reset() {
-	if a.initialSeed == nil {
-		a.initialSeed = xrand.NewBitString(a.rng, a.p.Kappa)
-		a.frame = Msg{Owner: a.id, Seed: a.initialSeed}
-	} else {
-		a.initialSeed.Refill(a.rng)
-	}
+	a.msg = Msg{a.id, a.rng.DrawSeed(a.p.Kappa)}
 	a.status = StatusActive
 	a.leaderPhase = 0
 	a.decided = false
@@ -284,7 +277,7 @@ func (a *Alg) Reset() {
 }
 
 // InitialSeed returns this node's own generated seed for the current run.
-func (a *Alg) InitialSeed() *xrand.BitString { return a.initialSeed }
+func (a *Alg) InitialSeed() xrand.Seed { return a.msg.Seed }
 
 // Status returns the node's current status.
 func (a *Alg) Status() Status { return a.status }
@@ -321,7 +314,7 @@ func (a *Alg) Transmit(local int) (payload any, transmit bool) {
 		if a.rng.Coin(a.plan.leaderProb[phase]) {
 			a.status = StatusLeader
 			a.leaderPhase = phase
-			a.decide(Decision{Owner: a.id, Seed: a.initialSeed, Round: local})
+			a.decide(Decision{Owner: a.id, Seed: a.msg.Seed, Round: local})
 		}
 	}
 
@@ -338,7 +331,7 @@ func (a *Alg) Transmit(local int) (payload any, transmit bool) {
 // default decision for nodes that heard nothing and never led.
 func (a *Alg) Receive(local int, payload any, ok bool) {
 	if local >= 1 && local <= a.plan.rounds && ok && a.status == StatusActive {
-		if msg, isSeed := payload.(Msg); isSeed {
+		if msg, isSeed := payload.(*Msg); isSeed {
 			a.status = StatusInactive
 			a.decide(Decision{Owner: msg.Owner, Seed: msg.Seed, Round: local})
 		}
@@ -353,7 +346,7 @@ func (a *Alg) Receive(local int, payload any, ok bool) {
 func (a *Alg) Finalize() {
 	if a.status == StatusActive {
 		a.status = StatusInactive
-		a.decide(Decision{Owner: a.id, Seed: a.initialSeed, Round: a.p.Rounds(), Default: true})
+		a.decide(Decision{Owner: a.id, Seed: a.msg.Seed, Round: a.p.Rounds(), Default: true})
 	}
 }
 

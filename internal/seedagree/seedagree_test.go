@@ -131,8 +131,7 @@ func TestAlgInitialState(t *testing.T) {
 func TestAlgReset(t *testing.T) {
 	p := validParams(t)
 	a := NewAlg(p, 3, xrand.New(2))
-	// Reset refills the seed buffer in place, so snapshot the contents.
-	s1 := a.InitialSeed().Clone()
+	s1 := a.InitialSeed()
 	// Run to completion in isolation: node decides (possibly by default).
 	for local := 1; local <= p.Rounds(); local++ {
 		a.Transmit(local)
@@ -145,7 +144,7 @@ func TestAlgReset(t *testing.T) {
 	if a.Decided() || a.Status() != StatusActive {
 		t.Error("Reset did not clear state")
 	}
-	if s1.Equal(a.InitialSeed()) {
+	if s1 == a.InitialSeed() {
 		t.Error("Reset did not redraw the seed")
 	}
 }
@@ -167,7 +166,7 @@ func TestAlgIsolatedDecidesOwnSeed(t *testing.T) {
 		if d.Owner != 7 {
 			t.Fatalf("isolated node committed to foreign owner %d", d.Owner)
 		}
-		if !d.Seed.Equal(a.InitialSeed()) {
+		if d.Seed != a.InitialSeed() {
 			t.Fatal("isolated node committed a seed other than its own")
 		}
 	}
@@ -181,20 +180,24 @@ func TestAlgCommitsToHeardLeader(t *testing.T) {
 	if _, tx := a.Transmit(1); tx {
 		t.Skip("node elected itself leader in phase 1 (probability 1/Δ); reseed")
 	}
-	leaderSeed := xrand.NewBitString(xrand.New(99), p.Kappa)
-	a.Receive(1, Msg{Owner: 42, Seed: leaderSeed}, true)
+	leaderSeed := xrand.New(99).DrawSeed(p.Kappa)
+	frame := &Msg{Owner: 42, Seed: leaderSeed}
+	a.Receive(1, frame, true)
 	if !a.Decided() {
 		t.Fatal("node did not commit on hearing a leader")
 	}
+	// The leader's next Reset redraws its frame in place; the decision
+	// holds the value it heard.
+	frame.Seed = xrand.New(100).DrawSeed(p.Kappa)
 	d := a.Decision()
-	if d.Owner != 42 || !d.Seed.Equal(leaderSeed) || d.Default {
+	if d.Owner != 42 || d.Seed != leaderSeed || d.Default {
 		t.Fatalf("decision = %+v", d)
 	}
 	if a.Status() != StatusInactive {
 		t.Errorf("status after commit = %v", a.Status())
 	}
 	// Later messages must not change the decision (well-formedness).
-	a.Receive(2, Msg{Owner: 13, Seed: leaderSeed}, true)
+	a.Receive(2, &Msg{Owner: 13, Seed: leaderSeed}, true)
 	if a.Decision().Owner != 42 {
 		t.Error("second message overwrote the decision")
 	}
@@ -222,11 +225,11 @@ func TestAlgLeaderAdvertises(t *testing.T) {
 			payload, tx = a.Transmit(local)
 			if tx {
 				sent = true
-				msg, ok := payload.(Msg)
+				msg, ok := payload.(*Msg)
 				if !ok || msg.Owner != 5 {
 					t.Fatalf("leader payload = %#v", payload)
 				}
-				if !msg.Seed.Equal(a.InitialSeed()) {
+				if msg.Seed != a.InitialSeed() {
 					t.Fatal("leader advertised a foreign seed")
 				}
 			}
@@ -350,8 +353,7 @@ func TestAlgWithSharedPlanEquivalent(t *testing.T) {
 			t.Fatalf("round %d: transmit %v vs %v", local, ta, tb)
 		}
 		if ta {
-			ma, mb := pa.(Msg), pb.(Msg)
-			if ma.Owner != mb.Owner || !ma.Seed.Equal(mb.Seed) {
+			if *pa.(*Msg) != *pb.(*Msg) {
 				t.Fatalf("round %d: payloads diverged", local)
 			}
 		}
@@ -362,7 +364,7 @@ func TestAlgWithSharedPlanEquivalent(t *testing.T) {
 		}
 	}
 	da, db := a.Decision(), b.Decision()
-	if da.Owner != db.Owner || da.Default != db.Default || !da.Seed.Equal(db.Seed) {
+	if da.Owner != db.Owner || da.Default != db.Default || da.Seed != db.Seed {
 		t.Fatalf("decisions diverged: %+v vs %+v", da, db)
 	}
 }

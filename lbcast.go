@@ -314,8 +314,11 @@ func (nw *Network) Broadcast(node int, payload any) (MessageID, error) {
 	return nw.bank.Node(node).Bcast(payload)
 }
 
-// Busy reports whether the node has a broadcast in flight.
-func (nw *Network) Busy(node int) bool { return nw.bank.Node(node).Active() }
+// Busy reports whether the node has a broadcast in flight. It reports
+// false for a node outside [0, Size()), which Broadcast rejects.
+func (nw *Network) Busy(node int) bool {
+	return node >= 0 && node < nw.Size() && nw.bank.Node(node).Active()
+}
 
 // Acked reports whether the given broadcast has been acknowledged.
 func (nw *Network) Acked(id MessageID) bool {

@@ -88,6 +88,23 @@ func TestBroadcastValidation(t *testing.T) {
 	}
 }
 
+// TestBusyOutOfRange: Busy answers false for nodes outside [0, Size()),
+// the same nodes Broadcast rejects with an error, instead of panicking.
+func TestBusyOutOfRange(t *testing.T) {
+	nw, err := NewCluster(4, WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []int{-1, nw.Size()} {
+		if nw.Busy(node) {
+			t.Errorf("Busy(%d) = true on a %d-node network", node, nw.Size())
+		}
+		if _, err := nw.Broadcast(node, "x"); err == nil {
+			t.Errorf("Broadcast(%d) accepted on a %d-node network", node, nw.Size())
+		}
+	}
+}
+
 func TestNewGeometric(t *testing.T) {
 	// Two nodes at distance 0.5 (reliable) and one at 1.5 (unreliable from
 	// the middle with r=2).
