@@ -34,7 +34,6 @@ var bankedRuns = []bankedRun{
 	{"pool-2", DriverWorkerPool, 2},
 	{"pool-3", DriverWorkerPool, 3},
 	{"pool-7", DriverWorkerPool, 7},
-	{"goroutine-per-node", DriverGoroutinePerNode, 0},
 }
 
 // callback is one OnReceive (kind 1) or OnAck (kind 2) output.

@@ -82,17 +82,17 @@ func TestMidPhaseBcastWaitsForBoundary(t *testing.T) {
 	}
 }
 
-// TestLBAlgUnderGoroutineDriver checks engine-driver parity at the protocol
-// level: identical traces from the sequential and goroutine-per-node
-// drivers.
-func TestLBAlgUnderGoroutineDriver(t *testing.T) {
+// TestLBAlgUnderWorkerPool checks engine-driver parity at the protocol
+// level: identical traces from the sequential driver and a three-worker
+// pool, whose node ranges run concurrently.
+func TestLBAlgUnderWorkerPool(t *testing.T) {
 	rng := xrand.New(31)
 	d, err := dualgraph.SingleHopCluster(6, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := testParams(t, d.Delta(), d.DeltaPrime(), 0.25)
-	run := func(driver sim.Driver) (int, int) {
+	run := func(driver sim.Driver, workers int) (int, int) {
 		procs := make([]*LBAlg, d.N())
 		simProcs := make([]sim.Process, d.N())
 		svcs := make([]Service, d.N())
@@ -103,7 +103,7 @@ func TestLBAlgUnderGoroutineDriver(t *testing.T) {
 		}
 		env := NewSaturatingEnv(svcs, []int{0, 1})
 		e, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: sched.Random{P: 0.5, Seed: 3},
-			Env: env, Seed: 17, Driver: driver})
+			Env: env, Seed: 17, Driver: driver, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestLBAlgUnderGoroutineDriver(t *testing.T) {
 		e.Close()
 		return e.Trace().Len(), e.Trace().Deliveries
 	}
-	seqEvents, seqDel := run(sim.DriverSequential)
-	goEvents, goDel := run(sim.DriverGoroutinePerNode)
-	if seqEvents != goEvents || seqDel != goDel {
-		t.Errorf("drivers diverged: sequential (%d ev, %d del) vs goroutine (%d ev, %d del)",
-			seqEvents, seqDel, goEvents, goDel)
+	seqEvents, seqDel := run(sim.DriverSequential, 0)
+	poolEvents, poolDel := run(sim.DriverWorkerPool, 3)
+	if seqEvents != poolEvents || seqDel != poolDel {
+		t.Errorf("drivers diverged: sequential (%d ev, %d del) vs worker pool (%d ev, %d del)",
+			seqEvents, seqDel, poolEvents, poolDel)
 	}
 }
 

@@ -77,7 +77,7 @@ const bankSenderBits = bankCoinsValid | bankSendingStarted | bankHasPending
 
 // NodeStateBank holds the protocol state of n LBAlg nodes in columns. It
 // implements sim.ProcessBank; its per-node handles (Node) implement Service
-// for the Init/Bcast/callback surface and for the goroutine-per-node driver.
+// for the Init/Bcast/callback surface and for per-node stepping.
 // Not safe for concurrent mutation of one node from two goroutines; the
 // engine's range calls are disjoint, which is exactly the contract.
 type NodeStateBank struct {
@@ -491,9 +491,8 @@ func (bk *NodeStateBank) bcast(u int, payload any) (sim.MsgID, error) {
 }
 
 // BankNode is one node's Service handle into a NodeStateBank: the engine's
-// Init/Procs unit, the goroutine-per-node driver's per-node Process, and
-// the environment's Bcast/callback surface. All state lives in the bank's
-// columns; the handle is two words.
+// Init/Procs unit, a per-node Process, and the environment's Bcast/callback
+// surface. All state lives in the bank's columns; the handle is two words.
 type BankNode struct {
 	bank *NodeStateBank
 	u    int32
@@ -504,9 +503,9 @@ var _ Service = (*BankNode)(nil)
 // Init implements sim.Process.
 func (h *BankNode) Init(env *sim.NodeEnv) { h.bank.initNode(int(h.u), env) }
 
-// Transmit implements sim.Process (the goroutine-per-node driver and the
-// lockstep oracle call it; batch drivers go through TransmitRange). It runs
-// the same body as a range visit.
+// Transmit implements sim.Process (the lockstep oracle calls it; the
+// engine goes through TransmitRange). It runs the same body as a range
+// visit.
 func (h *BankNode) Transmit(t int) (any, bool) {
 	return h.bank.transmit(int(h.u), h.bank.cursorAt(t))
 }

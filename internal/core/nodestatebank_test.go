@@ -156,8 +156,8 @@ func TestNodeStateBankLockstep(t *testing.T) {
 				}
 
 				// Transmit phase: the bank through the batch surface, over stale
-				// payloads; the other sides per node with the engine's stepTx
-				// semantics.
+				// payloads; the other sides per node with the engine's
+				// per-node semantics (a down node transmits nothing).
 				for u := range view.Payloads {
 					view.Payloads[u] = poison{}
 				}

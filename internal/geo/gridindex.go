@@ -7,12 +7,12 @@ import (
 	"lbcast/internal/par"
 )
 
-// GridIndex is the dense spatial index over an embedding's grid regions: the
-// CSR replacement for the map-based RegionIndex. Occupied regions are kept as
-// sorted keys — (I, J) lexicographic — with a region→members layout in
-// compressed-sparse-row form, so every consumer (dual graph construction,
-// r-geographic validation, SINR interference resolution) shares one O(1)
-// vertex→region lookup and one deterministic region iteration order.
+// GridIndex is the dense spatial index over an embedding's grid regions.
+// Occupied regions are kept as sorted keys — (I, J) lexicographic — with a
+// region→members layout in compressed-sparse-row form, so every consumer
+// (dual graph construction, r-geographic validation, SINR interference
+// resolution) shares one O(1) vertex→region lookup and one deterministic
+// region iteration order.
 //
 // When the embedding's bounding box is small relative to n — every geometric
 // topology family in this repo — a dense cell table maps grid coordinates to
@@ -356,8 +356,8 @@ func (gi *GridIndex) Stencil(r float64) []CellOffset {
 	return slices.Compact(out)
 }
 
-// sortRegionIDs orders region keys in the canonical (I, J) order shared by
-// GridIndex.Regions and RegionIndex.Regions.
+// sortRegionIDs orders region keys in the canonical (I, J) order
+// GridIndex.Regions iterates in.
 func sortRegionIDs(ids []RegionID) {
 	slices.SortFunc(ids, compareRegionIDs)
 }

@@ -8,10 +8,12 @@ package sim
 // per-node Process path pays two interface dispatches plus a cache miss per
 // node per round before any protocol work happens.
 //
-// Semantics are pinned to the per-node path: a bank must produce exactly the
-// decisions and receptions that calling its per-node handles through Process
-// would have. The engine's driver-equivalence tests and core's lockstep
-// oracle test enforce this bit-for-bit.
+// Per-node processes take the same path: without Config.Bank the engine
+// wraps Procs in a procBank, whose range calls step each node's Process in
+// turn. Semantics are pinned to it: a bank must produce exactly the
+// decisions and receptions that a procBank over its per-node handles would
+// have. The engine's driver-equivalence tests and core's lockstep oracle
+// test enforce this bit-for-bit.
 
 // RxSlot is one node's reception state for the current round, written by the
 // scatter (or the reception-model translation) and read at delivery. The
@@ -34,7 +36,7 @@ type RxSlot struct {
 type RoundView struct {
 	// Payloads and Transmit receive the transmit-phase decisions:
 	// TransmitRange must set Transmit for every node in its range exactly as
-	// Process.Transmit would have through the engine's stepTx, and
+	// Process.Transmit would have through procBank.TransmitRange, and
 	// Payloads[u] wherever it sets Transmit[u]. Payloads[u] only has meaning
 	// where Transmit[u] is set: the engine reads no other payload, so a bank
 	// may leave stale entries elsewhere.
@@ -56,7 +58,7 @@ type RoundView struct {
 	// Down is the engine's crashed-node mask; nil when no node has ever been
 	// down. A down node's process must not run: TransmitRange leaves
 	// Transmit false for it without consulting protocol state, ReceiveRange
-	// skips it entirely — mirroring stepTx and deliver.
+	// skips it entirely — mirroring procBank.
 	Down []bool
 }
 
@@ -74,8 +76,8 @@ type RoundFlusher interface {
 }
 
 // ProcessBank executes node ranges in batch. Config.Bank supplies one
-// alongside the per-node Procs handles (which remain the Init path, the
-// goroutine-per-node driver's unit, and the oracle for equivalence tests).
+// alongside the per-node Procs handles (which remain the Init path and the
+// oracle for equivalence tests).
 // Range calls for the same phase never overlap and jointly cover [0, n);
 // under the worker-pool driver they run concurrently on disjoint ranges, so
 // a bank's per-node state must be independent across nodes exactly as
@@ -91,7 +93,41 @@ type ProcessBank interface {
 	TransmitRange(t, lo, hi int, v *RoundView)
 	// ReceiveRange delivers round t's reception outcomes to nodes [lo, hi),
 	// resolving each node's outcome from v (see RoundView.Touched and
-	// RoundView.Rx) exactly as the engine's deliver would have, and
+	// RoundView.Rx) exactly as procBank.ReceiveRange would have, and
 	// skipping down nodes.
 	ReceiveRange(t, lo, hi int, v *RoundView)
+}
+
+// procBank is the ProcessBank the engine builds over Config.Procs when
+// Config.Bank is nil: each range call steps its nodes' processes one by
+// one. It shares the engine's procs backing array, so ReplaceProc's writes
+// reach it.
+type procBank []Process
+
+// TransmitRange fixes the decisions of nodes [lo, hi): a down node
+// transmits nothing and its process is not consulted.
+func (b procBank) TransmitRange(t, lo, hi int, v *RoundView) {
+	for u := lo; u < hi; u++ {
+		if v.Down != nil && v.Down[u] {
+			v.Payloads[u], v.Transmit[u] = nil, false
+			continue
+		}
+		v.Payloads[u], v.Transmit[u] = b[u].Transmit(t)
+	}
+}
+
+// ReceiveRange delivers the outcomes of nodes [lo, hi): a touched listener
+// with exactly one transmitting topology neighbor hears that transmitter's
+// payload; everyone else — transmitters, silent listeners, collision
+// victims — gets ⊥. A down node's process does not run, not even for ⊥.
+func (b procBank) ReceiveRange(t, lo, hi int, v *RoundView) {
+	for u := lo; u < hi; u++ {
+		switch s := v.Rx[u]; {
+		case v.Down != nil && v.Down[u]:
+		case v.Touched[u] != 0 && !v.Transmit[u] && s.Count == 1:
+			b[u].Receive(t, int(s.From), v.Payloads[s.From], true)
+		default:
+			b[u].Receive(t, NoTransmitter, nil, false)
+		}
+	}
 }

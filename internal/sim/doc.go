@@ -10,9 +10,10 @@
 // and v is the only transmitter among u's neighbors in that topology;
 // otherwise u receives the null indicator ⊥ (no collision detection).
 //
-// Three interchangeable drivers run the same semantics: a sequential loop, a
-// chunked worker pool, and a goroutine-per-node driver in which every
-// simulated process is its own goroutine synchronised by round barriers.
-// Per-node deterministic RNG streams make all three produce identical
+// Every round takes one path: the transmit and receive phases run as
+// contiguous node-range calls on a ProcessBank — Config.Bank, or the
+// engine's adapter over per-node Processes. The two drivers only set how
+// many workers share the ranges: one (sequential) or a persistent worker
+// pool. Per-node deterministic RNG streams make both produce identical
 // executions.
 package sim

@@ -87,11 +87,11 @@ func tracesEqual(got, ref *Trace) (bool, string) {
 }
 
 // TestDriverTraceEquivalence is the driver-parity contract at full trace
-// granularity: DriverSequential, DriverWorkerPool (at worker counts 1, 2, 7
-// and GOMAXPROCS, exercising both the sequential and the sharded parallel
-// scatter) and DriverGoroutinePerNode must produce identical traces — same
-// events in the same order, same aggregate counters — for the same seed and
-// link schedule on a nontrivial dual graph. The transmit probability is set
+// granularity: DriverSequential and DriverWorkerPool (at worker counts 1, 2,
+// 7 and GOMAXPROCS, exercising both the sequential and the sharded parallel
+// scatter) must produce identical traces — same events in the same order,
+// same aggregate counters — for the same seed and link schedule on a
+// nontrivial dual graph. The transmit probability is set
 // high enough that most rounds clear the parallel-scatter threshold. Run it
 // under -race to also exercise the parallel drivers' synchronisation.
 func TestDriverTraceEquivalence(t *testing.T) {
@@ -134,10 +134,6 @@ func TestDriverTraceEquivalence(t *testing.T) {
 				if ok, diff := tracesEqual(got, ref); !ok {
 					t.Errorf("workerpool(workers=%d) %s", w, diff)
 				}
-			}
-			got := run(DriverGoroutinePerNode, 0)
-			if ok, diff := tracesEqual(got, ref); !ok {
-				t.Errorf("goroutine-per-node %s", diff)
 			}
 		})
 	}

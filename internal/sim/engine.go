@@ -11,22 +11,19 @@ import (
 	"lbcast/internal/xrand"
 )
 
-// Driver selects how the engine executes the (identical) round semantics.
+// Driver selects how many workers step each round's phases. Every driver
+// runs the same round path and produces the same execution.
 type Driver int
 
 const (
-	// DriverSequential executes nodes one after another in a single
-	// goroutine. The reference implementation.
+	// DriverSequential steps every phase in the calling goroutine, one
+	// full-range call per phase. The reference implementation.
 	DriverSequential Driver = iota + 1
-	// DriverWorkerPool fans node steps out over a bounded worker pool,
-	// with barriers between the transmit and receive phases. The scatter
-	// itself is sharded across the workers when the transmitter set is
-	// large enough to pay for the fan-out.
+	// DriverWorkerPool splits each phase's node range over a persistent
+	// worker pool, with barriers between the transmit and receive phases.
+	// The scatter itself is sharded across the workers when the transmitter
+	// set is large enough to pay for the fan-out.
 	DriverWorkerPool
-	// DriverGoroutinePerNode runs every simulated process as its own
-	// goroutine — the natural Go rendering of "one process per device" —
-	// synchronised by per-round barriers.
-	DriverGoroutinePerNode
 )
 
 // Config assembles an execution: the paper's "configuration" is a dual
@@ -36,11 +33,11 @@ type Config struct {
 	Dual  *dualgraph.Dual
 	Procs []Process
 	// Bank, when non-nil, executes the transmit and receive phases in
-	// contiguous node ranges instead of per-node Process calls (see
-	// ProcessBank). Procs must still hold the per-node handles of the same
-	// protocol state: Init runs through them, and the goroutine-per-node
-	// driver keeps stepping them individually. Incompatible with
-	// ReplaceProc (a bank owns all nodes' state; see lifecycle.go).
+	// contiguous node ranges (see ProcessBank). Procs must still hold the
+	// per-node handles of the same protocol state: Init runs through them.
+	// When nil, the engine steps Procs through the same range calls
+	// (procBank). Incompatible with ReplaceProc (a bank owns all nodes'
+	// state; see lifecycle.go).
 	Bank ProcessBank
 	// Sched may be nil: no unreliable edges are ever included.
 	Sched LinkScheduler
@@ -51,9 +48,11 @@ type Config struct {
 	Env Environment
 	// Seed derives every node's private randomness stream.
 	Seed uint64
-	// Driver defaults to DriverSequential.
+	// Driver defaults to DriverSequential; any other value than the two
+	// drivers is an error.
 	Driver Driver
-	// Workers bounds DriverWorkerPool concurrency; 0 means GOMAXPROCS.
+	// Workers bounds DriverWorkerPool concurrency; ≤ 0 means GOMAXPROCS.
+	// DriverSequential uses one worker.
 	Workers int
 	// Trace may be nil; a fresh Trace is then created.
 	Trace *Trace
@@ -98,14 +97,13 @@ type scatterShard struct {
 type Engine struct {
 	dual   *dualgraph.Dual
 	procs  []Process
-	bank   ProcessBank  // non-nil: batch path for transmit/receive phases
+	bank   ProcessBank  // Config.Bank, or a procBank over procs
 	flush  RoundFlusher // non-nil when bank also bulk-records (see batch.go)
 	sched  LinkScheduler
 	batch  BatchLinkScheduler  // non-nil when sched supports batch fills
 	sparse SparseLinkScheduler // non-nil when sched supports subset queries
 	recv   ReceptionModel      // non-nil when a model replaces the scatter
 	env    Environment
-	driver Driver
 	wrk    int
 	trace  *Trace
 
@@ -139,7 +137,7 @@ type Engine struct {
 	recs     []nodeRecorder
 
 	// view is the RoundView handed to the bank; its slice headers alias the
-	// round scratch above and are refreshed each Step (down may appear
+	// round scratch above, and Down is refreshed each Step (it may appear
 	// mid-run).
 	view RoundView
 
@@ -157,24 +155,19 @@ type Engine struct {
 	shards []*scatterShard
 
 	// pool is the persistent worker pool of the worker-pool driver, started
-	// lazily on the first parallel phase and stopped by Close. Both the
-	// per-node phases and the sharded scatter dispatch onto it, so the
-	// steady state spawns no goroutines at all (previously ~2 per round).
+	// lazily on the first parallel phase and stopped by Close. The range
+	// phases, the sharded scatter and the sharded reception model dispatch
+	// onto it, so the steady state spawns no goroutines at all.
 	pool *workerPool
 
-	// txFn/rxFn are the cached per-node phase bodies handed to the worker
-	// pool, built once so parallel rounds allocate nothing. poolNodeFn and
-	// poolScatterFn are the cached per-worker bodies dispatched to the pool;
-	// their per-call inputs travel through the poolTask/poolChunk/poolN and
-	// scatterChunk/scatterMode fields to keep dispatch allocation-free.
-	txFn, rxFn    func(u int)
-	poolNodeFn    func(w int)
+	// poolBankFn, poolScatterFn and poolResolveFn are the cached per-worker
+	// bodies dispatched to the pool, built once so parallel rounds allocate
+	// nothing; their per-call inputs travel through the poolChunk/bankTx,
+	// scatterChunk/scatterMode and resolveChunk fields.
 	poolBankFn    func(w int)
 	poolScatterFn func(w int)
 	poolResolveFn func(w int)
-	poolTask      func(u int)
 	poolChunk     int
-	poolN         int
 	bankTx        bool // poolBankFn phase selector: transmit vs receive
 	scatterChunk  int
 	scatterMode   inclusionMode
@@ -185,19 +178,7 @@ type Engine struct {
 	// order (recorders push concurrently), sorted at drain time.
 	dirtyIdx []int32
 	dirtyLen atomic.Int32
-
-	// Goroutine-per-node driver state.
-	nodeCmd  []chan nodeCommand
-	nodeDone chan struct{}
 }
-
-type nodeCommand int
-
-const (
-	cmdTransmit nodeCommand = iota + 1
-	cmdReceive
-	cmdStop
-)
 
 // New validates the configuration and prepares an engine positioned before
 // round 1.
@@ -211,13 +192,20 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Reception != nil && cfg.Sched != nil {
 		return nil, fmt.Errorf("sim: Config.Sched and Config.Reception are mutually exclusive")
 	}
-	driver := cfg.Driver
-	if driver == 0 {
-		driver = DriverSequential
+	workers := 1
+	switch cfg.Driver {
+	case 0, DriverSequential:
+	case DriverWorkerPool:
+		workers = cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+	default:
+		return nil, fmt.Errorf("sim: unknown Config.Driver %d", cfg.Driver)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	bank := cfg.Bank
+	if bank == nil {
+		bank = procBank(cfg.Procs)
 	}
 	trace := cfg.Trace
 	if trace == nil {
@@ -227,10 +215,9 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		dual:     cfg.Dual,
 		procs:    cfg.Procs,
-		bank:     cfg.Bank,
+		bank:     bank,
 		sched:    cfg.Sched,
 		env:      cfg.Env,
-		driver:   driver,
 		wrk:      workers,
 		trace:    trace,
 		gCSR:     cfg.Dual.ReliableCSR(),
@@ -241,12 +228,10 @@ func New(cfg Config) (*Engine, error) {
 		rx:       make([]RxSlot, n),
 		recs:     make([]nodeRecorder, n),
 	}
-	e.view = RoundView{Payloads: e.payloads, Transmit: e.transmit, Rx: e.rx}
-	if cfg.Bank != nil {
-		e.view.Touched = make([]uint8, n)
-	}
+	e.view = RoundView{Payloads: e.payloads, Transmit: e.transmit, Rx: e.rx,
+		Touched: make([]uint8, n)}
 	e.seed = cfg.Seed
-	if f, ok := cfg.Bank.(RoundFlusher); ok {
+	if f, ok := bank.(RoundFlusher); ok {
 		e.flush = f
 	}
 	if cfg.Reception != nil {
@@ -280,18 +265,9 @@ func New(cfg Config) (*Engine, error) {
 		e.recs[u].eng = e
 		e.recs[u].node = int32(u)
 	}
-	e.txFn = e.stepTx
-	e.rxFn = e.deliver
-	e.poolNodeFn = func(w int) {
-		lo := w * e.poolChunk
-		hi := min(lo+e.poolChunk, e.poolN)
-		for u := lo; u < hi; u++ {
-			e.poolTask(u)
-		}
-	}
 	e.poolBankFn = func(w int) {
 		lo := w * e.poolChunk
-		hi := min(lo+e.poolChunk, e.poolN)
+		hi := min(lo+e.poolChunk, n)
 		if lo >= hi {
 			return
 		}
@@ -332,9 +308,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Procs[u].Init(env)
 	}
 	e.drainRecorders(0)
-	if driver == DriverGoroutinePerNode {
-		e.startNodeGoroutines()
-	}
 	return e, nil
 }
 
@@ -365,24 +338,7 @@ func (e *Engine) Step() {
 	// last round (SetDown allocates it lazily), so the bank's view is
 	// refreshed here before any range call reads it.
 	e.view.Down = e.down
-	switch e.driver {
-	case DriverSequential:
-		if e.bank != nil {
-			e.bank.TransmitRange(t, 0, len(e.procs), &e.view)
-		} else {
-			for u := range e.procs {
-				e.stepTx(u)
-			}
-		}
-	case DriverWorkerPool:
-		if e.bank != nil {
-			e.parallelBank(true)
-		} else {
-			e.parallelNodes(e.txFn)
-		}
-	case DriverGoroutinePerNode:
-		e.nodePhase(cmdTransmit)
-	}
+	e.rangePhase(true)
 	e.drainRecorders(t)
 
 	// Adaptive adversaries observe the fixed decisions before the topology
@@ -463,44 +419,26 @@ func (e *Engine) Step() {
 // It expects the per-node reception state (rx slots, touched)
 // for round t to be fully resolved.
 func (e *Engine) finishRound(t int) {
-	// A bank reads the touched list as a per-node column (RoundView.Touched),
-	// so its receive range visits reached nodes without reading every slot.
-	if e.bank != nil {
-		for _, u := range e.touched {
-			e.view.Touched[u] = 1
-		}
+	// The bank reads the touched list as a per-node column (RoundView.Touched),
+	// so a receive range visits reached nodes without reading every slot.
+	for _, u := range e.touched {
+		e.view.Touched[u] = 1
 	}
 
 	// Delivery mutates process state; each node resolves its own reception
-	// outcome from the scatter counts (deliver fuses the per-node outcome
-	// decision with the Receive call, so no separate O(n) pass runs).
-	// Under the goroutine-per-node driver each node consumes its own slot.
-	switch e.driver {
-	case DriverSequential:
-		if e.bank != nil {
-			e.bank.ReceiveRange(t, 0, len(e.procs), &e.view)
-		} else {
-			for u := range e.procs {
-				e.deliver(u)
-			}
-		}
-	case DriverWorkerPool:
-		if e.bank != nil {
-			e.parallelBank(false)
-		} else {
-			e.parallelNodes(e.rxFn)
-		}
-	case DriverGoroutinePerNode:
-		e.nodePhase(cmdReceive)
-	}
+	// outcome from the reception slots as it receives (see
+	// procBank.ReceiveRange), so no separate O(n) pass runs.
+	e.rangePhase(false)
 
 	// Stats fall out of the scatter counts over the touched-node list: a
 	// listener with one transmitting topology neighbor received, one with
 	// two or more lost the round to interference. Only nodes the scatter
-	// reached are visited, so this costs O(Σ deg over transmitters).
+	// reached are visited, so this costs O(Σ deg over transmitters). The
+	// same pass clears the touched column for the next round.
 	txBefore, delBefore, colBefore := e.trace.Transmissions, e.trace.Deliveries, e.trace.Collisions
 	e.trace.Transmissions += len(e.txList)
 	for _, u := range e.touched {
+		e.view.Touched[u] = 0
 		if e.transmit[u] || (e.down != nil && e.down[u]) {
 			continue
 		}
@@ -508,11 +446,6 @@ func (e *Engine) finishRound(t int) {
 			e.trace.Deliveries++
 		} else {
 			e.trace.Collisions++
-		}
-	}
-	if e.bank != nil {
-		for _, u := range e.touched {
-			e.view.Touched[u] = 0
 		}
 	}
 	if e.trace.SampleRounds {
@@ -543,7 +476,7 @@ func (e *Engine) finishRound(t int) {
 // scatter is sharded across workers and merged deterministically.
 func (e *Engine) scatter(t int, mode inclusionMode) {
 	e.touched = e.touched[:0]
-	if e.driver == DriverWorkerPool && e.wrk > 1 && len(e.txList) >= parallelScatterMinTx {
+	if e.wrk > 1 && len(e.txList) >= parallelScatterMinTx {
 		e.scatterParallel(t, mode)
 		return
 	}
@@ -651,7 +584,7 @@ func (e *Engine) scatterParallel(t int, mode inclusionMode) {
 // leaves the node untouched.
 func (e *Engine) resolveModel(t int) {
 	e.touched = e.touched[:0]
-	if e.sharded != nil && e.driver == DriverWorkerPool && e.wrk > 1 &&
+	if e.sharded != nil && e.wrk > 1 &&
 		len(e.procs) >= parallelResolveMinListeners && e.sharded.PrepareRound(t, e.txList) {
 		e.resolveSharded()
 	} else {
@@ -684,34 +617,12 @@ func (e *Engine) ensureShards(workers int) {
 	}
 }
 
-// deliver resolves node u's reception outcome from the scatter counts and
-// invokes Receive: a listener whose stamp is current with exactly one
-// transmitting topology neighbor hears that transmitter (reading the payload
-// from its slot in the shared table); everyone else — transmitters, silent
-// listeners, collision victims — gets ⊥. Every field it touches is indexed
-// by u, so drivers may run delivers concurrently.
-func (e *Engine) deliver(u int) {
-	if e.down != nil && e.down[u] {
-		return // a crashed node's process does not run, not even for ⊥
-	}
-	t := e.round
-	if s := e.rx[u]; !e.transmit[u] && s.Stamp == int32(t) && s.Count == 1 {
-		from := int(s.From)
-		e.procs[u].Receive(t, from, e.payloads[from], true)
-		return
-	}
-	e.procs[u].Receive(t, NoTransmitter, nil, false)
-}
-
-// parallelBank fans a bank phase out over the persistent worker pool using
-// the same contiguous chunking as parallelNodes, so a bank sees exactly the
-// node ranges the per-node path would have stepped per worker.
-func (e *Engine) parallelBank(tx bool) {
+// rangePhase runs the current round's transmit (tx) or receive phase
+// through the bank: one full-range call at one worker, otherwise one
+// contiguous range per worker on the persistent pool.
+func (e *Engine) rangePhase(tx bool) {
 	n := len(e.procs)
-	workers := e.wrk
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.wrk, n)
 	if workers <= 1 {
 		if tx {
 			e.bank.TransmitRange(e.round, 0, n, &e.view)
@@ -722,31 +633,9 @@ func (e *Engine) parallelBank(tx bool) {
 	}
 	chunk := (n + workers - 1) / workers
 	active := (n + chunk - 1) / chunk
-	e.poolChunk, e.poolN, e.bankTx = chunk, n, tx
+	e.poolChunk, e.bankTx = chunk, tx
 	e.ensurePool()
 	e.pool.run(active, e.poolBankFn)
-}
-
-// parallelNodes applies fn to every node index using the persistent worker
-// pool, chunking the node range exactly as the spawn-per-phase version did
-// so executions (and traces) are unchanged.
-func (e *Engine) parallelNodes(fn func(u int)) {
-	n := len(e.procs)
-	workers := e.wrk
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for u := 0; u < n; u++ {
-			fn(u)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	active := (n + chunk - 1) / chunk
-	e.poolTask, e.poolChunk, e.poolN = fn, chunk, n
-	e.ensurePool()
-	e.pool.run(active, e.poolNodeFn)
 }
 
 // workerPool is the persistent pool owned by the worker-pool driver: one
@@ -814,60 +703,14 @@ func (e *Engine) ensurePool() {
 	}
 }
 
-// startNodeGoroutines launches one goroutine per node for the
-// goroutine-per-node driver. Nodes are directed through phases by
-// commands on their private channel; command channels double as the
-// happens-before edge for the engine's shared round state.
-func (e *Engine) startNodeGoroutines() {
-	n := len(e.procs)
-	e.nodeCmd = make([]chan nodeCommand, n)
-	e.nodeDone = make(chan struct{}, n)
-	for u := 0; u < n; u++ {
-		e.nodeCmd[u] = make(chan nodeCommand, 1)
-		go e.nodeLoop(u)
-	}
-}
-
-func (e *Engine) nodeLoop(u int) {
-	for cmd := range e.nodeCmd[u] {
-		switch cmd {
-		case cmdTransmit:
-			e.stepTx(u)
-		case cmdReceive:
-			e.deliver(u)
-		case cmdStop:
-			e.nodeDone <- struct{}{}
-			return
-		}
-		e.nodeDone <- struct{}{}
-	}
-}
-
-// nodePhase directs all node goroutines through one phase and waits for
-// completion.
-func (e *Engine) nodePhase(cmd nodeCommand) {
-	for u := range e.nodeCmd {
-		e.nodeCmd[u] <- cmd
-	}
-	for range e.nodeCmd {
-		<-e.nodeDone
-	}
-}
-
-// Close releases driver goroutines: the persistent worker pool of the
-// worker-pool driver and the node goroutines of the goroutine-per-node
-// driver. It is a no-op for the sequential driver and safe to call multiple
+// Close releases the worker pool's goroutines, if the engine started
+// them. It is a no-op for the sequential driver and safe to call multiple
 // times.
 func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.stop()
 		e.pool = nil
 	}
-	if e.nodeCmd == nil {
-		return
-	}
-	e.nodePhase(cmdStop)
-	e.nodeCmd = nil
 }
 
 // drainRecorders appends buffered events to the trace in node order,

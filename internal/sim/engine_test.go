@@ -75,9 +75,9 @@ func (c *coinProc) Receive(t, from int, payload any, ok bool) {
 }
 
 // newTestEngine constructs an engine and registers Close on test cleanup,
-// so goroutine-per-node drivers can never leak node goroutines into later
-// tests or benchmarks — even when an assertion fails before the explicit
-// Close. Close is idempotent and a no-op for the other drivers.
+// so the worker-pool driver can never leak pool goroutines into later tests
+// or benchmarks — even when an assertion fails before the explicit Close.
+// Close is idempotent and a no-op for the sequential driver.
 func newTestEngine(tb testing.TB, cfg Config) *Engine {
 	tb.Helper()
 	e, err := New(cfg)
@@ -113,6 +113,13 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Dual: d, Procs: []Process{newScriptProc(nil)}}); err == nil {
 		t.Error("want error for process count mismatch")
+	}
+	for _, driver := range []Driver{3, 9, -1} {
+		procs := []Process{newScriptProc(nil), newScriptProc(nil), newScriptProc(nil)}
+		if e, err := New(Config{Dual: d, Procs: procs, Driver: driver}); err == nil {
+			e.Close()
+			t.Errorf("want error for unknown driver %d", driver)
+		}
 	}
 }
 
@@ -318,7 +325,7 @@ func TestAdaptiveSchedulerIntegration(t *testing.T) {
 }
 
 func TestDriverParity(t *testing.T) {
-	// The three drivers must produce identical executions for identical
+	// The drivers must produce identical executions for identical
 	// configurations: same receptions at every node, same trace stats.
 	d := must(t)(dualgraph.Abstract(8,
 		[]dualgraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}},
@@ -347,18 +354,13 @@ func TestDriverParity(t *testing.T) {
 
 	heardSeq, traceSeq := run(DriverSequential)
 	heardPool, tracePool := run(DriverWorkerPool)
-	heardGo, traceGo := run(DriverGoroutinePerNode)
 
 	if !reflect.DeepEqual(heardSeq, heardPool) {
 		t.Errorf("worker pool diverged: %v vs %v", heardPool, heardSeq)
 	}
-	if !reflect.DeepEqual(heardSeq, heardGo) {
-		t.Errorf("goroutine-per-node diverged: %v vs %v", heardGo, heardSeq)
-	}
-	for name, tr := range map[string]Trace{"pool": tracePool, "goroutine": traceGo} {
-		if tr.Transmissions != traceSeq.Transmissions || tr.Deliveries != traceSeq.Deliveries || tr.Collisions != traceSeq.Collisions {
-			t.Errorf("%s trace stats diverged: %+v vs %+v", name, tr, traceSeq)
-		}
+	if tracePool.Transmissions != traceSeq.Transmissions || tracePool.Deliveries != traceSeq.Deliveries ||
+		tracePool.Collisions != traceSeq.Collisions {
+		t.Errorf("pool trace stats diverged: %+v vs %+v", tracePool, traceSeq)
 	}
 }
 
@@ -398,7 +400,7 @@ func TestRecorderEventsOrdered(t *testing.T) {
 	// Events recorded by processes must appear in deterministic node order
 	// per round regardless of driver.
 	d := must(t)(dualgraph.Abstract(4, []dualgraph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, nil))
-	for _, driver := range []Driver{DriverSequential, DriverWorkerPool, DriverGoroutinePerNode} {
+	for _, driver := range []Driver{DriverSequential, DriverWorkerPool} {
 		procs := make([]Process, 4)
 		for u := range procs {
 			procs[u] = &recordingProc{}
@@ -459,7 +461,7 @@ func TestSingletonNetwork(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	d := lineDual(t)
 	procs := []Process{newScriptProc(nil), newScriptProc(nil), newScriptProc(nil)}
-	e := newTestEngine(t, Config{Dual: d, Procs: procs, Driver: DriverGoroutinePerNode})
+	e := newTestEngine(t, Config{Dual: d, Procs: procs, Driver: DriverWorkerPool, Workers: 2})
 	e.Run(2)
 	e.Close()
 	e.Close()

@@ -40,16 +40,6 @@ type ShardedReceptionModel interface {
 	ResolveRange(t int, txs []int32, out []int32, lo, hi int)
 }
 
-// stepTx is the per-node transmit-phase body shared by all three drivers: a
-// down node transmits nothing and its process is not consulted.
-func (e *Engine) stepTx(u int) {
-	if e.down != nil && e.down[u] {
-		e.payloads[u], e.transmit[u] = nil, false
-		return
-	}
-	e.payloads[u], e.transmit[u] = e.procs[u].Transmit(e.round)
-}
-
 // resolveSharded partitions the reception model's listener resolution across
 // the persistent worker pool. Each worker writes a disjoint range of
 // recvOut, so no merge is needed; determinism follows from ResolveRange's
@@ -93,11 +83,11 @@ func (e *Engine) IsDown(u int) bool { return e.down != nil && e.down[u] }
 // not replay its predecessor's coin flips. The previous process is
 // abandoned mid-state, which is precisely what a crash means.
 func (e *Engine) ReplaceProc(u int, p Process) {
-	if e.bank != nil {
-		// A bank owns every node's protocol state in shared columns; swapping
-		// one node's Process handle cannot reset that state, so the engine
-		// refuses rather than silently diverge. Churn executions use per-node
-		// processes.
+	if _, ok := e.bank.(procBank); !ok {
+		// A Config.Bank owns every node's protocol state in shared columns;
+		// swapping one node's Process handle cannot reset that state, so the
+		// engine refuses rather than silently diverge. Churn executions use
+		// per-node processes, whose procBank reads e.procs.
 		panic("sim: ReplaceProc is not supported with Config.Bank")
 	}
 	if e.incarn == nil {

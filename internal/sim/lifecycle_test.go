@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"lbcast/internal/dualgraph"
@@ -155,6 +156,58 @@ func TestReplaceProcRestart(t *testing.T) {
 	orig := xrand.NodeSource(9, 0)
 	if second.env.Rng.Uint64() == orig.Uint64() {
 		t.Fatalf("restarted node replays its predecessor's randomness stream")
+	}
+}
+
+// stubBank is a ProcessBank that never transmits and ignores receptions.
+type stubBank struct{}
+
+func (stubBank) TransmitRange(_, lo, hi int, v *RoundView) { clear(v.Transmit[lo:hi]) }
+func (stubBank) ReceiveRange(int, int, int, *RoundView)    {}
+
+// TestReplaceProcRefusesBank pins that an engine stepping a Config.Bank
+// refuses to swap one node's process: the bank's state would not follow.
+func TestReplaceProcRefusesBank(t *testing.T) {
+	d := lineDual(t)
+	procs := []Process{&probeProc{}, &probeProc{}, &probeProc{}}
+	eng := newTestEngine(t, Config{Dual: d, Procs: procs, Bank: stubBank{}, Seed: 9})
+	eng.Run(1)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "not supported with Config.Bank") {
+			t.Fatalf("ReplaceProc on a Config.Bank engine recovered %q, want the Config.Bank refusal", msg)
+		}
+	}()
+	eng.ReplaceProc(0, &probeProc{})
+}
+
+// TestReplaceProcUnderWorkerPool pins ReplaceProc on per-node processes
+// stepped by a three-worker pool, one node per range: the replacement is
+// initialised at once, transmits in the next round, and is heard.
+func TestReplaceProcUnderWorkerPool(t *testing.T) {
+	d := lineDual(t)
+	procs := []Process{&probeProc{}, &probeProc{}, &probeProc{}}
+	eng := newTestEngine(t, Config{Dual: d, Procs: procs, Seed: 9,
+		Driver: DriverWorkerPool, Workers: 3})
+	eng.Run(2)
+
+	fresh := &probeProc{beacon: true}
+	eng.ReplaceProc(0, fresh)
+	if fresh.inits != 1 || fresh.env.ID != 0 {
+		t.Fatalf("replacement initialised %d times as node %d, want once as node 0", fresh.inits, fresh.env.ID)
+	}
+	eng.Step()
+	if !slices.Equal(fresh.txRounds, []int{3}) {
+		t.Fatalf("replacement Transmit ran in rounds %v, want [3]", fresh.txRounds)
+	}
+	var heard []int
+	for _, ev := range eng.Trace().ByKind(EvHear) {
+		if ev.Node == 1 && ev.From == 0 {
+			heard = append(heard, ev.Round)
+		}
+	}
+	if !slices.Equal(heard, []int{3}) {
+		t.Fatalf("node 1 heard node 0 in rounds %v, want [3]", heard)
 	}
 }
 

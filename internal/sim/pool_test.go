@@ -72,7 +72,7 @@ func TestWorkerPoolCloseIdempotent(t *testing.T) {
 		}
 		return e
 	}
-	for _, driver := range []Driver{DriverSequential, DriverWorkerPool, DriverGoroutinePerNode} {
+	for _, driver := range []Driver{DriverSequential, DriverWorkerPool} {
 		e := mk(driver)
 		e.Run(5)
 		e.Close()

@@ -158,12 +158,10 @@ func TestReceptionModelDrivers(t *testing.T) {
 		return flat
 	}
 	seq := run(DriverSequential)
-	for _, drv := range []Driver{DriverWorkerPool, DriverGoroutinePerNode} {
-		got := run(drv)
-		for i := range seq {
-			if got[i] != seq[i] {
-				t.Fatalf("driver %d diverges at %d: %d vs %d", drv, i, got[i], seq[i])
-			}
+	got := run(DriverWorkerPool)
+	for i := range seq {
+		if got[i] != seq[i] {
+			t.Fatalf("worker pool diverges at %d: %d vs %d", i, got[i], seq[i])
 		}
 	}
 }

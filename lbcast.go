@@ -107,9 +107,6 @@ const (
 	DriverSequential Driver = iota + 1
 	// DriverWorkerPool parallelises node steps over a worker pool.
 	DriverWorkerPool
-	// DriverGoroutinePerNode runs every simulated radio as its own
-	// goroutine, synchronised by round barriers.
-	DriverGoroutinePerNode
 )
 
 // Option configures network construction.
@@ -140,7 +137,8 @@ func WithScheduler(s Scheduler) Option { return func(o *options) { o.scheduler =
 // (the Section 4.2 variant). Default 1.
 func WithSeedAgreementEvery(k int) Option { return func(o *options) { o.seedEvery = k } }
 
-// WithDriver selects the execution driver. Default DriverSequential.
+// WithDriver selects the execution driver. Default DriverSequential; any
+// other value than the two drivers makes the constructor fail.
 func WithDriver(d Driver) Option { return func(o *options) { o.driver = d } }
 
 // Network is a simulated dual graph radio network running the local
@@ -222,6 +220,15 @@ func dualFromEmbedding(emb []geo.Point, r float64, o options) (*dualgraph.Dual, 
 }
 
 func assemble(d *dualgraph.Dual, o options) (*Network, error) {
+	var driver sim.Driver
+	switch o.driver {
+	case DriverSequential:
+		driver = sim.DriverSequential
+	case DriverWorkerPool:
+		driver = sim.DriverWorkerPool
+	default:
+		return nil, fmt.Errorf("lbcast: unknown driver %d", o.driver)
+	}
 	delta, deltaPrime := d.Delta(), d.DeltaPrime()
 	if delta == 0 {
 		return nil, fmt.Errorf("lbcast: empty network")
@@ -255,15 +262,6 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 			}
 		})
 	}
-	var driver sim.Driver
-	switch o.driver {
-	case DriverWorkerPool:
-		driver = sim.DriverWorkerPool
-	case DriverGoroutinePerNode:
-		driver = sim.DriverGoroutinePerNode
-	default:
-		driver = sim.DriverSequential
-	}
 	engine, err := sim.New(sim.Config{Dual: d, Procs: nw.bank.Procs(), Bank: nw.bank,
 		Sched: o.scheduler.impl, Seed: o.seed, Driver: driver})
 	if err != nil {
@@ -273,11 +271,10 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 	return nw, nil
 }
 
-// Close releases driver resources: the persistent worker pool of
-// DriverWorkerPool and the node goroutines of DriverGoroutinePerNode.
-// Networks using either driver must be Closed or their goroutines leak for
-// the process lifetime; for DriverSequential it is a no-op. Safe to call
-// repeatedly.
+// Close releases the persistent worker pool of DriverWorkerPool; for
+// DriverSequential it is a no-op. An unreachable Network's pool is also
+// released by the garbage collector, but only Close releases it promptly.
+// Safe to call repeatedly.
 func (nw *Network) Close() { nw.engine.Close() }
 
 // Size returns the number of nodes.
@@ -296,9 +293,8 @@ func (nw *Network) Schedule() Schedule {
 }
 
 // OnReceive registers the recv output handler (one per network). Under
-// DriverWorkerPool and DriverGoroutinePerNode, handler calls for different
-// nodes may run concurrently; calls for one node never overlap. The same
-// holds for OnAck.
+// DriverWorkerPool, handler calls for different nodes may run concurrently;
+// calls for one node never overlap. The same holds for OnAck.
 func (nw *Network) OnReceive(fn func(node int, d Delivery)) { nw.onReceive = fn }
 
 // OnAck registers the ack output handler (one per network).

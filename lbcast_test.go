@@ -208,19 +208,17 @@ func TestDriverParityThroughFacade(t *testing.T) {
 		return nw.Stats()
 	}
 	t1, d1, c1 := run(DriverSequential)
-	for _, d := range []Driver{DriverWorkerPool, DriverGoroutinePerNode} {
-		t2, d2, c2 := run(d)
-		if t1 != t2 || d1 != d2 || c1 != c2 {
-			t.Errorf("driver %d diverged: (%d,%d,%d) vs (%d,%d,%d)", d, t2, d2, c2, t1, d1, c1)
-		}
+	if t2, d2, c2 := run(DriverWorkerPool); t1 != t2 || d1 != d2 || c1 != c2 {
+		t.Errorf("worker pool diverged: (%d,%d,%d) vs (%d,%d,%d)", t2, d2, c2, t1, d1, c1)
 	}
 }
 
 // TestHostileInputsReturnErrors feeds every constructor input class a
-// caller controls — sizes, coordinates, r, w, h, ε and the seed-agreement
-// period — values that are negative, NaN, infinite or so large that the
-// schedule or the neighbour stencil would not fit. Each must come back as
-// an error, promptly: never a panic, a hang or a giant allocation.
+// caller controls — sizes, coordinates, r, w, h, ε, the seed-agreement
+// period and the driver — values that are negative, NaN, infinite, unknown
+// or so large that the schedule or the neighbour stencil would not fit.
+// Each must come back as an error, promptly: never a panic, a hang or a
+// giant allocation.
 func TestHostileInputsReturnErrors(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -259,6 +257,7 @@ func TestHostileInputsReturnErrors(t *testing.T) {
 		{"huge seed-agreement period", func() (*Network, error) {
 			return NewCluster(8, WithSeedAgreementEvery(1<<40))
 		}},
+		{"unknown driver", func() (*Network, error) { return NewCluster(8, WithDriver(Driver(3))) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
