@@ -306,6 +306,9 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 	case "always":
 		linkSched = sched.Always{}
 	case "random":
+		if !(schedP >= 0 && schedP <= 1) {
+			return fmt.Errorf("-sched-p %v outside [0, 1]", schedP)
+		}
 		linkSched = sched.NewRandom(schedP, seed)
 	case "periodic":
 		linkSched = sched.Periodic{Period: 8, OnRounds: 3}

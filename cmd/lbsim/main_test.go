@@ -106,22 +106,27 @@ func TestListPolicies(t *testing.T) {
 // flag values that once panicked, spun or printed nonsense: each must come
 // back as an error (main exits non-zero) before any round runs.
 func TestHostileFlagsReturnErrors(t *testing.T) {
+	nan := math.NaN()
 	for _, tc := range []struct {
 		name    string
 		topo    string
 		n       int
 		r, eps  float64
+		schedP  float64
 		phases  int
 		senders int
 	}{
-		{"-n -3", "cluster", -3, 1.5, 0.1, 6, 3},
-		{"-eps 1e-300", "cluster", 16, 1.5, 1e-300, 6, 3},
-		{"-phases -1", "cluster", 16, 1.5, 0.1, -1, 3},
-		{"-phases 0", "cluster", 16, 1.5, 0.1, 0, 3},
-		{"-phases beyond int32 rounds", "cluster", 16, 1.5, 0.1, 1 << 40, 3},
-		{"-senders -1", "cluster", 16, 1.5, 0.1, 6, -1},
-		{"-r 1e9 -topo geometric", "geometric", 16, 1e9, 0.1, 6, 3},
-		{"-r NaN -topo geometric", "geometric", 16, math.NaN(), 0.1, 6, 3},
+		{"-n -3", "cluster", -3, 1.5, 0.1, 0.5, 6, 3},
+		{"-eps 1e-300", "cluster", 16, 1.5, 1e-300, 0.5, 6, 3},
+		{"-phases -1", "cluster", 16, 1.5, 0.1, 0.5, -1, 3},
+		{"-phases 0", "cluster", 16, 1.5, 0.1, 0.5, 0, 3},
+		{"-phases beyond int32 rounds", "cluster", 16, 1.5, 0.1, 0.5, 1 << 40, 3},
+		{"-senders -1", "cluster", 16, 1.5, 0.1, 0.5, 6, -1},
+		{"-r 1e9 -topo geometric", "geometric", 16, 1e9, 0.1, 0.5, 6, 3},
+		{"-r NaN -topo geometric", "geometric", 16, nan, 0.1, 0.5, 6, 3},
+		{"-sched-p NaN", "cluster", 16, 1.5, 0.1, nan, 6, 3},
+		{"-sched-p -1", "cluster", 16, 1.5, 0.1, -1, 6, 3},
+		{"-sched-p 2", "cluster", 16, 1.5, 0.1, 2, 6, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -129,7 +134,7 @@ func TestHostileFlagsReturnErrors(t *testing.T) {
 					t.Fatalf("panicked: %v", p)
 				}
 			}()
-			if err := run(tc.topo, tc.n, tc.r, tc.eps, "random", 0.5, tc.phases, tc.senders, 1, ""); err == nil {
+			if err := run(tc.topo, tc.n, tc.r, tc.eps, "random", tc.schedP, tc.phases, tc.senders, 1, ""); err == nil {
 				t.Fatal("accepted")
 			}
 		})

@@ -86,8 +86,8 @@ func (f *fingerprinter) watch(nw *Network, onAck func(node int)) {
 }
 
 // finish folds the callbacks, the trace and the statistics into the
-// fingerprint.
-func (f *fingerprinter) finish(t *testing.T, nw *Network) bankedFingerprint {
+// fingerprint; it also returns the callbacks in (round, node) order.
+func (f *fingerprinter) finish(t *testing.T, nw *Network) (bankedFingerprint, []callback) {
 	t.Helper()
 	var fp bankedFingerprint
 	var merged []callback
@@ -116,11 +116,14 @@ func (f *fingerprinter) finish(t *testing.T, nw *Network) bankedFingerprint {
 	fp.Events = tr.Len()
 	fp.Transmissions, fp.Deliveries, fp.Collisions = nw.Stats()
 	fp.Hash = f.h.Sum64()
-	return fp
+	return fp, merged
 }
 
 // buildBanked constructs a network under the run's driver and worker count.
-func buildBanked(t *testing.T, run bankedRun, build func(Option) (*Network, error)) *Network {
+// With logged set it turns on the bank's event recording, which the
+// full-event fingerprints read; otherwise the network keeps its default of
+// recording nothing.
+func buildBanked(t *testing.T, run bankedRun, logged bool, build func(Option) (*Network, error)) *Network {
 	t.Helper()
 	if run.workers > 0 {
 		old := runtime.GOMAXPROCS(run.workers)
@@ -131,7 +134,28 @@ func buildBanked(t *testing.T, run bankedRun, build func(Option) (*Network, erro
 		t.Fatal(err)
 	}
 	t.Cleanup(nw.Close)
+	if logged {
+		nw.bank.SetRecordEvents(true)
+	}
 	return nw
+}
+
+// checkUnlogged requires a run on the default network, which records no
+// events, to make the same callbacks and Stats() as the logging run.
+func checkUnlogged(t *testing.T, logged, unlogged bankedFingerprint, loggedCalls, unloggedCalls []callback) {
+	t.Helper()
+	if unlogged.Events != 0 {
+		t.Errorf("the default network recorded %d trace events, want 0", unlogged.Events)
+	}
+	// The hashes differ by the logged run's events; the callbacks are
+	// compared whole below.
+	logged.Events, logged.Hash, unlogged.Hash = 0, 0, 0
+	if unlogged != logged {
+		t.Errorf("the default network's outputs differ from the logging run's:\n got  %+v\n want %+v", unlogged, logged)
+	}
+	if !slices.Equal(unloggedCalls, loggedCalls) {
+		t.Error("the default network's callbacks differ from the logging run's")
+	}
 }
 
 // TestBankedGoldenMultiHop pins the full-event trace of a banked multi-hop
@@ -140,36 +164,44 @@ func buildBanked(t *testing.T, run bankedRun, build func(Option) (*Network, erro
 // 8-node words, so any word-at-a-time column scan meets ragged heads and
 // tails. Every 37th node broadcasts at round 0 and every 37th node from 18
 // on joins mid-phase, so the run covers seed agreement, the deferred start
-// of a pending sender, body rounds, and both phase boundaries.
+// of a pending sender, body rounds, and both phase boundaries. Each run is
+// repeated on the default network, which must make the same callbacks and
+// Stats() without recording an event.
 func TestBankedGoldenMultiHop(t *testing.T) {
 	want := bankedFingerprint{
 		Rounds: 1170, Events: 13643, Receives: 1104, Acks: 0,
 		Transmissions: 3757, Deliveries: 41961, Collisions: 4438,
 		Hash: 9125232549607963146,
 	}
+	exec := func(t *testing.T, run bankedRun, logged bool) (bankedFingerprint, []callback) {
+		nw := buildBanked(t, run, logged, func(d Option) (*Network, error) {
+			return NewRandomGeometric(1003, 18, 18, 1.5, WithSeed(11), WithEpsilon(0.25), d)
+		})
+		f := newFingerprinter(nw.Size(), run.driver == DriverSequential)
+		f.watch(nw, nil)
+		phase := nw.Schedule().PhaseRounds
+		for u := 0; u < nw.Size(); u += 37 {
+			if _, err := nw.Broadcast(u, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.Run(phase / 2)
+		for u := 18; u < nw.Size(); u += 37 {
+			if _, err := nw.Broadcast(u, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.Run(2*phase - phase/2)
+		return f.finish(t, nw)
+	}
 	for _, run := range bankedRuns {
 		t.Run(run.name, func(t *testing.T) {
-			nw := buildBanked(t, run, func(d Option) (*Network, error) {
-				return NewRandomGeometric(1003, 18, 18, 1.5, WithSeed(11), WithEpsilon(0.25), d)
-			})
-			f := newFingerprinter(nw.Size(), run.driver == DriverSequential)
-			f.watch(nw, nil)
-			phase := nw.Schedule().PhaseRounds
-			for u := 0; u < nw.Size(); u += 37 {
-				if _, err := nw.Broadcast(u, u); err != nil {
-					t.Fatal(err)
-				}
-			}
-			nw.Run(phase / 2)
-			for u := 18; u < nw.Size(); u += 37 {
-				if _, err := nw.Broadcast(u, u); err != nil {
-					t.Fatal(err)
-				}
-			}
-			nw.Run(2*phase - phase/2)
-			if got := f.finish(t, nw); got != want {
+			got, calls := exec(t, run, true)
+			if got != want {
 				t.Errorf("banked fingerprint changed:\n got  %+v\n want %+v", got, want)
 			}
+			unlogged, unloggedCalls := exec(t, run, false)
+			checkUnlogged(t, got, unlogged, calls, unloggedCalls)
 		})
 	}
 }
@@ -178,38 +210,45 @@ func TestBankedGoldenMultiHop(t *testing.T) {
 // enough for acks: four senders re-broadcast from inside their OnAck
 // callback, so the ack edge at the last body round of a phase and a Bcast
 // issued during the receive phase are both in the fingerprint. n = 19
-// leaves a 3-node tail after two 8-node words.
+// leaves a 3-node tail after two 8-node words. Each run is repeated on the
+// default network, which must make the same callbacks and Stats() without
+// recording an event.
 func TestBankedGoldenClosedLoop(t *testing.T) {
 	want := bankedFingerprint{
 		Rounds: 20520, Events: 14844, Receives: 144, Acks: 4,
 		Transmissions: 3615, Deliveries: 28440, Collisions: 14419,
 		Hash: 1684274942615250211,
 	}
+	exec := func(t *testing.T, run bankedRun, logged bool) (bankedFingerprint, []callback) {
+		nw := buildBanked(t, run, logged, func(d Option) (*Network, error) {
+			return NewCluster(19, WithSeed(23), WithEpsilon(0.25), d)
+		})
+		f := newFingerprinter(nw.Size(), run.driver == DriverSequential)
+		f.watch(nw, func(node int) {
+			if _, err := nw.Broadcast(node, node); err != nil {
+				t.Errorf("re-broadcast from node %d: %v", node, err)
+			}
+		})
+		for _, u := range []int{0, 5, 11, 18} {
+			if _, err := nw.Broadcast(u, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := nw.Schedule()
+		nw.Run(s.TAck + s.PhaseRounds)
+		return f.finish(t, nw)
+	}
 	for _, run := range bankedRuns {
 		t.Run(run.name, func(t *testing.T) {
-			nw := buildBanked(t, run, func(d Option) (*Network, error) {
-				return NewCluster(19, WithSeed(23), WithEpsilon(0.25), d)
-			})
-			f := newFingerprinter(nw.Size(), run.driver == DriverSequential)
-			f.watch(nw, func(node int) {
-				if _, err := nw.Broadcast(node, node); err != nil {
-					t.Errorf("re-broadcast from node %d: %v", node, err)
-				}
-			})
-			for _, u := range []int{0, 5, 11, 18} {
-				if _, err := nw.Broadcast(u, u); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s := nw.Schedule()
-			nw.Run(s.TAck + s.PhaseRounds)
-			got := f.finish(t, nw)
+			got, calls := exec(t, run, true)
 			if got.Acks == 0 {
 				t.Fatal("no acks: the closed loop never closed")
 			}
 			if got != want {
 				t.Errorf("banked fingerprint changed:\n got  %+v\n want %+v", got, want)
 			}
+			unlogged, unloggedCalls := exec(t, run, false)
+			checkUnlogged(t, got, unlogged, calls, unloggedCalls)
 		})
 	}
 }

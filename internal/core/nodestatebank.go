@@ -25,17 +25,17 @@ import (
 // before any protocol work happens, plus two interface dispatches. The bank
 // packs the per-round hot fields (flags, sending phases left, coin debt)
 // into parallel arrays and leaves the cold state (seed agreement instance,
-// committed seed and its cursor, coin buffers, dedupe sets, callbacks) in
+// committed seed and its cursor, coin buffers, dedupe tables, callbacks) in
 // separate columns touched only at phase boundaries, on delivery, or by
 // senders.
 //
 // Why sender-only state exists only for senders: most nodes only listen,
 // and listeners never read coins or committed-seed bits. So a node holds a
-// coin buffer from its first decode until its ack, and a dedupe set from
-// its first delivery. A commitment is a 40-byte xrand.Seed value plus a
-// per-node bit cursor, as in LBAlg; a seed's words are regenerated only
-// where a sender decodes. Each node's seed machine is allocated once at
-// Init and Reset in place at every preamble.
+// coin buffer from its first decode until its ack, and a table of the
+// sources it has heard from its first delivery. A commitment is a 40-byte
+// xrand.Seed value plus a per-node bit cursor, as in LBAlg; a seed's words
+// are regenerated only where a sender decodes. Each node's seed machine is
+// allocated once at Init and Reset in place at every preamble.
 //
 // Why sparse rounds: every node of a bank runs on the same global round, so
 // one (phase, pos, pre) cursor computed from t replaces per-node position
@@ -99,21 +99,25 @@ type NodeStateBank struct {
 	seedCur   []int32
 
 	// Cold columns: touched at phase boundaries, deliveries, and the
-	// Bcast/ack edges only. seen[u] is allocated at u's first delivery.
+	// Bcast/ack edges only. lastSeq[u] maps each source u has heard to the
+	// sequence number of its last message delivered at u (the dedupe, see
+	// deliver); it is allocated at u's first delivery and holds at most Δ′
+	// entries.
 	pending []Message
 	frame   []any
 	envs    []*sim.NodeEnv
 	seeds   []*seedagree.Alg
-	seen    []map[sim.MsgID]struct{}
+	lastSeq []map[int32]int32
 	seq     []int32
 	onAck   []func(Message)
 	onRecv  []func(Message, int)
 
 	participations, transmissions []int64
 
-	// recordHears mirrors LBAlg.RecordHears, bank-wide (every consumer sets
-	// it uniformly across nodes). On by default.
-	recordHears bool
+	// record turns on the hear, recv, ack and bcast events, the ones LBAlg
+	// records with RecordHears set. Off by default, so that a bank's
+	// memory does not grow with the rounds it runs.
+	record bool
 
 	// handles is the contiguous backing of the per-node Service handles, so
 	// Node(u) hands out stable pointers without per-node allocations.
@@ -133,11 +137,10 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 		coins: make([][]uint8, n), committed: make([]xrand.Seed, n), seedCur: make([]int32, n),
 		pending: make([]Message, n), frame: make([]any, n),
 		envs: make([]*sim.NodeEnv, n), seeds: make([]*seedagree.Alg, n),
-		seen: make([]map[sim.MsgID]struct{}, n), seq: make([]int32, n),
+		lastSeq: make([]map[int32]int32, n), seq: make([]int32, n),
 		onAck: make([]func(Message), n), onRecv: make([]func(Message, int), n),
 		participations: make([]int64, n), transmissions: make([]int64, n),
-		recordHears: true,
-		handles:     make([]BankNode, n),
+		handles: make([]BankNode, n),
 	}
 	for u := 0; u < n; u++ {
 		bk.flags[u] = bankSeedLive // Init's fresh seed machine is Active
@@ -165,8 +168,10 @@ func (bk *NodeStateBank) Procs() []sim.Process {
 	return procs
 }
 
-// SetRecordHears toggles EvHear recording for every node (LBAlg.RecordHears).
-func (bk *NodeStateBank) SetRecordHears(on bool) { bk.recordHears = on }
+// SetRecordEvents turns the recording of every node's hear, recv, ack and
+// bcast events on or off; it is off until set. Call it before the first
+// Bcast.
+func (bk *NodeStateBank) SetRecordEvents(on bool) { bk.record = on }
 
 // cursor is round t's place in the phase schedule, shared by every node:
 // the 1-based phase, the 0-based position within it, and the phase's
@@ -441,19 +446,33 @@ func (bk *NodeStateBank) commitSeed(u int) {
 	}
 }
 
-// deliver is LBAlg.deliver over columns.
+// deliver is LBAlg.deliver over columns, with LBAlg's set of received ids
+// replaced by the last delivered sequence number per source: m is new at u
+// iff its sequence number exceeds that source's entry. That is exact
+// because u hears each source's messages in non-decreasing sequence order:
+// only the source transmits its DataMsg, its sequence numbers start at 1
+// and increase, and it starts message k+1 only after it acks k, which
+// never goes on the air again. It also relies on ids never restarting,
+// which holds because sim.Engine.ReplaceProc refuses banks; a restartable
+// bank needs incarnation-aware ids first.
 func (bk *NodeStateBank) deliver(u, t, from int, m Message) {
 	env := bk.envs[u]
-	if bk.recordHears {
+	if bk.record {
 		env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
 	}
-	if bk.seen[u] == nil {
-		bk.seen[u] = make(map[sim.MsgID]struct{})
-	} else if _, dup := bk.seen[u][m.ID]; dup {
+	last := bk.lastSeq[u]
+	if last == nil {
+		last = make(map[int32]int32)
+		bk.lastSeq[u] = last
+	}
+	src, seq := int32(m.ID.Src()), int32(m.ID.Seq())
+	if seq <= last[src] {
 		return
 	}
-	bk.seen[u][m.ID] = struct{}{}
-	env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvRecv, From: from, MsgID: m.ID})
+	last[src] = seq
+	if bk.record {
+		env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvRecv, From: from, MsgID: m.ID})
+	}
 	if fn := bk.onRecv[u]; fn != nil {
 		fn(m, from)
 	}
@@ -467,8 +486,10 @@ func (bk *NodeStateBank) ack(u, t int) {
 	bk.frame[u] = nil
 	bk.coins[u] = nil
 	bk.setFlags(u, 0, bankHasPending|bankSendingStarted|bankCoinsValid)
-	env := bk.envs[u]
-	env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvAck, MsgID: m.ID})
+	if bk.record {
+		env := bk.envs[u]
+		env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvAck, MsgID: m.ID})
+	}
 	if fn := bk.onAck[u]; fn != nil {
 		fn(m)
 	}
@@ -485,8 +506,10 @@ func (bk *NodeStateBank) bcast(u int, payload any) (sim.MsgID, error) {
 	// Box the on-air frame once per broadcast, as LBAlg.Bcast does.
 	bk.frame[u] = DataMsg{Msg: m}
 	bk.setFlags(u, bankHasPending, bankSendingStarted)
-	// Round 0 is stamped with the current round by the trace drain.
-	bk.envs[u].Rec.Record(sim.Event{Node: bk.envs[u].ID, Kind: sim.EvBcast, MsgID: m.ID, Payload: payload})
+	if bk.record {
+		// Round 0 is stamped with the current round by the trace drain.
+		bk.envs[u].Rec.Record(sim.Event{Node: bk.envs[u].ID, Kind: sim.EvBcast, MsgID: m.ID, Payload: payload})
+	}
 	return m.ID, nil
 }
 

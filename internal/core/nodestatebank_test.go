@@ -90,6 +90,8 @@ func TestNodeStateBankLockstep(t *testing.T) {
 
 			bank := NewNodeStateBank(plan, n)
 			handles := NewNodeStateBank(plan, n)
+			bank.SetRecordEvents(true)
+			handles.SetRecordEvents(true)
 			var bankNodes, handleNodes, oracleNodes []lockstepNode
 			for u := 0; u < n; u++ {
 				bankNodes = append(bankNodes, bank.Node(u))

@@ -355,9 +355,3 @@ func (gi *GridIndex) Stencil(r float64) []CellOffset {
 	})
 	return slices.Compact(out)
 }
-
-// sortRegionIDs orders region keys in the canonical (I, J) order
-// GridIndex.Regions iterates in.
-func sortRegionIDs(ids []RegionID) {
-	slices.SortFunc(ids, compareRegionIDs)
-}

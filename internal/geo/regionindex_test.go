@@ -1,5 +1,7 @@
 package geo
 
+import "slices"
+
 // RegionIndex groups an embedding's vertices by grid region. It is the
 // concrete form of the partition R restricted to occupied regions (empty
 // regions play no role in any argument about nodes).
@@ -37,6 +39,6 @@ func (idx *RegionIndex) Regions() []RegionID {
 	for id := range idx.Members {
 		out = append(out, id)
 	}
-	sortRegionIDs(out)
+	slices.SortFunc(out, compareRegionIDs)
 	return out
 }

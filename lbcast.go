@@ -74,10 +74,13 @@ type Schedule struct {
 	PhaseRounds int
 }
 
-// Scheduler selects the unreliable-link adversary for a network.
+// Scheduler selects the unreliable-link adversary for a network. A
+// Scheduler built from an out-of-range parameter carries the error, and a
+// constructor given it returns that error.
 type Scheduler struct {
 	impl sim.LinkScheduler
 	name string
+	err  error
 }
 
 // ScheduleNever excludes all unreliable links (benign).
@@ -87,14 +90,22 @@ func ScheduleNever() Scheduler { return Scheduler{impl: sched.Never{}, name: "ne
 func ScheduleAlways() Scheduler { return Scheduler{impl: sched.Always{}, name: "always"} }
 
 // ScheduleRandom includes each unreliable link independently with
-// probability p each round (obliviously, keyed by seed).
+// probability p each round (obliviously, keyed by seed). A p outside
+// [0, 1], or NaN, makes the constructor fail.
 func ScheduleRandom(p float64, seed uint64) Scheduler {
+	if !(p >= 0 && p <= 1) {
+		return Scheduler{err: fmt.Errorf("lbcast: random scheduler probability %v outside [0, 1]", p)}
+	}
 	return Scheduler{impl: sched.NewRandom(p, seed), name: "random"}
 }
 
 // ScheduleAntiDecay is the paper's §1 adversary tuned against fixed
-// probability cycles of the given length.
+// probability cycles of the given length. A cycleLen below 1 makes the
+// constructor fail.
 func ScheduleAntiDecay(cycleLen int) Scheduler {
+	if cycleLen < 1 {
+		return Scheduler{err: fmt.Errorf("lbcast: anti-decay cycle length %d below 1", cycleLen)}
+	}
 	return Scheduler{impl: sched.AntiDecay{CycleLen: cycleLen}, name: "anti-decay"}
 }
 
@@ -143,6 +154,11 @@ func WithDriver(d Driver) Option { return func(o *options) { o.driver = d } }
 
 // Network is a simulated dual graph radio network running the local
 // broadcast service on every node. It is not safe for concurrent use.
+//
+// A Network is a service, not a log: it keeps no event history, only the
+// channel counters Stats reports and per-node protocol state whose size
+// depends on the topology (at most Δ′ entries per node), so its memory
+// does not grow with the rounds it runs.
 type Network struct {
 	dual   *dualgraph.Dual
 	engine *sim.Engine
@@ -151,10 +167,13 @@ type Network struct {
 
 	onReceive func(node int, d Delivery)
 	onAck     func(node int, id MessageID)
-	// ackMu guards acked: under DriverWorkerPool, nodes in different
-	// ranges ack concurrently.
-	ackMu sync.Mutex
-	acked map[MessageID]bool
+	// ackedSeq[u] is the sequence number of node u's last acked broadcast;
+	// every lower one was acked before it, since a node has at most one
+	// outstanding broadcast and its sequence numbers increase from 1.
+	// ackMu guards it: under DriverWorkerPool, nodes in different ranges
+	// ack concurrently, and a callback may call Acked.
+	ackMu    sync.Mutex
+	ackedSeq []int32
 }
 
 // NewGeometric builds a network from an explicit embedding: vertices within
@@ -220,6 +239,9 @@ func dualFromEmbedding(emb []geo.Point, r float64, o options) (*dualgraph.Dual, 
 }
 
 func assemble(d *dualgraph.Dual, o options) (*Network, error) {
+	if o.scheduler.err != nil {
+		return nil, o.scheduler.err
+	}
 	var driver sim.Driver
 	switch o.driver {
 	case DriverSequential:
@@ -238,7 +260,7 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw := &Network{dual: d, params: params, acked: make(map[MessageID]bool)}
+	nw := &Network{dual: d, params: params, ackedSeq: make([]int32, d.N())}
 	// One precomputed phase schedule serves every node (the plan is
 	// read-only to the processes), and one state bank holds every node's
 	// protocol state in flat columns: the engine steps it through the batch
@@ -255,7 +277,7 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 		})
 		nw.bank.Node(u).SetOnAck(func(m core.Message) {
 			nw.ackMu.Lock()
-			nw.acked[m.ID] = true
+			nw.ackedSeq[node] = int32(m.ID.Seq())
 			nw.ackMu.Unlock()
 			if nw.onAck != nil {
 				nw.onAck(node, m.ID)
@@ -316,11 +338,16 @@ func (nw *Network) Busy(node int) bool {
 	return node >= 0 && node < nw.Size() && nw.bank.Node(node).Active()
 }
 
-// Acked reports whether the given broadcast has been acknowledged.
+// Acked reports whether the given broadcast has been acknowledged. It
+// reports false for an id Broadcast never returned.
 func (nw *Network) Acked(id MessageID) bool {
+	src, seq := id.Src(), id.Seq()
+	if src < 0 || src >= nw.Size() || seq < 1 {
+		return false
+	}
 	nw.ackMu.Lock()
 	defer nw.ackMu.Unlock()
-	return nw.acked[id]
+	return seq <= int(nw.ackedSeq[src])
 }
 
 // Round returns the number of executed rounds.
@@ -333,17 +360,30 @@ func (nw *Network) Step() { nw.engine.Step() }
 func (nw *Network) Run(rounds int) { nw.engine.Run(rounds) }
 
 // RunUntilAck runs until the broadcast is acknowledged, at most t_ack
-// rounds past the current round (the deterministic deadline). It reports
-// whether the ack arrived.
+// rounds plus one phase past the current round (the deterministic
+// deadline), and reports whether the ack arrived. It runs no round for an
+// id that is already acked (true) or that is not its source's outstanding
+// broadcast (false): every id Broadcast returned is one or the other, so
+// an id it never returned gives false at once.
 func (nw *Network) RunUntilAck(id MessageID) bool {
+	if !nw.Acked(id) && !nw.outstanding(id) {
+		return false
+	}
 	deadline := nw.engine.Round() + nw.params.TAckBound() + nw.params.PhaseLen()
-	for nw.engine.Round() < deadline {
-		if nw.Acked(id) {
-			return true
-		}
+	for nw.engine.Round() < deadline && !nw.Acked(id) {
 		nw.engine.Step()
 	}
 	return nw.Acked(id)
+}
+
+// outstanding reports whether id is its source's broadcast in flight.
+func (nw *Network) outstanding(id MessageID) bool {
+	src := id.Src()
+	if src < 0 || src >= nw.Size() {
+		return false
+	}
+	m, ok := nw.bank.Node(src).ActiveMessage()
+	return ok && m.ID == id
 }
 
 // Stats returns aggregate channel statistics for the executed rounds.

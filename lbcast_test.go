@@ -2,6 +2,7 @@ package lbcast
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -258,6 +259,21 @@ func TestHostileInputsReturnErrors(t *testing.T) {
 			return NewCluster(8, WithSeedAgreementEvery(1<<40))
 		}},
 		{"unknown driver", func() (*Network, error) { return NewCluster(8, WithDriver(Driver(3))) }},
+		{"NaN random-scheduler probability", func() (*Network, error) {
+			return NewCluster(8, WithScheduler(ScheduleRandom(nan, 1)))
+		}},
+		{"negative random-scheduler probability", func() (*Network, error) {
+			return NewCluster(8, WithScheduler(ScheduleRandom(-0.5, 1)))
+		}},
+		{"random-scheduler probability above 1", func() (*Network, error) {
+			return NewCluster(8, WithScheduler(ScheduleRandom(1.5, 1)))
+		}},
+		{"anti-decay cycle 0", func() (*Network, error) {
+			return NewCluster(8, WithScheduler(ScheduleAntiDecay(0)))
+		}},
+		{"negative anti-decay cycle", func() (*Network, error) {
+			return NewCluster(8, WithScheduler(ScheduleAntiDecay(-3)))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -271,5 +287,113 @@ func TestHostileInputsReturnErrors(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		})
+	}
+}
+
+// TestUnknownMessageIDs: Acked and RunUntilAck answer false for an id
+// Broadcast never returned, and RunUntilAck returns without running a
+// round, although another node's broadcast is in flight. An acked id
+// gives true, also without a round.
+func TestUnknownMessageIDs(t *testing.T) {
+	nw, err := NewCluster(8, WithEpsilon(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked, err := nw.Broadcast(0, "acked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nw.RunUntilAck(acked) {
+		t.Fatal("broadcast never acknowledged")
+	}
+	inFlight, err := nw.Broadcast(3, "in flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		id   MessageID
+	}{
+		{"negative", MessageID(-1)},
+		{"zero", 0},
+		{"sequence 0", MessageID(1) << 32},
+		{"never issued", MessageID(3)<<32 | 5},
+		{"no such node", MessageID(99) << 32},
+		{"sequence 2^32-1", MessageID(2)<<32 | 0xFFFFFFFF},
+	} {
+		round := nw.Round()
+		if nw.Acked(tc.id) {
+			t.Errorf("%s id %v: Acked = true", tc.name, tc.id)
+		}
+		if nw.RunUntilAck(tc.id) {
+			t.Errorf("%s id %v: RunUntilAck = true", tc.name, tc.id)
+		}
+		if nw.Round() != round {
+			t.Errorf("%s id %v: RunUntilAck ran %d rounds", tc.name, tc.id, nw.Round()-round)
+		}
+	}
+	round := nw.Round()
+	if !nw.RunUntilAck(acked) {
+		t.Errorf("acked id %v: RunUntilAck = false", acked)
+	}
+	if nw.Round() != round {
+		t.Errorf("acked id %v: RunUntilAck ran %d rounds", acked, nw.Round()-round)
+	}
+	if !nw.RunUntilAck(inFlight) {
+		t.Errorf("in-flight id %v never acknowledged", inFlight)
+	}
+}
+
+// TestNetworkSoakFlatHeap runs a closed loop ten times longer than the
+// benchmark's campus-ack workload and requires a flat live heap: a Network
+// keeps no event history, its acks are one sequence number per node and
+// its dedupe one per source heard, so once every node has heard its
+// sources, its memory does not grow with the rounds it runs. Every 4th
+// node broadcasts at round 0 and re-broadcasts from OnAck. The heap is
+// read after a forced GC at the end of the warm-up and at the end; the
+// bound leaves room for runtime noise, not for a per-round or
+// per-broadcast entry.
+func TestNetworkSoakFlatHeap(t *testing.T) {
+	const warm, total = 30_000, 300_000
+	const maxGrowth, minAcks = 4 << 10, 1000
+	nw, err := NewRandomGeometric(512, 20, 20, 1.5, WithSeed(3), WithEpsilon(0.25),
+		WithScheduler(ScheduleNever()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks := 0
+	nw.OnAck(func(node int, _ MessageID) {
+		acks++
+		if _, err := nw.Broadcast(node, node); err != nil {
+			t.Errorf("re-broadcast from node %d: %v", node, err)
+		}
+	})
+	for u := 0; u < nw.Size(); u += 4 {
+		if _, err := nw.Broadcast(u, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveHeap := func() uint64 {
+		// The second collection frees what the first left in sync.Pool
+		// victim caches.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	nw.Run(warm)
+	before, warmAcks := liveHeap(), acks
+	t.Logf("round %d: live heap %d B, %d acks", nw.Round(), before, acks)
+	nw.Run(total - warm)
+	after := liveHeap()
+	t.Logf("round %d: live heap %d B, %d acks", nw.Round(), after, acks)
+	if acks-warmAcks < minAcks {
+		t.Fatalf("%d acks after the warm-up, want ≥ %d: the loop carried too little traffic to show growth",
+			acks-warmAcks, minAcks)
+	}
+	if after > before+maxGrowth {
+		t.Errorf("live heap grew %d B over %d rounds and %d acks, want ≤ %d B",
+			after-before, total-warm, acks-warmAcks, maxGrowth)
 	}
 }
