@@ -8,12 +8,13 @@
 //	lbsim -exp comparison -size small -out comparison.json
 //
 // The first form assembles a dual graph topology, runs LBAlg on every node
-// under the chosen link scheduler, and checks the execution trace against
-// the LB(t_ack, t_prog, ε) specification.
+// under the chosen link scheduler, and judges the execution against the
+// LB(t_ack, t_prog, ε) specification with the online lbspec.Monitor as it
+// runs; it exits non-zero on any deterministic violation.
 //
 // The second form runs the comparison subsystem instead: LBAlg vs the SINR
 // local broadcast layer vs the GHLN contention baselines, head to head over
 // the scaling-sweep topologies, rendering the comparison table and writing
-// the machine-readable JSON report (schema lbcast-comparison/v1, see
+// the machine-readable JSON report (schema lbcast-comparison/v2, see
 // docs/EXPERIMENTS.md).
 package main

@@ -65,8 +65,9 @@ func usage() {
 Modes:
   lbsim [-topo T] [-n N] [-sched S] [-phases P] [-senders K] [-seed N] [-trace out.json]
       single-configuration run: LBAlg over the chosen topology/scheduler,
-      post-hoc lbspec.Check report on stdout; -trace writes the execution
-      trace (lbcast-trace/v1)
+      judged online by lbspec.Monitor, report on stdout (exit 1 on any
+      deterministic violation); -trace writes the execution trace
+      (lbcast-trace/v1)
   lbsim -exp comparison [-size small|medium|full] [-seed N] [-policies a,b] [-out comparison.json]
       E-COMPARE matrix: every registered policy (or the -policies subset)
       on identical cloned topologies across n (lbcast-comparison/v2)
@@ -334,14 +335,22 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 	for i := range senderIDs {
 		senderIDs[i] = i
 	}
-	env := core.NewSaturatingEnv(svcs, senderIDs)
-	engine, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: linkSched, Env: env, Seed: seed})
+	// The monitor judges the run as it goes; it only reads the trace it
+	// shares with the engine, so -trace still writes every event.
+	tr := &sim.Trace{}
+	mon, err := lbspec.NewMonitor(lbspec.MonitorConfig{
+		Dual: d, Trace: tr, TAck: p.TAckBound(), TProg: p.TProgBound(),
+		Inner: core.NewSaturatingEnv(svcs, senderIDs),
+	})
+	if err != nil {
+		return err
+	}
+	engine, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: linkSched, Env: mon, Trace: tr, Seed: seed})
 	if err != nil {
 		return err
 	}
 	rounds := phases * p.PhaseLen()
 	engine.Run(rounds)
-	tr := engine.Trace()
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {
@@ -356,7 +365,7 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 		}
 		fmt.Printf("trace written to %s (%d events)\n", traceFile, tr.Len())
 	}
-	rep := lbspec.Check(d, tr, p.TAckBound(), p.TProgBound())
+	rep := mon.Report()
 
 	fmt.Printf("configuration: topo=%s n=%d Δ=%d Δ'=%d r=%v ε=%v sched=%s seed=%d\n",
 		topo, d.N(), d.Delta(), d.DeltaPrime(), d.R, eps, schedName, seed)
@@ -365,7 +374,7 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 	fmt.Printf("ran %d rounds (%d phases)\n\n", rounds, phases)
 
 	tbl := &stats.Table{Title: "specification report", Columns: []string{"metric", "value"}}
-	tbl.AddRow("deterministic violations", len(rep.Violations))
+	tbl.AddRow("deterministic violations", mon.TotalViolations())
 	tbl.AddRow("broadcasts completed", rep.Broadcasts)
 	tbl.AddRow("reliability", stats.FormatRate(rep.ReliableSuccesses, rep.Broadcasts))
 	tbl.AddRow("progress", stats.FormatRate(rep.ProgressSuccesses, rep.ProgressOpportunities))

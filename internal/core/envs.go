@@ -15,9 +15,8 @@ type Send struct {
 // which the problem's environment well-formedness forbids — the input is
 // deferred round by round until the node's ack frees it.
 type SingleShotEnv struct {
-	procs  []Service
-	queue  []Send
-	issued int
+	procs []Service
+	queue []Send
 }
 
 // NewSingleShotEnv builds the environment over the node processes.
@@ -39,21 +38,13 @@ func (e *SingleShotEnv) BeforeRound(t int) {
 			// Node still busy: defer to the next round.
 			s.Round = t + 1
 			remaining = append(remaining, s)
-			continue
 		}
-		e.issued++
 	}
 	e.queue = remaining
 }
 
 // AfterRound implements sim.Environment.
 func (e *SingleShotEnv) AfterRound(int) {}
-
-// Issued returns how many bcast inputs have been accepted so far.
-func (e *SingleShotEnv) Issued() int { return e.issued }
-
-// Pending returns how many scheduled sends have not yet been accepted.
-func (e *SingleShotEnv) Pending() int { return len(e.queue) }
 
 // SaturatingEnv keeps a set of sender nodes permanently active: each sender
 // gets a bcast input at round 1 and a fresh one at the round after each

@@ -114,9 +114,6 @@ func NewPhasePlan(p Params) *PhasePlan {
 	return pl
 }
 
-// Params returns the parameters the plan was derived from.
-func (pl *PhasePlan) Params() Params { return pl.params }
-
 // PhaseLen returns the full phase length Ts + Tprog.
 func (pl *PhasePlan) PhaseLen() int { return pl.phaseLen }
 

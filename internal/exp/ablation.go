@@ -5,7 +5,6 @@ import (
 
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
-	"lbcast/internal/lbspec"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
@@ -48,15 +47,14 @@ func runAblationSeedFreq(size Size, seed uint64) (*Result, error) {
 		}
 		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
 			return core.NewSaturatingEnv(svcs, senderRange(3))
-		}, seed+uint64(k), true)
+		}, seed+uint64(k))
 		if err != nil {
 			return nil, err
 		}
 		rounds := phasesBudget * p.PhaseLen()
 		net.engine.Run(rounds)
-		tr := net.engine.Trace()
-		hears := len(tr.ByKind(sim.EvHear))
-		rep := lbspec.Check(d, tr, p.TAckBound(), p.TProgBound())
+		hears := len(net.engine.Trace().ByKind(sim.EvHear))
+		rep := net.mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-ABL-FREQ k=%d: %w", k, err)
 		}
@@ -91,12 +89,12 @@ func runConstants(size Size, seed uint64) (*Result, error) {
 		}
 		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
 			return core.NewSaturatingEnv(svcs, senderRange(3))
-		}, seed+uint64(c1*10), true)
+		}, seed+uint64(c1*10))
 		if err != nil {
 			return nil, err
 		}
 		net.engine.Run(phases * p.PhaseLen())
-		rep := lbspec.Check(d, net.engine.Trace(), p.TAckBound(), p.TProgBound())
+		rep := net.mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-CONST c1=%v: %w", c1, err)
 		}
@@ -120,12 +118,12 @@ func runConstants(size Size, seed uint64) (*Result, error) {
 		}
 		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
 			return core.NewSingleShotEnv(svcs, sends)
-		}, seed+uint64(cAck*100), true)
+		}, seed+uint64(cAck*100))
 		if err != nil {
 			return nil, err
 		}
 		net.engine.Run((msgs + 1) * p.TAckBound())
-		rep := lbspec.Check(d, net.engine.Trace(), p.TAckBound(), p.TProgBound())
+		rep := net.mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-CONST cAck=%v: %w", cAck, err)
 		}

@@ -45,7 +45,7 @@ func lbFirstHear(d *dualgraph.Dual, s sim.LinkScheduler, seed uint64, maxRounds 
 	}
 	net, err := buildLBNetwork(d, p, s, func(svcs []core.Service) sim.Environment {
 		return core.NewSaturatingEnv(svcs, senderRange(d.N())[1:])
-	}, seed, true)
+	}, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -146,7 +146,7 @@ func runLowerBounds(size Size, seed uint64) (*Result, error) {
 		for trial := 0; trial < trials; trial++ {
 			net, err := buildLBNetwork(d, p, sched.Never{}, func(svcs []core.Service) sim.Environment {
 				return core.NewSaturatingEnv(svcs, senderRange(delta))
-			}, seed+uint64(trial)*101+uint64(delta), true)
+			}, seed+uint64(trial)*101+uint64(delta))
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
+	"lbcast/internal/lbspec"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
 )
@@ -87,37 +88,43 @@ func IDs() []string {
 
 // --- shared plumbing -------------------------------------------------------
 
-// lbNetwork is an assembled LBAlg deployment ready to run.
+// lbNetwork is an assembled LBAlg deployment ready to run; mon judges it
+// online against the LB specification.
 type lbNetwork struct {
 	engine *sim.Engine
-	procs  []*core.LBAlg
-	svcs   []core.Service
-	params core.Params
+	mon    *lbspec.Monitor
 }
 
-// buildLBNetwork wires LBAlg over a dual graph. envFn may be nil.
+// buildLBNetwork wires LBAlg over a dual graph and attaches an lbspec
+// Monitor sharing the engine's trace; the monitor wraps the environment
+// envFn returns. envFn may be nil.
 func buildLBNetwork(d *dualgraph.Dual, p core.Params, s sim.LinkScheduler,
-	envFn func([]core.Service) sim.Environment, seed uint64, recordHears bool) (*lbNetwork, error) {
+	envFn func([]core.Service) sim.Environment, seed uint64) (*lbNetwork, error) {
 
 	plan := core.NewPhasePlan(p)
-	procs := make([]*core.LBAlg, d.N())
-	simProcs := make([]sim.Process, d.N())
+	procs := make([]sim.Process, d.N())
 	svcs := make([]core.Service, d.N())
 	for u := range procs {
-		procs[u] = core.NewLBAlgWithPlan(plan)
-		procs[u].RecordHears = recordHears
-		simProcs[u] = procs[u]
-		svcs[u] = procs[u]
+		alg := core.NewLBAlgWithPlan(plan)
+		procs[u] = alg
+		svcs[u] = alg
 	}
 	var env sim.Environment
 	if envFn != nil {
 		env = envFn(svcs)
 	}
-	e, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: s, Env: env, Seed: seed})
+	tr := &sim.Trace{}
+	mon, err := lbspec.NewMonitor(lbspec.MonitorConfig{
+		Dual: d, Trace: tr, TAck: p.TAckBound(), TProg: p.TProgBound(), Inner: env,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &lbNetwork{engine: e, procs: procs, svcs: svcs, params: p}, nil
+	e, err := sim.New(sim.Config{Dual: d, Procs: procs, Sched: s, Env: mon, Trace: tr, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return &lbNetwork{engine: e, mon: mon}, nil
 }
 
 // firstHearRound runs the engine until the given node hears any data

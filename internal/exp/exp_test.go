@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -56,8 +57,24 @@ func TestSenderRange(t *testing.T) {
 	}
 }
 
+// smallTablePins are FNV-64a hashes of the rendered tables, at SizeSmall
+// and seed 1, of the experiments whose networks buildLBNetwork assembles
+// and its lbspec.Monitor judges.
+var smallTablePins = map[string]uint64{
+	"E-PROG":      0x738c6ff6879ec84d,
+	"E-ACK":       0x375079bd21fdbdd2,
+	"E-RECV-PROB": 0x098f399a7ad5cad5,
+	"E-DET":       0x41ce76aff0a98e32,
+	"E-ADV":       0xbb80e788aa67e847,
+	"E-LOWER":     0x776dbb760643bfbe,
+	"E-LOCAL":     0xc4a020bac6f72d85,
+	"E-ABL-FREQ":  0x0c453d701cdb9558,
+	"E-CONST":     0x3a925efd9cb06801,
+}
+
 // TestAllExperimentsSmall executes the entire suite at small size: every
-// claim reproduction must run end to end and render non-empty tables.
+// claim reproduction must run end to end and render non-empty tables, and
+// the tables of smallTablePins must hash to their pinned values.
 // This is the repository's main integration test.
 func TestAllExperimentsSmall(t *testing.T) {
 	if testing.Short() {
@@ -77,13 +94,19 @@ func TestAllExperimentsSmall(t *testing.T) {
 			if len(res.Tables) == 0 {
 				t.Fatal("no tables produced")
 			}
+			h := fnv.New64a()
 			for _, tbl := range res.Tables {
 				if len(tbl.Rows) == 0 {
 					t.Errorf("table %q is empty", tbl.Title)
 				}
-				if !strings.Contains(tbl.String(), "##") {
+				rendered := tbl.String()
+				if !strings.Contains(rendered, "##") {
 					t.Errorf("table %q renders without a title", tbl.Title)
 				}
+				h.Write([]byte(rendered))
+			}
+			if want, ok := smallTablePins[e.ID]; ok && h.Sum64() != want {
+				t.Errorf("tables hash to %#016x, pinned %#016x", h.Sum64(), want)
 			}
 		})
 	}

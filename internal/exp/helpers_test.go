@@ -132,14 +132,23 @@ func TestBuildLBNetworkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := buildLBNetwork(d, p, nil, nil, 1, false)
+	if _, err := buildLBNetwork(d, p, nil, nil, 1); err != nil {
+		t.Fatalf("nil scheduler and environment: %v", err)
+	}
+	// The monitor shares the engine's trace: node 0 saturating for one
+	// phase gives node 1 exactly one progress opportunity.
+	net, err := buildLBNetwork(d, p, nil, func(svcs []core.Service) sim.Environment {
+		return core.NewSaturatingEnv(svcs, []int{0})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(net.procs) != 2 || len(net.svcs) != 2 {
-		t.Errorf("network sizes: %d procs, %d services", len(net.procs), len(net.svcs))
+	net.engine.Run(p.PhaseLen())
+	rep := net.mon.Report()
+	if err := rep.Err(); err != nil {
+		t.Errorf("one saturated phase: %v", err)
 	}
-	if net.procs[0].RecordHears {
-		t.Error("recordHears=false not applied")
+	if rep.ProgressOpportunities != 1 {
+		t.Errorf("progress opportunities = %d, want 1", rep.ProgressOpportunities)
 	}
 }

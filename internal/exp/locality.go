@@ -7,7 +7,6 @@ import (
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/geo"
-	"lbcast/internal/lbspec"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
@@ -56,12 +55,12 @@ func runLocality(size Size, seed uint64) (*Result, error) {
 		}
 		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
 			return core.NewSaturatingEnv(svcs, senders)
-		}, seed+uint64(n), true)
+		}, seed+uint64(n))
 		if err != nil {
 			return nil, err
 		}
 		net.engine.Run(phases * p.PhaseLen())
-		rep := lbspec.Check(d, net.engine.Trace(), p.TAckBound(), p.TProgBound())
+		rep := net.mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-LOCAL n=%d: %w", n, err)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
-	"lbcast/internal/lbspec"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
@@ -52,12 +51,12 @@ func runProgress(size Size, seed uint64) (*Result, error) {
 		}
 		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
 			return core.NewSaturatingEnv(svcs, senderRange(senders))
-		}, seed+uint64(delta), true)
+		}, seed+uint64(delta))
 		if err != nil {
 			return nil, err
 		}
 		net.engine.Run(phases * p.PhaseLen())
-		rep := lbspec.Check(d, net.engine.Trace(), p.TAckBound(), p.TProgBound())
+		rep := net.mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-PROG Δ=%d: %w", delta, err)
 		}
@@ -107,12 +106,12 @@ func runAck(size Size, seed uint64) (*Result, error) {
 		}
 		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
 			return core.NewSingleShotEnv(svcs, sends)
-		}, seed+uint64(delta)*13, true)
+		}, seed+uint64(delta)*13)
 		if err != nil {
 			return nil, err
 		}
 		net.engine.Run((messages + 1) * p.TAckBound())
-		rep := lbspec.Check(d, net.engine.Trace(), p.TAckBound(), p.TProgBound())
+		rep := net.mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-ACK Δ=%d: %w", delta, err)
 		}
@@ -152,7 +151,7 @@ func runRecvProb(size Size, seed uint64) (*Result, error) {
 	senders := senderRange(delta - 1)
 	net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
 		return core.NewSaturatingEnv(svcs, senders)
-	}, seed, true)
+	}, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -245,14 +244,13 @@ func runDeterministic(size Size, seed uint64) (*Result, error) {
 		}
 		net, err := buildLBNetwork(d, p, w.sch, func(svcs []core.Service) sim.Environment {
 			return core.NewSaturatingEnv(svcs, senderRange(min(3, d.N())))
-		}, seed, true)
+		}, seed)
 		if err != nil {
 			return nil, err
 		}
 		net.engine.Run(phases * p.PhaseLen())
-		rep := lbspec.Check(d, net.engine.Trace(), p.TAckBound(), p.TProgBound())
-		tbl.AddRow(w.name, net.engine.Round(), net.engine.Trace().Len(), len(rep.Violations))
-		if err := rep.Err(); err != nil {
+		tbl.AddRow(w.name, net.engine.Round(), net.engine.Trace().Len(), net.mon.TotalViolations())
+		if err := net.mon.Report().Err(); err != nil {
 			return nil, fmt.Errorf("E-DET %s: %w", w.name, err)
 		}
 	}

@@ -14,4 +14,9 @@
 // The two deterministic conditions must hold with zero violations in every
 // trace; the probabilistic ones are estimated as success rates over
 // (broadcast) and (node, phase) populations respectively.
+//
+// The package has one checker, the online Monitor: it runs as the engine's
+// environment, consumes the trace round by round and assembles a Report.
+// A post-hoc pass over the complete trace lives in the package's tests,
+// where it is the oracle the Monitor is compared against in lockstep.
 package lbspec

@@ -51,7 +51,7 @@ type MonitorConfig struct {
 	// AfterRound.
 	Trace *sim.Trace
 	// TAck and TProg are the LB parameters. TAck must be positive; a
-	// non-positive TProg disables progress accounting (matching Check).
+	// non-positive TProg disables progress accounting.
 	TAck, TProg int
 	// Inner is an optional wrapped environment, run before the monitor
 	// observes each round.
@@ -89,8 +89,10 @@ type mspan struct {
 	recv map[int32]mrecvMark
 }
 
-// mrecvMark mirrors recvMark with narrow fields: first recv round for
-// reliability, latest receiver incarnation for duplicate detection.
+// mrecvMark is one receiver's record of a span: first recv round for
+// reliability, latest receiver incarnation for duplicate detection (a
+// restarted receiver loses its dedup state and legitimately re-delivers an
+// active message).
 type mrecvMark struct {
 	round, incarn int32
 }
@@ -109,7 +111,7 @@ type deadlineEntry struct {
 }
 
 // Monitor is a streaming online checker of the LB deterministic conditions
-// plus the reliability/progress statistics of Check. It implements
+// plus the reliability/progress statistics of a Report. It implements
 // sim.Environment: pass it (or an environment chain ending in it) as
 // sim.Config.Env and it drains each round's events in AfterRound, keeping
 // O(active spans + one tombstone per finished broadcast) state — never the
@@ -553,12 +555,9 @@ func (m *Monitor) Violations() []Violation { return m.violations }
 // past the retention cap.
 func (m *Monitor) TotalViolations() int { return m.totalViol }
 
-// ActiveSpans returns the number of currently open broadcast spans.
-func (m *Monitor) ActiveSpans() int { return len(m.active) }
-
-// Report assembles the statistics observed so far into the same shape
-// Check produces. Latency slices are in completion order (Check's are in
-// bcast order) — compare as multisets.
+// Report assembles the statistics observed so far. Latency slices are in
+// completion order. Violations holds at most MaxViolations records; use
+// TotalViolations for the full count.
 func (m *Monitor) Report() *Report {
 	rep := &Report{
 		Broadcasts:            m.broadcasts,

@@ -10,7 +10,6 @@ import (
 // the process idles forever; the decision is then available via Decision.
 type Process struct {
 	params Params
-	plan   *Plan
 	alg    *Alg
 	env    *sim.NodeEnv
 	logged bool
@@ -18,26 +17,16 @@ type Process struct {
 
 var _ sim.Process = (*Process)(nil)
 
-// NewProcess returns a standalone SeedAlg process with a private schedule
-// plan; experiment harnesses that build one process per node share the
-// plan via NewProcessWithPlan.
+// NewProcess returns a standalone SeedAlg process; Init derives its
+// private schedule plan.
 func NewProcess(p Params) *Process {
 	return &Process{params: p}
-}
-
-// NewProcessWithPlan returns a standalone SeedAlg process over a shared
-// precomputed schedule (see NewPlan).
-func NewProcessWithPlan(plan *Plan) *Process {
-	return &Process{params: plan.Params(), plan: plan}
 }
 
 // Init implements sim.Process.
 func (sp *Process) Init(env *sim.NodeEnv) {
 	sp.env = env
-	if sp.plan == nil {
-		sp.plan = NewPlan(sp.params)
-	}
-	sp.alg = NewAlgWithPlan(sp.plan, env.ID, env.Rng)
+	sp.alg = NewAlg(sp.params, env.ID, env.Rng)
 }
 
 // Transmit implements sim.Process.

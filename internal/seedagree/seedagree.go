@@ -203,9 +203,6 @@ func NewPlan(p Params) *Plan {
 	return pl
 }
 
-// Params returns the parameters the plan was derived from.
-func (pl *Plan) Params() Params { return pl.p }
-
 // Rounds returns the total running time in rounds.
 func (pl *Plan) Rounds() int { return pl.rounds }
 

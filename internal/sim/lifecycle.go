@@ -74,9 +74,6 @@ func (e *Engine) SetDown(u int, down bool) {
 	}
 }
 
-// IsDown reports whether node u's radio is currently down.
-func (e *Engine) IsDown(u int) bool { return e.down != nil && e.down[u] }
-
 // ReplaceProc installs a fresh process at node u and initialises it exactly
 // as New initialised the original — same Δ/Δ′/r parameters, same recorder —
 // but with an incarnation-salted randomness stream, so a restarted node does

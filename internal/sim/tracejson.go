@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // The JSON trace format makes executions portable: cmd/lbsim can dump a
@@ -80,7 +81,9 @@ func (tr *Trace) WriteJSON(w io.Writer) error {
 }
 
 // ReadTraceJSON deserialises a trace written by WriteJSON. Payloads come
-// back as strings (their printed form).
+// back as strings (their printed form). Rounds, nodes and transmitter ids
+// outside int32, the trace's column width, are rejected rather than
+// wrapped.
 func ReadTraceJSON(r io.Reader) (*Trace, error) {
 	var in traceJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -92,10 +95,18 @@ func ReadTraceJSON(r io.Reader) (*Trace, error) {
 		Deliveries:    in.Deliveries,
 		Collisions:    in.Collisions,
 	}
-	for _, ej := range in.Events {
+	for i, ej := range in.Events {
 		kind, err := kindFromString(ej.Kind)
 		if err != nil {
 			return nil, err
+		}
+		for _, f := range [...]struct {
+			name string
+			v    int
+		}{{"round", ej.Round}, {"node", ej.Node}, {"from", ej.From}} {
+			if f.v < math.MinInt32 || f.v > math.MaxInt32 {
+				return nil, fmt.Errorf("sim: trace event %d: %s %d outside int32", i, f.name, f.v)
+			}
 		}
 		ev := Event{
 			Round: ej.Round,
