@@ -1,31 +1,26 @@
 // Command lbbench runs the experiment suite that reproduces every
-// quantitative claim of the paper and prints the docs/EXPERIMENTS.md tables.
+// quantitative claim of the paper and prints the docs/EXPERIMENTS.md tables,
+// and measures the program's performance.
 //
 // Usage:
 //
 //	lbbench [-exp E-PROG[,E-ACK,...]] [-size small|medium|full] [-seed N] [-list]
-//	lbbench -benchjson BENCH_pr2.json [-benchiters N] [-gobench gotest.txt] [-note "..."]
-//	lbbench -sweep [-sweepn 100,1000,10000,100000] [-sweepworkers 1,2,4] [-compare] [-benchjson BENCH_pr2.json]
-//	lbbench -baseline BENCH_pr1.json -gobench gotest.txt [-gatebench BenchmarkNetworkRound] [-gatelimit 1.20]
+//	lbbench -sweep [-sweepn 100,1000,10000,100000] [-seed N]
+//	lbbench -ab <git-ref>
 //
-// With -benchjson, lbbench measures each selected experiment (ns/op,
-// B/op, allocs/op) instead of rendering tables and writes the
-// machine-readable BENCH_*.json used to track the performance trajectory
-// across PRs; -gobench merges a saved `go test -bench` output into the
-// same file.
+// With -sweep, lbbench builds the public banked stack,
+// lbcast.NewRandomGeometric, at constant density for every listed n, runs
+// every 100th node in a closed bcast→ack loop, and prints the build time,
+// ns/round, allocs/round and peak RSS of a sequential row and, when
+// GOMAXPROCS > 1, a worker-pool row.
 //
-// With -sweep, lbbench measures raw engine round throughput across
-// n × scheduler × driver (the large-n scaling sweep); -sweepworkers adds
-// one workerpool row per listed pool size (the multi-core CI matrix passes
-// 1,2,4 to record the parallel-scatter speedup curve). Combined with
-// -benchjson the points are embedded in the JSON's "sweep" section,
-// otherwise the table is printed. -compare (alone or alongside -sweep)
-// runs the algorithm comparison matrix — LBAlg vs the SINR local broadcast
-// layer vs the GHLN contention baselines (experiment E-COMPARE) — at the
-// chosen -size, rendering the table or embedding the report in the JSON's
-// "comparison" section.
-//
-// With -baseline, lbbench compares the -gobench measurements against the
-// named benchmarks in a committed BENCH_*.json and exits non-zero when
-// ns/op regressed by more than -gatelimit× — the CI regression gate.
+// With -ab, lbbench measures the working tree against <git-ref> on this
+// machine. It checks the ref out into a git worktree under .bench_build/,
+// then runs 10 interleaved pairs (seeds 1001–1010, alternating which side
+// runs first) of every BENCHMARK.json workload through benchmark/run.sh
+// and of nine round micro-benchmarks from `go test -c` binaries. It prints
+// each metric's medians, the parent's quartile spread, the pairs the change
+// won and a verdict, and exits 1 when a metric regressed beyond its bound
+// or a change run reported a wrong output or a failed operation. Run it
+// from the repository root.
 package main

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -14,25 +13,13 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-		sizeFlag  = flag.String("size", "medium", "experiment scale: small|medium|full")
-		seedFlag  = flag.Uint64("seed", 1, "experiment seed")
-		listFlag  = flag.Bool("list", false, "list experiment IDs and exit")
-		benchJSON = flag.String("benchjson", "", "measure experiments and write BENCH_*.json to this path instead of rendering tables")
-		benchIt   = flag.Int("benchiters", 1, "iterations per experiment for -benchjson")
-		goBench   = flag.String("gobench", "", "merge a saved `go test -bench` output file into -benchjson (also the input of -baseline)")
-		noteFlag  = flag.String("note", "", "free-form note recorded in -benchjson (e.g. the baseline being compared against)")
-		sweep     = flag.Bool("sweep", false, "run the engine scaling sweep (n × scheduler × driver)")
-		sweepN    = flag.String("sweepn", "100,1000,10000,100000", "comma-separated network sizes for -sweep")
-		sweepMax  = flag.Int("sweepmax", 0, "append one extra network size to -sweepn (e.g. 1000000 for the million-node row; sizes beyond 100000 run the bounded never-scheduler smoke without a SINR row)")
-		sweepP    = flag.Float64("sweepp", 0.1, "per-node transmit probability for -sweep")
-		sweepW    = flag.String("sweepworkers", "", "comma-separated worker-pool sizes for -sweep's workerpool rows (default: GOMAXPROCS); the multi-core CI matrix passes 1,2,4 to record the parallel-scatter speedup curve")
-		compare   = flag.Bool("compare", false, "run the algorithm comparison matrix (LBAlg vs SINR layer vs contention baselines) at -size; renders the table, or embeds it in -benchjson")
-		loadF     = flag.Bool("load", false, "run the open-loop traffic matrix (E-LOAD knee curves) at -size; renders the table, or embeds it in -benchjson")
-		policiesF = flag.String("policies", "", "comma-separated policy names for -compare and -load (default: each matrix's own set; see `lbsim -policies list`)")
-		baseline  = flag.String("baseline", "", "committed BENCH_*.json to gate -gobench measurements against")
-		gateBench = flag.String("gatebench", "BenchmarkNetworkRound", "comma-separated benchmark names for the -baseline gate")
-		gateLimit = flag.Float64("gatelimit", 1.20, "fail the -baseline gate when current/baseline ns/op exceeds this ratio")
+		expFlag  = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
+		sizeFlag = flag.String("size", "medium", "experiment scale: small|medium|full")
+		seedFlag = flag.Uint64("seed", 1, "experiment seed (and the sweep's network seed)")
+		listFlag = flag.Bool("list", false, "list experiment IDs and exit")
+		sweep    = flag.Bool("sweep", false, "run the scaling sweep of the banked lbcast.Network instead of the experiments")
+		sweepN   = flag.String("sweepn", "100,1000,10000,100000", "comma-separated network sizes for -sweep")
+		abRef    = flag.String("ab", "", "A/B the working tree against this git ref on this machine (run from the repository root)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -44,8 +31,26 @@ func main() {
 		return
 	}
 
-	if *baseline != "" {
-		if err := runGate(*baseline, *goBench, *gateBench, *gateLimit); err != nil {
+	if *abRef != "" {
+		code, err := runAB(*abRef)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		os.Exit(code)
+	}
+
+	if *sweep {
+		ns, err := parseIntList(*sweepN, "-sweepn")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		tbl, err := runSweep(ns, *seedFlag)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if err := tbl.Render(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -57,86 +62,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	var sweepPoints []exp.SweepPoint
-	var consPoints []exp.ConstructionPoint
-	var compareRep *exp.ComparisonReport
-	if *sweep {
-		ns, err := parseIntList(*sweepN, "-sweepn")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *sweepMax > 0 {
-			ns = append(ns, *sweepMax)
-		}
-		var workers []int
-		if *sweepW != "" {
-			if workers, err = parseIntList(*sweepW, "-sweepworkers"); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		}
-		sweepPoints, consPoints, err = exp.RunScalingSweep(ns, *seedFlag, *sweepP, workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	policies := splitPolicies(*policiesF)
-	if *compare {
-		var err error
-		compareRep, err = exp.RunComparisonPolicies(size, *seedFlag, policies, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	var loadRep *exp.LoadReport
-	if *loadF {
-		var err error
-		loadRep, err = exp.RunLoadPolicies(size, *seedFlag, policies, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *sweep || *compare || *loadF {
-		// Tables go to stdout when they are the final product, to stderr
-		// when -benchjson makes the JSON file the product.
-		out := os.Stderr
-		if *benchJSON == "" {
-			out = os.Stdout
-		}
-		if consPoints != nil {
-			if err := exp.ConstructionTable(consPoints).Render(out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if sweepPoints != nil {
-			if err := exp.SweepTable(sweepPoints).Render(out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if compareRep != nil {
-			if err := exp.ComparisonTable(compareRep).Render(out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if loadRep != nil {
-			if err := exp.LoadTable(loadRep).Render(out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *benchJSON == "" {
-			return
-		}
-	}
-
 	var todo []exp.Experiment
 	if *expFlag == "" {
 		todo = exp.All()
@@ -149,15 +74,6 @@ func main() {
 			}
 			todo = append(todo, e)
 		}
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, todo, size, *sizeFlag, *seedFlag, *benchIt,
-			*goBench, *noteFlag, sweepPoints, consPoints, compareRep, loadRep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	failed := 0
@@ -183,49 +99,29 @@ func main() {
 }
 
 // usage renders the synopsis of every operating mode ahead of the flag
-// list, so `lbbench -help` documents how -sweep, -compare, -benchjson and
-// the -baseline regression gate combine.
+// list.
 func usage() {
-	fmt.Fprint(flag.CommandLine.Output(), `lbbench reproduces the paper's quantitative claims and tracks engine
-performance across PRs.
+	fmt.Fprint(flag.CommandLine.Output(), `lbbench reproduces the paper's quantitative claims and measures the
+program's performance.
 
 Modes:
   lbbench [-exp E-PROG,...] [-size small|medium|full] [-seed N]
       render the experiment tables (default: all experiments)
   lbbench -list
       list experiment IDs
-  lbbench -benchjson BENCH_x.json [-benchiters N] [-gobench gotest.txt] [-note "..."]
-      measure experiments into a machine-readable BENCH_*.json
-  lbbench -sweep [-sweepn 100,1000] [-sweepmax 1000000] [-sweepworkers 1,2,4] [-compare] [-load] [-policies a,b] [-benchjson ...]
-      engine scaling sweep (n × scheduler × driver rounds/sec, with
-      allocs/round and peak-RSS columns); -sweepmax appends the large-n
-      smoke row; -compare adds the registered-policy comparison matrix
-      (E-COMPARE), -load the open-loop traffic knee matrix (E-LOAD);
-      -policies restricts either to a subset of the policy registry
-  lbbench -baseline BENCH_x.json -gobench gotest.txt [-gatebench A,B] [-gatelimit 1.20]
-      CI regression gate: fail when a named benchmark's ns/op — or its
-      allocs/op, when both sides carry -benchmem data — exceeds
-      gatelimit × the committed baseline
+  lbbench -sweep [-sweepn 1000,10000] [-seed N]
+      scaling sweep of the banked lbcast.Network at constant density:
+      build time, ns/round, allocs/round and peak RSS per n, sequential
+      and (when GOMAXPROCS > 1) on the worker pool
+  lbbench -ab <git-ref>
+      same-machine A/B of the working tree against <git-ref>: 10
+      interleaved pairs of every BENCHMARK.json workload and the round
+      micro-benchmarks, with a per-metric verdict; exits 1 when a metric
+      regressed or a change run was wrong
 
 Flags:
 `)
 	flag.PrintDefaults()
-}
-
-// splitPolicies turns the -policies flag value into a selection for the
-// comparison/load matrices; empty means each matrix's default set.
-func splitPolicies(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	names := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			names = append(names, p)
-		}
-	}
-	return names
 }
 
 // parseIntList parses a comma-separated integer list flag.
@@ -242,126 +138,4 @@ func parseIntList(s, flagName string) ([]int, error) {
 		return nil, fmt.Errorf("%s is empty", flagName)
 	}
 	return ns, nil
-}
-
-// runGate compares the current -gobench measurements against the committed
-// baseline file and fails on a >limit× ns/op regression. Both sides take the
-// minimum over repeated runs of the same benchmark (use `go test -count N`),
-// damping scheduler noise.
-func runGate(baselinePath, goBenchPath, names string, limit float64) error {
-	if goBenchPath == "" {
-		return fmt.Errorf("-baseline needs -gobench with the current `go test -bench` output")
-	}
-	bf, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	base, err := exp.ReadBenchFile(bf)
-	if err != nil {
-		return err
-	}
-	gf, err := os.Open(goBenchPath)
-	if err != nil {
-		return err
-	}
-	defer gf.Close()
-	gb, err := exp.ParseGoBench(gf)
-	if err != nil {
-		return err
-	}
-	cur := exp.BenchFile{GoTest: gb}
-
-	failed := 0
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		baseNs, ok := base.MinGoBenchNs(name)
-		if !ok {
-			return fmt.Errorf("baseline %s has no entry for %s", baselinePath, name)
-		}
-		curNs, ok := cur.MinGoBenchNs(name)
-		if !ok {
-			return fmt.Errorf("%s has no entry for %s", goBenchPath, name)
-		}
-		ratio := curNs / baseNs
-		status := "ok"
-		if ratio > limit {
-			status = fmt.Sprintf("REGRESSION (> %.2fx)", limit)
-			failed++
-		}
-		fmt.Printf("%-32s baseline %12.0f ns/op  current %12.0f ns/op  ratio %.3f  %s\n",
-			name, baseNs, curNs, ratio, status)
-		// Allocation gate: allocs/op is near-deterministic, so the same
-		// ratio limit catches accidental per-round allocations long before
-		// they show up in wall time. Skipped when either side lacks
-		// -benchmem data (older baselines).
-		baseAllocs, ok := base.MinGoBenchAllocs(name)
-		if !ok {
-			continue
-		}
-		curAllocs, ok := cur.MinGoBenchAllocs(name)
-		if !ok {
-			continue
-		}
-		aRatio := float64(curAllocs) / float64(baseAllocs)
-		status = "ok"
-		if aRatio > limit {
-			status = fmt.Sprintf("REGRESSION (> %.2fx)", limit)
-			failed++
-		}
-		fmt.Printf("%-32s baseline %12d allocs/op current %11d allocs/op ratio %.3f  %s\n",
-			"", baseAllocs, curAllocs, aRatio, status)
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d benchmark measurement(s) regressed beyond %.2fx of %s", failed, limit, baselinePath)
-	}
-	return nil
-}
-
-// writeBenchJSON measures every selected experiment and writes the
-// machine-readable benchmark file.
-func writeBenchJSON(path string, todo []exp.Experiment, size exp.Size, sizeName string,
-	seed uint64, iters int, goBenchPath, note string, sweepPoints []exp.SweepPoint,
-	consPoints []exp.ConstructionPoint, compareRep *exp.ComparisonReport,
-	loadRep *exp.LoadReport) error {
-	file := exp.BenchFile{
-		Note:         note,
-		GoVersion:    runtime.Version(),
-		Size:         sizeName,
-		Seed:         seed,
-		Sweep:        sweepPoints,
-		Construction: consPoints,
-		Comparison:   compareRep,
-		Load:         loadRep,
-	}
-	for _, e := range todo {
-		r, err := exp.MeasureExperiment(e, size, seed, iters)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "%-14s %12d ns/op %10d B/op %8d allocs/op\n",
-			r.ID, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		file.Results = append(file.Results, r)
-	}
-	if goBenchPath != "" {
-		f, err := os.Open(goBenchPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		gb, err := exp.ParseGoBench(f)
-		if err != nil {
-			return err
-		}
-		file.GoTest = gb
-	}
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := file.WriteJSON(out); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

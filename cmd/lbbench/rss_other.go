@@ -1,6 +1,6 @@
 //go:build !unix
 
-package exp
+package main
 
 // peakRSSMB reports 0 where getrusage is unavailable; the mem columns of
 // the sweep are best-effort telemetry, not part of any correctness path.

@@ -1,6 +1,6 @@
 //go:build unix
 
-package exp
+package main
 
 import (
 	"runtime"

@@ -27,7 +27,7 @@ func main() {
 		eps       = flag.Float64("eps", 0.1, "error bound ε₁ ∈ (0, ½]")
 		schedN    = flag.String("sched", "random", "link scheduler: never|always|random|periodic|antidecay")
 		schedP    = flag.Float64("sched-p", 0.5, "inclusion probability for -sched random")
-		phases    = flag.Int("phases", 6, "LBAlg phases to run")
+		phases    = flag.Int("phases", 0, "LBAlg phases to run (0: ⌈t_ack/phase⌉ + 1, the deadline by which a broadcast acks)")
 		senders   = flag.Int("senders", 3, "number of saturated senders")
 		seed      = flag.Uint64("seed", 1, "experiment seed")
 		traceFile = flag.String("trace", "", "write the execution trace as JSON to this file")
@@ -295,6 +295,11 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 	p, err := core.DeriveParams(d.Delta(), d.DeltaPrime(), maxf(d.R, 1), eps)
 	if err != nil {
 		return err
+	}
+	if phases == 0 {
+		// Network.RunUntilAck's deadline: t_ack, plus the phase a broadcast
+		// may wait for its first phase to start.
+		phases = (p.TAckBound()+p.PhaseLen()-1)/p.PhaseLen() + 1
 	}
 	if maxPhases := core.MaxRounds / p.PhaseLen(); phases < 1 || phases > maxPhases {
 		return fmt.Errorf("-phases %d outside [1, %d] for %d-round phases", phases, maxPhases, p.PhaseLen())

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"io"
 	"math"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -119,7 +123,6 @@ func TestHostileFlagsReturnErrors(t *testing.T) {
 		{"-n -3", "cluster", -3, 1.5, 0.1, 0.5, 6, 3},
 		{"-eps 1e-300", "cluster", 16, 1.5, 1e-300, 0.5, 6, 3},
 		{"-phases -1", "cluster", 16, 1.5, 0.1, 0.5, -1, 3},
-		{"-phases 0", "cluster", 16, 1.5, 0.1, 0.5, 0, 3},
 		{"-phases beyond int32 rounds", "cluster", 16, 1.5, 0.1, 0.5, 1 << 40, 3},
 		{"-senders -1", "cluster", 16, 1.5, 0.1, 0.5, 6, -1},
 		{"-r 1e9 -topo geometric", "geometric", 16, 1e9, 0.1, 0.5, 6, 3},
@@ -138,5 +141,36 @@ func TestHostileFlagsReturnErrors(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		})
+	}
+}
+
+// TestDefaultRunAcks runs the single-configuration report with the flag
+// defaults: -phases 0 must run long enough for the saturated senders'
+// broadcasts to ack, so the report counts completed broadcasts.
+func TestDefaultRunAcks(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run("cluster", 16, 1.5, 0.1, "random", 0.5, 0, 3, 1, "")
+	os.Stdout = stdout
+	w.Close()
+	report := <-out
+	if runErr != nil {
+		t.Fatalf("default run failed: %v\n%s", runErr, report)
+	}
+	m := regexp.MustCompile(`broadcasts completed\s+(\d+)`).FindStringSubmatch(report)
+	if m == nil {
+		t.Fatalf("report has no broadcasts-completed row:\n%s", report)
+	}
+	if n, _ := strconv.Atoi(m[1]); n == 0 {
+		t.Errorf("default run completed no broadcast:\n%s", report)
 	}
 }

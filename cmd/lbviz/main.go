@@ -102,8 +102,9 @@ func timeline(d *dualgraph.Dual, seed uint64, phases int) error {
 	}
 	procs := make([]sim.Process, d.N())
 	svcs := make([]core.Service, d.N())
+	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlg(p)
+		alg := core.NewLBAlgWithPlan(plan)
 		alg.RecordHears = false
 		procs[u] = alg
 		svcs[u] = alg

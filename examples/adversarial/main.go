@@ -81,8 +81,9 @@ func firstHear(d *dualgraph.Dual, algo string, s sim.LinkScheduler, seed uint64)
 		if err != nil {
 			return 0, err
 		}
+		plan := core.NewPhasePlan(p)
 		for u := range svcs {
-			svcs[u] = core.NewLBAlg(p)
+			svcs[u] = core.NewLBAlgWithPlan(plan)
 			procs[u] = svcs[u]
 		}
 	}

@@ -36,8 +36,9 @@ func main() {
 
 	layers := make([]amac.Layer, d.N())
 	procs := make([]sim.Process, d.N())
+	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlg(p)
+		alg := core.NewLBAlgWithPlan(plan)
 		alg.RecordHears = false
 		layers[u] = amac.NewAdapter(alg, g)
 		procs[u] = alg

@@ -33,8 +33,9 @@ func main() {
 
 	layers := make([]amac.Layer, n)
 	procs := make([]sim.Process, n)
+	plan := core.NewPhasePlan(p)
 	for u := 0; u < n; u++ {
-		alg := core.NewLBAlg(p)
+		alg := core.NewLBAlgWithPlan(plan)
 		alg.RecordHears = false
 		layers[u] = amac.NewAdapter(alg, amac.FromLBParams(p))
 		procs[u] = alg

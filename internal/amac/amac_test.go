@@ -19,8 +19,9 @@ func buildFloodNet(t testing.TB, d *dualgraph.Dual, eps float64, seed uint64, s 
 	}
 	layers := make([]Layer, d.N())
 	simProcs := make([]sim.Process, d.N())
+	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlg(p)
+		alg := core.NewLBAlgWithPlan(plan)
 		alg.RecordHears = false // floods only need recv events
 		layers[u] = NewAdapter(alg, FromLBParams(p))
 		simProcs[u] = alg
@@ -38,7 +39,7 @@ func TestAdapterDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg := core.NewLBAlg(p)
+	alg := core.NewLBAlgWithPlan(core.NewPhasePlan(p))
 	alg.Init(&sim.NodeEnv{ID: 0, Delta: 2, DeltaPrime: 2, R: 1, Rng: xrand.New(1), Rec: discard{}})
 	a := NewAdapter(alg, FromLBParams(p))
 

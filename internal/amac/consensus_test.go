@@ -20,8 +20,9 @@ func buildConsensus(t testing.TB, d *dualgraph.Dual, initial []any, cycles int, 
 	}
 	layers := make([]Layer, d.N())
 	procs := make([]sim.Process, d.N())
+	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlg(p)
+		alg := core.NewLBAlgWithPlan(plan)
 		alg.RecordHears = false
 		layers[u] = NewAdapter(alg, FromLBParams(p))
 		procs[u] = alg

@@ -19,8 +19,9 @@ func buildDiscovery(t testing.TB, d *dualgraph.Dual, beacons int, seed uint64) (
 	}
 	layers := make([]Layer, d.N())
 	procs := make([]sim.Process, d.N())
+	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlg(p)
+		alg := core.NewLBAlgWithPlan(plan)
 		alg.RecordHears = false
 		layers[u] = NewAdapter(alg, FromLBParams(p))
 		procs[u] = alg
@@ -76,8 +77,9 @@ func TestDiscoveryNoFalsePositives(t *testing.T) {
 	}
 	layers := make([]Layer, d.N())
 	procs := make([]sim.Process, d.N())
+	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlg(p)
+		alg := core.NewLBAlgWithPlan(plan)
 		alg.RecordHears = false
 		layers[u] = NewAdapter(alg, FromLBParams(p))
 		procs[u] = alg

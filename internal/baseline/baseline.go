@@ -50,7 +50,6 @@ func NewDecay(p DecayParams) *Decay {
 	}
 	d := &Decay{p: p, cycle: newDecayCycle(seedagree.Log2Ceil(p.Delta))}
 	d.AckRounds = p.AckRounds
-	d.RecordHears = true
 	return d
 }
 
@@ -113,7 +112,6 @@ func NewRoundRobin(p RoundRobinParams) *RoundRobin {
 	}
 	r := &RoundRobin{p: p}
 	r.AckRounds = p.Slots
-	r.RecordHears = true
 	return r
 }
 
@@ -130,8 +128,9 @@ func (r *RoundRobin) Transmit(t int) (any, bool) {
 }
 
 // Chatter is a noise process that transmits an opaque payload with a fixed
-// probability every round. It is not a broadcast service — it exists to
-// populate the adversary's decoy pool in the E-ADAPT and E-ADV experiments.
+// probability every round. It is not a broadcast service — it populates the
+// adversary's decoy pool in the E-ADAPT and E-ADV experiments and supplies
+// E-SINR's contending senders.
 type Chatter struct {
 	// P is the per-round transmit probability.
 	P   float64

@@ -121,7 +121,6 @@ func NewContention(p ContentionParams) *Contention {
 		c.cycle = probCycle{1 / float64(p.DeltaPrime)}
 	}
 	c.AckRounds = p.AckRounds
-	c.RecordHears = true
 	return c
 }
 

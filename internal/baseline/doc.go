@@ -9,7 +9,8 @@
 //     id-indexed slots. Optimal for fault-tolerant broadcast but inherently
 //     global — its latency scales with the slot count, not local degree —
 //     making it the locality counterpoint in the E-LOWER experiments.
-//   - Chatter: a non-protocol noise source used as adversary decoys.
+//   - Chatter: a non-protocol noise source: adversary decoys and E-SINR's
+//     contending senders.
 //
 // Decay and RoundRobin implement core.Service, so environments, the lbspec
 // checker, and the experiment harness treat them exactly like LBAlg.

@@ -223,10 +223,11 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 	}
 	rounds := sc.Phases * p.PhaseLen()
 
+	plan := core.NewPhasePlan(p)
 	svcs := make([]core.Service, sc.N)
 	procs := make([]sim.Process, sc.N)
 	for u := range svcs {
-		svcs[u] = core.NewLBAlg(p)
+		svcs[u] = core.NewLBAlgWithPlan(plan)
 		procs[u] = svcs[u]
 	}
 	senders := make([]int, sc.Senders)
@@ -283,7 +284,7 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 			Plan: sc.Plan, Dual: d, Index: geo.BuildGridIndex(d.Emb),
 			Policy: dualgraph.GreyUnreliable,
 			Restart: func(u int) sim.Process {
-				svcs[u] = core.NewLBAlg(p)
+				svcs[u] = core.NewLBAlgWithPlan(plan)
 				return svcs[u]
 			},
 			Inner: simEnv,

@@ -26,10 +26,6 @@ type AckWindow struct {
 	// round itself counts, so the observed bcast→ack latency is
 	// AckRounds−1).
 	AckRounds int
-	// RecordHears controls whether every channel-level data reception is
-	// recorded as an EvHear event (the progress checkers are defined over
-	// receptions, not deduplicated recv outputs). Constructors enable it.
-	RecordHears bool
 
 	env       *sim.NodeEnv
 	pending   *Message
@@ -102,12 +98,11 @@ func (w *AckWindow) Receive(t, from int, payload any, ok bool) {
 	}
 }
 
-// deliver records the reception and, on first sight of the message, the
-// recv output.
+// deliver records the reception as an EvHear event (the progress checkers
+// are defined over receptions, not deduplicated recv outputs) and, on first
+// sight of the message, the recv output.
 func (w *AckWindow) deliver(t, from int, m Message) {
-	if w.RecordHears {
-		w.env.Rec.Record(sim.Event{Round: t, Node: w.env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
-	}
+	w.env.Rec.Record(sim.Event{Round: t, Node: w.env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
 	if w.seen == nil {
 		w.seen = make(map[sim.MsgID]struct{})
 	}

@@ -21,8 +21,9 @@ func benchCluster(b *testing.B, n, senders int) []*LBAlg {
 		b.Fatal(err)
 	}
 	procs := make([]*LBAlg, n)
+	plan := NewPhasePlan(p)
 	for u := range procs {
-		procs[u] = NewLBAlg(p)
+		procs[u] = NewLBAlgWithPlan(plan)
 		procs[u].RecordHears = false
 		procs[u].Init(&sim.NodeEnv{ID: u, Delta: n, DeltaPrime: n, R: 1,
 			Rng: xrand.NodeSource(1, u), Rec: nopRec{}})

@@ -13,7 +13,7 @@ import (
 // node silently stops transmitting instead of panicking or reusing bits.
 func TestSeedExhaustionFailsClosed(t *testing.T) {
 	p := testParams(t, 8, 8, 0.1)
-	l := NewLBAlg(p)
+	l := NewLBAlgWithPlan(NewPhasePlan(p))
 	l.Init(&sim.NodeEnv{ID: 0, Delta: 8, DeltaPrime: 8, R: 1, Rng: xrand.New(1), Rec: nopRec{}})
 	l.state = StateSending
 	l.pending = &Message{ID: sim.NewMsgID(0, 1)}
@@ -31,7 +31,7 @@ func TestSeedExhaustionFailsClosed(t *testing.T) {
 // arrives with no committed seed.
 func TestNilCommitFailsClosed(t *testing.T) {
 	p := testParams(t, 8, 8, 0.1)
-	l := NewLBAlg(p)
+	l := NewLBAlgWithPlan(NewPhasePlan(p))
 	l.Init(&sim.NodeEnv{ID: 0, Delta: 8, DeltaPrime: 8, R: 1, Rng: xrand.New(1), Rec: nopRec{}})
 	l.state = StateSending
 	l.pending = &Message{ID: sim.NewMsgID(0, 1)}
@@ -96,8 +96,9 @@ func TestLBAlgUnderWorkerPool(t *testing.T) {
 		procs := make([]*LBAlg, d.N())
 		simProcs := make([]sim.Process, d.N())
 		svcs := make([]Service, d.N())
+		plan := NewPhasePlan(p)
 		for u := range procs {
-			procs[u] = NewLBAlg(p)
+			procs[u] = NewLBAlgWithPlan(plan)
 			simProcs[u] = procs[u]
 			svcs[u] = procs[u]
 		}
@@ -133,7 +134,8 @@ func TestAdaptiveAgainstLBAlg(t *testing.T) {
 		t.Fatal(err)
 	}
 	procs := make([]sim.Process, d.N())
-	lb0, lb1 := NewLBAlg(p), NewLBAlg(p)
+	plan := NewPhasePlan(p)
+	lb0, lb1 := NewLBAlgWithPlan(plan), NewLBAlgWithPlan(plan)
 	procs[0], procs[1] = lb0, lb1
 	for u := 2; u < d.N(); u++ {
 		procs[u] = &alwaysTx{}

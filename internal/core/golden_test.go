@@ -28,8 +28,9 @@ func TestGoldenExecution(t *testing.T) {
 	procs := make([]*LBAlg, d.N())
 	simProcs := make([]sim.Process, d.N())
 	svcs := make([]Service, d.N())
+	plan := NewPhasePlan(p)
 	for u := range procs {
-		procs[u] = NewLBAlg(p)
+		procs[u] = NewLBAlgWithPlan(plan)
 		simProcs[u] = procs[u]
 		svcs[u] = procs[u]
 	}

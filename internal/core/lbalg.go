@@ -145,13 +145,6 @@ func (l *LBAlg) SetOnAck(fn func(Message)) { l.OnAck = fn }
 // SetOnRecv implements Service.
 func (l *LBAlg) SetOnRecv(fn func(Message, int)) { l.OnRecv = fn }
 
-// NewLBAlg creates the process with the given derived parameters, deriving
-// a private PhasePlan. Callers building one process per node should compute
-// the plan once with NewPhasePlan and share it via NewLBAlgWithPlan.
-func NewLBAlg(p Params) *LBAlg {
-	return NewLBAlgWithPlan(NewPhasePlan(p))
-}
-
 // NewLBAlgWithPlan creates the process over a shared precomputed phase
 // schedule, which carries the Params it was derived from. The plan is
 // read-only to the process, so any number of nodes may share one.

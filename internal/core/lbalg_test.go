@@ -16,8 +16,9 @@ func buildLB(t testing.TB, d *dualgraph.Dual, p Params, s sim.LinkScheduler, env
 	procs := make([]*LBAlg, d.N())
 	simProcs := make([]sim.Process, d.N())
 	services := make([]Service, d.N())
+	plan := NewPhasePlan(p)
 	for u := range procs {
-		procs[u] = NewLBAlg(p)
+		procs[u] = NewLBAlgWithPlan(plan)
 		simProcs[u] = procs[u]
 		services[u] = procs[u]
 	}
@@ -200,7 +201,7 @@ func TestOwnerGroupLockstep(t *testing.T) {
 	shared := xrand.New(9).DrawSeed(p.Kappa)
 
 	mk := func(id int, rngSeed uint64) *LBAlg {
-		l := NewLBAlg(p)
+		l := NewLBAlgWithPlan(NewPhasePlan(p))
 		l.Init(&sim.NodeEnv{ID: id, Delta: 8, DeltaPrime: 8, R: 1, Rng: xrand.New(rngSeed), Rec: nopRec{}})
 		l.pending = &Message{ID: sim.NewMsgID(id, 1)}
 		l.state = StateSending
@@ -256,7 +257,7 @@ func TestDifferentGroupsDiverge(t *testing.T) {
 	p := testParams(t, 8, 8, 0.1)
 	r := xrand.New(10)
 	mk := func(id int, seed xrand.Seed) *LBAlg {
-		l := NewLBAlg(p)
+		l := NewLBAlgWithPlan(NewPhasePlan(p))
 		l.Init(&sim.NodeEnv{ID: id, Delta: 8, DeltaPrime: 8, R: 1, Rng: xrand.New(uint64(id)), Rec: nopRec{}})
 		l.pending = &Message{ID: sim.NewMsgID(id, 1)}
 		l.state = StateSending
@@ -406,7 +407,7 @@ func TestAblationSeedEveryK(t *testing.T) {
 
 func TestBodyStatsAccounting(t *testing.T) {
 	p := testParams(t, 4, 4, 0.25)
-	l := NewLBAlg(p)
+	l := NewLBAlgWithPlan(NewPhasePlan(p))
 	l.Init(&sim.NodeEnv{ID: 0, Delta: 4, DeltaPrime: 4, R: 1, Rng: xrand.New(1), Rec: nopRec{}})
 	part, tx := l.BodyStats()
 	if part != 0 || tx != 0 {

@@ -50,8 +50,9 @@ func TestPhaseTrafficSeparation(t *testing.T) {
 	procs := make([]*LBAlg, d.N())
 	simProcs := make([]sim.Process, d.N())
 	svcs := make([]Service, d.N())
+	plan := NewPhasePlan(p)
 	for u := range procs {
-		procs[u] = NewLBAlg(p)
+		procs[u] = NewLBAlgWithPlan(plan)
 		simProcs[u] = &recordingLB{LBAlg: procs[u], log: &air}
 		svcs[u] = procs[u]
 	}
@@ -103,8 +104,9 @@ func TestSenderSilentWhileReceiving(t *testing.T) {
 	}
 	var air []sniffedTx
 	procs := make([]sim.Process, d.N())
+	plan := NewPhasePlan(p)
 	for u := range procs {
-		alg := NewLBAlg(p)
+		alg := NewLBAlgWithPlan(plan)
 		procs[u] = &recordingLB{LBAlg: alg, log: &air}
 	}
 	// No environment: nobody ever gets a bcast input.
@@ -124,7 +126,7 @@ func TestSenderSilentWhileReceiving(t *testing.T) {
 // sending group's participation frequency must match 2^{-K1}.
 func TestParticipationRateMatchesFormula(t *testing.T) {
 	p := testParams(t, 16, 16, 0.1)
-	l := NewLBAlg(p)
+	l := NewLBAlgWithPlan(NewPhasePlan(p))
 	l.Init(&sim.NodeEnv{ID: 0, Delta: 16, DeltaPrime: 16, R: 1, Rng: xrand.New(3), Rec: nopRec{}})
 	l.state = StateSending
 	l.pending = &Message{ID: sim.NewMsgID(0, 1)}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"lbcast/internal/geo"
-	"lbcast/internal/par"
 	"lbcast/internal/xrand"
 )
 
@@ -49,25 +48,6 @@ const (
 // construction, the result is assembled through the trusted path; tests
 // certify it against Dual.Validate.
 func buildFromEmbedding(emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source) (*Dual, error) {
-	return buildFromEmbeddingWorkers(emb, r, policy, rng, 1)
-}
-
-// parallelScanMinVertices is the embedding size below which sharding the
-// pair scan is not worth the fork-join overhead.
-const parallelScanMinVertices = 1 << 14
-
-// buildFromEmbeddingWorkers is buildFromEmbedding with the pair scan and the
-// CSR assembly sharded over contiguous vertex ranges on the given number of
-// workers. Each worker scans its own u-range into private edge buffers;
-// concatenating those buffers in worker order reproduces the sequential
-// append order exactly (the scan emits edges in ascending-u order and
-// par.Ranges hands worker w the w-th contiguous range), so the built dual is
-// structurally identical for every worker count — the golden execution
-// fingerprints pin this. GreyMixed is the one policy that cannot shard: it
-// draws one rng coin per grey pair, and the draw order is part of the
-// topology's identity, so it always scans sequentially (the graph assembly
-// still parallelises).
-func buildFromEmbeddingWorkers(emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source, workers int) (*Dual, error) {
 	if err := checkR(r); err != nil {
 		return nil, err
 	}
@@ -80,25 +60,10 @@ func buildFromEmbeddingWorkers(emb []geo.Point, r float64, policy GreyPolicy, rn
 		return nil, fmt.Errorf("dualgraph: unknown grey policy %d", policy)
 	}
 	n := len(emb)
-	gi := geo.BuildGridIndexWorkers(emb, workers)
-	stencil := gi.Stencil(r)
-	var gEdges, gpOnly []Edge
-	if policy == GreyMixed || workers <= 1 || n < parallelScanMinVertices {
-		gEdges, gpOnly = scanPairs(gi, stencil, emb, r, policy, rng, 0, n)
-	} else {
-		type shard struct{ g, gp []Edge }
-		shards := make([]shard, workers)
-		par.Ranges(n, workers, func(w, lo, hi int) {
-			g, gp := scanPairs(gi, stencil, emb, r, policy, nil, lo, hi)
-			shards[w] = shard{g, gp}
-		})
-		for _, s := range shards {
-			gEdges = append(gEdges, s.g...)
-			gpOnly = append(gpOnly, s.gp...)
-		}
-	}
-	g := NewGraphFromEdgesWorkers(n, gEdges, workers)
-	gp := NewGraphFromEdgesWorkers(n, append(gEdges, gpOnly...), workers)
+	gi := geo.BuildGridIndex(emb)
+	gEdges, gpOnly := scanPairs(gi, gi.Stencil(r), emb, r, policy, rng)
+	g := NewGraphFromEdges(n, gEdges)
+	gp := NewGraphFromEdges(n, append(gEdges, gpOnly...))
 	return newDualTrusted(g, gp, emb, r), nil
 }
 
@@ -110,12 +75,11 @@ func checkR(r float64) error {
 	return nil
 }
 
-// scanPairs runs the policy pair scan for u in [lo, hi), returning the
+// scanPairs runs the policy pair scan over every vertex, returning the
 // reliable and unreliable-only edges in the scan's visit order. rng is
-// consulted only for GreyMixed, which never runs sharded; the policy was
-// validated by the caller.
-func scanPairs(gi *geo.GridIndex, stencil []geo.CellOffset, emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source, lo, hi int) (gEdges, gpOnly []Edge) {
-	for u := lo; u < hi; u++ {
+// consulted only for GreyMixed; the policy was validated by the caller.
+func scanPairs(gi *geo.GridIndex, stencil []geo.CellOffset, emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source) (gEdges, gpOnly []Edge) {
+	for u := range emb {
 		ru := gi.RegionOfVertex(u)
 		for _, o := range stencil {
 			ri, ok := gi.IndexOf(geo.RegionID{I: ru.I + o.DI, J: ru.J + o.DJ})
@@ -156,15 +120,6 @@ func scanPairs(gi *geo.GridIndex, stencil []geo.CellOffset, emb []geo.Point, r f
 // RandomGeometric places n vertices uniformly at random in a w × h rectangle
 // and derives the dual graph from the embedding with the given grey policy.
 func RandomGeometric(n int, w, h, r float64, policy GreyPolicy, rng *xrand.Source) (*Dual, error) {
-	return RandomGeometricWorkers(n, w, h, r, policy, rng, 1)
-}
-
-// RandomGeometricWorkers is RandomGeometric with the geometric construction
-// (grid index, pair scan, CSR assembly) sharded over the given number of
-// workers. The placement itself stays sequential — it consumes rng draws in
-// point order — and the result is structurally identical to RandomGeometric
-// for every worker count.
-func RandomGeometricWorkers(n int, w, h, r float64, policy GreyPolicy, rng *xrand.Source, workers int) (*Dual, error) {
 	if n < 0 || !(w > 0 && w <= geo.MaxCoord) || !(h > 0 && h <= geo.MaxCoord) {
 		return nil, fmt.Errorf("dualgraph: invalid geometry n=%d w=%v h=%v", n, w, h)
 	}
@@ -172,7 +127,7 @@ func RandomGeometricWorkers(n int, w, h, r float64, policy GreyPolicy, rng *xran
 	for i := range emb {
 		emb[i] = geo.Point{X: rng.Float64() * w, Y: rng.Float64() * h}
 	}
-	return buildFromEmbeddingWorkers(emb, r, policy, rng, workers)
+	return buildFromEmbedding(emb, r, policy, rng)
 }
 
 // SingleHopCluster places n vertices uniformly in a disc of diameter 1, so G

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"lbcast/internal/geo"
-	"lbcast/internal/par"
 )
 
 // Graph is a simple undirected graph over vertices 0..N-1 stored as sorted
@@ -59,24 +58,12 @@ func insertSorted(s []int32, v int32) []int32 {
 // duplicates collapse, so the result is identical to AddEdge-ing every pair
 // into an empty graph (the dualgraph tests pin that equivalence against the
 // sorted-insert oracle).
-func NewGraphFromEdges(n int, edges []Edge) *Graph {
-	return NewGraphFromEdgesWorkers(n, edges, 1)
-}
-
-// parallelSortMinArcs is the arc count (2m) below which sharding the
-// per-node sort/dedupe pass is not worth the fork-join.
-const parallelSortMinArcs = 1 << 15
-
-// NewGraphFromEdgesWorkers is NewGraphFromEdges with the per-node
-// sort-and-compact pass — the O(m log Δ) bulk of the build — sharded over
-// contiguous vertex ranges on the given number of workers. Nodes are
-// independent there, so the result is identical for every worker count.
-// The counting and scatter passes stay sequential (two O(m) sweeps), but
-// the adjacency lists now carve one shared arena instead of one allocation
-// per node: backing[off(u):off(u+1)] with the capacity clamped three-index
+//
+// The adjacency lists carve one shared arena instead of one allocation per
+// node: backing[off(u):off(u+1)] with the capacity clamped three-index
 // style, so a later sorted insert into a compacted list can never grow into
 // its neighbor's segment.
-func NewGraphFromEdgesWorkers(n int, edges []Edge, workers int) *Graph {
+func NewGraphFromEdges(n int, edges []Edge) *Graph {
 	g := NewGraph(n)
 	off := make([]int32, n+1)
 	for _, e := range edges {
@@ -105,22 +92,17 @@ func NewGraphFromEdgesWorkers(n int, edges []Edge, workers int) *Graph {
 		backing[cur[e.V]] = e.U
 		cur[e.V]++
 	}
-	if int(off[n]) < parallelSortMinArcs {
-		workers = 1
-	}
-	par.Ranges(n, workers, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			s := backing[off[u]:off[u+1]:off[u+1]]
-			if len(s) == 0 {
-				continue
-			}
-			if len(s) >= 2 {
-				slices.Sort(s)
-				s = slices.Compact(s)
-			}
-			g.adj[u] = s
+	for u := 0; u < n; u++ {
+		s := backing[off[u]:off[u+1]:off[u+1]]
+		if len(s) == 0 {
+			continue
 		}
-	})
+		if len(s) >= 2 {
+			slices.Sort(s)
+			s = slices.Compact(s)
+		}
+		g.adj[u] = s
+	}
 	return g
 }
 
@@ -242,7 +224,6 @@ type Dual struct {
 	R float64
 
 	unreliable []Edge // E′ \ E, ordered
-	uAdj       [][]unreliableArc
 
 	gCSR CSR
 	uCSR UnreliableCSR
@@ -254,9 +235,8 @@ type Dual struct {
 	// patchStencil caches the radius-R neighbor stencil PatchNode scans when
 	// attaching a node; it depends only on R.
 	patchStencil []geo.CellOffset
-	// uArc backs the uAdj incidence slices; uCur and uNew are patch-path
-	// scratch (incidence fill cursors, per-attach new unreliable edges).
-	uArc []unreliableArc
+	// uCur and uNew are scratch: the unreliable CSR's fill cursors, and
+	// PatchNode's per-attach new unreliable edges.
 	uCur []int32
 	uNew []Edge
 }
@@ -281,12 +261,6 @@ type UnreliableCSR struct {
 	Off   []int32
 	Peers []int32
 	Edges []int32
-}
-
-// unreliableArc is one endpoint's view of an unreliable edge.
-type unreliableArc struct {
-	peer int32
-	edge int32 // index into unreliable
 }
 
 // NewDual assembles and validates a dual graph. g and gp must have the same
@@ -393,8 +367,7 @@ func (d *Dual) checkGeographic() error {
 	return bad
 }
 
-// index precomputes the unreliable edge list, per-node incidence and the
-// flattened CSR forms, the structures the round engine consults when
+// index precomputes the unreliable edge list and the flattened CSR forms, the structures the round engine consults when
 // applying a link schedule and scattering transmissions. PatchNode maintains
 // the edge list incrementally and re-runs rebuildFlat after every splice, so
 // the steady-state churn path reuses the same backing arrays. Callers that
@@ -433,14 +406,11 @@ func (d *Dual) scanUnreliable() {
 	}
 }
 
-// rebuildFlat re-derives the flattened forms — per-node unreliable
-// incidence, the unreliable CSR and the reliable CSR — from d.unreliable
-// and the adjacency lists, reusing buffer capacity. Edge indices are
-// positions in d.unreliable; because the list is canonically ordered, the
-// counting pass plus scatter pass below lays every uAdj[u] out sorted by
-// peer, matching what a per-node sort would produce. uAdj slices alias the
-// shared uArc buffer and, like the CSR headers, stay valid only until the
-// next patch.
+// rebuildFlat re-derives the flattened forms — the unreliable CSR and the
+// reliable CSR — from d.unreliable and the adjacency lists, reusing buffer
+// capacity. Edge indices are positions in d.unreliable; because the list
+// is canonically ordered, the counting pass plus scatter pass below lays
+// every node's unreliable incidence out in increasing edge-index order.
 func (d *Dual) rebuildFlat() {
 	n := d.G.N()
 	gTotal := 0
@@ -476,37 +446,23 @@ func (d *Dual) rebuildFlat() {
 	for u := 0; u < n; u++ {
 		off[u+1] += off[u]
 	}
-	if cap(d.uArc) < uTotal {
-		d.uArc = make([]unreliableArc, uTotal)
+	if cap(d.uCSR.Peers) < uTotal {
+		d.uCSR.Peers = make([]int32, uTotal)
+		d.uCSR.Edges = make([]int32, uTotal)
 	}
-	buf := d.uArc[:uTotal]
+	peers, edges := d.uCSR.Peers[:uTotal], d.uCSR.Edges[:uTotal]
 	if cap(d.uCur) < n {
 		d.uCur = make([]int32, n)
 	}
 	cur := d.uCur[:n]
 	copy(cur, off[:n])
 	for i, e := range d.unreliable {
-		buf[cur[e.U]] = unreliableArc{peer: e.V, edge: int32(i)}
+		peers[cur[e.U]], edges[cur[e.U]] = e.V, int32(i)
 		cur[e.U]++
-		buf[cur[e.V]] = unreliableArc{peer: e.U, edge: int32(i)}
+		peers[cur[e.V]], edges[cur[e.V]] = e.U, int32(i)
 		cur[e.V]++
 	}
-	if len(d.uAdj) != n {
-		d.uAdj = make([][]unreliableArc, n)
-	}
-	for u := 0; u < n; u++ {
-		d.uAdj[u] = buf[off[u]:off[u+1]:off[u+1]]
-	}
-	if cap(d.uCSR.Peers) < uTotal {
-		d.uCSR.Peers = make([]int32, uTotal)
-		d.uCSR.Edges = make([]int32, uTotal)
-	}
-	d.uCSR.Peers = d.uCSR.Peers[:uTotal]
-	d.uCSR.Edges = d.uCSR.Edges[:uTotal]
-	for i, a := range buf {
-		d.uCSR.Peers[i] = a.peer
-		d.uCSR.Edges[i] = a.edge
-	}
+	d.uCSR.Peers, d.uCSR.Edges = peers, edges
 }
 
 // N returns the number of vertices.
@@ -523,10 +479,6 @@ func (d *Dual) DeltaPrime() int { return d.Gp.MaxDegreePlusOne() }
 // link schedule. The returned slice must not be modified.
 func (d *Dual) UnreliableEdges() []Edge { return d.unreliable }
 
-// UnreliableIncidence returns, for node u, the (peer, edge index) pairs of
-// the unreliable edges incident to u. The returned slice must not be modified.
-func (d *Dual) UnreliableIncidence(u int) []unreliableArc { return d.uAdj[u] }
-
 // ReliableCSR returns the flattened G adjacency. The returned slices must
 // not be modified.
 func (d *Dual) ReliableCSR() CSR { return d.gCSR }
@@ -534,10 +486,3 @@ func (d *Dual) ReliableCSR() CSR { return d.gCSR }
 // UnreliableCSR returns the flattened unreliable incidence. The returned
 // slices must not be modified.
 func (d *Dual) UnreliableCSR() UnreliableCSR { return d.uCSR }
-
-// Peer returns the far endpoint of the unreliable edge as seen from the
-// node whose incidence list produced this arc.
-func (a unreliableArc) Peer() int32 { return a.peer }
-
-// EdgeIndex returns the arc's index into Dual.UnreliableEdges.
-func (a unreliableArc) EdgeIndex() int32 { return a.edge }

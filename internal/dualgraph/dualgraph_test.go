@@ -189,14 +189,15 @@ func TestUnreliableIndex(t *testing.T) {
 	}
 	// Incidence must cover each edge from both endpoints.
 	counted := 0
+	uc := d.UnreliableCSR()
 	for u := 0; u < d.N(); u++ {
-		for _, arc := range d.UnreliableIncidence(u) {
+		for i := uc.Off[u]; i < uc.Off[u+1]; i++ {
 			counted++
-			e := ue[arc.EdgeIndex()]
+			e := ue[uc.Edges[i]]
 			if int(e.U) != u && int(e.V) != u {
 				t.Errorf("incidence of %d points at edge %v", u, e)
 			}
-			if int(arc.Peer()) == u {
+			if int(uc.Peers[i]) == u {
 				t.Errorf("incidence of %d lists itself as peer", u)
 			}
 		}
@@ -465,19 +466,19 @@ func TestCSRConsistency(t *testing.T) {
 		t.Fatalf("unreliable CSR has %d arcs for %d edges", len(uc.Peers), len(d.UnreliableEdges()))
 	}
 	for u := 0; u < d.N(); u++ {
-		arcs := d.UnreliableIncidence(u)
-		lo, hi := uc.Off[u], uc.Off[u+1]
-		if int(hi-lo) != len(arcs) {
-			t.Fatalf("node %d: CSR incidence %d, slice incidence %d", u, hi-lo, len(arcs))
-		}
-		for i, arc := range arcs {
-			if uc.Peers[lo+int32(i)] != arc.Peer() || uc.Edges[lo+int32(i)] != arc.EdgeIndex() {
-				t.Fatalf("node %d arc %d: CSR (%d,%d), want (%d,%d)", u, i,
-					uc.Peers[lo+int32(i)], uc.Edges[lo+int32(i)], arc.Peer(), arc.EdgeIndex())
+		for i := uc.Off[u]; i < uc.Off[u+1]; i++ {
+			if i > uc.Off[u] && uc.Edges[i] <= uc.Edges[i-1] {
+				t.Fatalf("node %d: CSR edge indices %d, %d not increasing", u, uc.Edges[i-1], uc.Edges[i])
 			}
-			e := d.UnreliableEdges()[arc.EdgeIndex()]
-			if int32(u) != e.U && int32(u) != e.V {
+			e := d.UnreliableEdges()[uc.Edges[i]]
+			want := e.V
+			if e.V == int32(u) {
+				want = e.U
+			} else if e.U != int32(u) {
 				t.Fatalf("node %d: arc edge %v does not touch it", u, e)
+			}
+			if uc.Peers[i] != want {
+				t.Fatalf("node %d arc %d: peer %d, want %d (edge %v)", u, i, uc.Peers[i], want, e)
 			}
 		}
 	}

@@ -211,6 +211,7 @@ func runAdaptive(size Size, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	maxRounds := budgetPhases * p.PhaseLen()
+	plan := core.NewPhasePlan(p)
 
 	run := func(adaptive bool, seed uint64) (int, error) {
 		var s sim.LinkScheduler = sched.NewRandom(0.5, seed)
@@ -223,7 +224,7 @@ func runAdaptive(size Size, seed uint64) (*Result, error) {
 		}
 		// Node 1 runs LBAlg saturated toward target 0; decoys chatter.
 		procs := make([]sim.Process, d.N())
-		lb0, lb1 := core.NewLBAlg(p), core.NewLBAlg(p)
+		lb0, lb1 := core.NewLBAlgWithPlan(plan), core.NewLBAlgWithPlan(plan)
 		procs[0], procs[1] = lb0, lb1
 		for u := 2; u < d.N(); u++ {
 			procs[u] = &baseline.Chatter{P: 0.5}

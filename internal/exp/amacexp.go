@@ -60,13 +60,14 @@ func runAmac(size Size, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		plan := core.NewPhasePlan(p)
 		var lat stats.Summary
 		completed := 0
 		for trial := 0; trial < trials; trial++ {
 			layers := make([]amac.Layer, d.N())
 			procs := make([]sim.Process, d.N())
 			for u := 0; u < d.N(); u++ {
-				alg := core.NewLBAlg(p)
+				alg := core.NewLBAlgWithPlan(plan)
 				alg.RecordHears = false
 				layers[u] = amac.NewAdapter(alg, amac.FromLBParams(p))
 				procs[u] = alg

@@ -1,8 +1,8 @@
 // This file implements the comparison-experiment subsystem named in
 // ROADMAP: head-to-head runs of LBAlg against the GHLN contention-management
 // baselines (internal/baseline.Contention) and the SINR local broadcast
-// layer (internal/sinr), over the same constant-density random-geometric
-// topologies as the PR 2 scaling sweep. The matrix itself lives in
+// layer (internal/sinr), over constant-density random-geometric
+// topologies (world.NewSweepTopology). The matrix itself lives in
 // internal/world: policies come from the registry, every selected policy
 // runs on the identical topology under one shared round budget (engines run
 // concurrently on the fleet pool), and the shared world.Summarize pass
@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 
+	"lbcast/internal/baseline"
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/geo"
@@ -275,7 +276,7 @@ func runSINRExp(size Size, seed uint64) (*Result, error) {
 	for _, p := range []float64{0.02, 0.05, 0.1, 0.25, 0.5} {
 		procs := make([]sim.Process, n)
 		for u := range procs {
-			procs[u] = &sweepProc{p: p}
+			procs[u] = &baseline.Chatter{P: p}
 		}
 		e, err := sim.New(sim.Config{Dual: d, Procs: procs, Reception: model, Seed: seed})
 		if err != nil {

@@ -59,7 +59,8 @@ func TestSenderRange(t *testing.T) {
 
 // smallTablePins are FNV-64a hashes of the rendered tables, at SizeSmall
 // and seed 1, of the experiments whose networks buildLBNetwork assembles
-// and its lbspec.Monitor judges.
+// and its lbspec.Monitor judges, of E-SINR (baseline.Chatter noise over the
+// SINR model) and of E-AMAC (one shared phase plan per deployment).
 var smallTablePins = map[string]uint64{
 	"E-PROG":      0x738c6ff6879ec84d,
 	"E-ACK":       0x375079bd21fdbdd2,
@@ -70,6 +71,8 @@ var smallTablePins = map[string]uint64{
 	"E-LOCAL":     0xc4a020bac6f72d85,
 	"E-ABL-FREQ":  0x0c453d701cdb9558,
 	"E-CONST":     0x3a925efd9cb06801,
+	"E-SINR":      0xd83b40456064338b,
+	"E-AMAC":      0x4d59acad2be17051,
 }
 
 // TestAllExperimentsSmall executes the entire suite at small size: every

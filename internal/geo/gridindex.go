@@ -3,8 +3,6 @@ package geo
 import (
 	"math"
 	"slices"
-
-	"lbcast/internal/par"
 )
 
 // GridIndex is the dense spatial index over an embedding's grid regions.
@@ -39,23 +37,7 @@ const denseCellFactor = 8
 // the CSR layout. Members of each region are listed in ascending vertex
 // order, matching the insertion order of the map-based index so pair-scan
 // orders (and with them RNG coin sequences in the builders) are preserved.
-func BuildGridIndex(emb []Point) *GridIndex { return BuildGridIndexWorkers(emb, 1) }
-
-// parallelKeysMinVertices is the vertex count below which sharding the
-// region-key pass cannot recoup the fork-join overhead.
-const parallelKeysMinVertices = 1 << 14
-
-// BuildGridIndexWorkers is BuildGridIndex with the region-key derivation
-// pass — per-vertex RegionOf plus the bounding-box reduction, the only
-// superlinear-constant part of the build — sharded over the given number of
-// workers. Each worker covers a contiguous vertex range and reduces private
-// bounds; the merge is a min/max fold in worker order, so the index is
-// structurally identical to the sequential build for any worker count
-// (gridindex_test.go pins this). The counting-sort layout passes stay
-// sequential: they are O(n) with two cache-friendly sweeps, and a
-// deterministic parallel scatter would need per-worker cell tables dwarfing
-// the work saved.
-func BuildGridIndexWorkers(emb []Point, workers int) *GridIndex {
+func BuildGridIndex(emb []Point) *GridIndex {
 	n := len(emb)
 	gi := &GridIndex{of: make([]int32, n)}
 	if n == 0 {
@@ -65,33 +47,11 @@ func BuildGridIndexWorkers(emb []Point, workers int) *GridIndex {
 	keys := make([]RegionID, n)
 	minI, minJ := int32(math.MaxInt32), int32(math.MaxInt32)
 	maxI, maxJ := int32(math.MinInt32), int32(math.MinInt32)
-	if workers > 1 && n >= parallelKeysMinVertices {
-		type bounds struct{ minI, minJ, maxI, maxJ int32 }
-		shard := make([]bounds, workers)
-		par.Ranges(n, workers, func(w, lo, hi int) {
-			b := bounds{math.MaxInt32, math.MaxInt32, math.MinInt32, math.MinInt32}
-			for v := lo; v < hi; v++ {
-				id := RegionOf(emb[v])
-				keys[v] = id
-				b.minI, b.maxI = min(b.minI, id.I), max(b.maxI, id.I)
-				b.minJ, b.maxJ = min(b.minJ, id.J), max(b.maxJ, id.J)
-			}
-			shard[w] = b
-		})
-		for _, b := range shard {
-			if b.minI == math.MaxInt32 {
-				continue // worker had no range
-			}
-			minI, maxI = min(minI, b.minI), max(maxI, b.maxI)
-			minJ, maxJ = min(minJ, b.minJ), max(maxJ, b.maxJ)
-		}
-	} else {
-		for v, p := range emb {
-			id := RegionOf(p)
-			keys[v] = id
-			minI, maxI = min(minI, id.I), max(maxI, id.I)
-			minJ, maxJ = min(minJ, id.J), max(maxJ, id.J)
-		}
+	for v, p := range emb {
+		id := RegionOf(p)
+		keys[v] = id
+		minI, maxI = min(minI, id.I), max(maxI, id.I)
+		minJ, maxJ = min(minJ, id.J), max(maxJ, id.J)
 	}
 	gi.minI, gi.minJ = minI, minJ
 	gi.nI, gi.nJ = maxI-minI+1, maxJ-minJ+1

@@ -41,8 +41,9 @@ func monitoredBenchEngine(b *testing.B, monitored bool) *sim.Engine {
 
 	svcs := make([]core.Service, d.N())
 	procs := make([]sim.Process, d.N())
+	lbPlan := core.NewPhasePlan(p)
 	for u := range svcs {
-		svcs[u] = core.NewLBAlg(p)
+		svcs[u] = core.NewLBAlgWithPlan(lbPlan)
 		procs[u] = svcs[u]
 	}
 	env := core.NewSaturatingEnv(svcs, []int{0, 1, 2, 3})
@@ -65,7 +66,7 @@ func monitoredBenchEngine(b *testing.B, monitored bool) *sim.Engine {
 		Plan: plan, Dual: d, Index: geo.BuildGridIndex(d.Emb),
 		Policy: dualgraph.GreyUnreliable,
 		Restart: func(u int) sim.Process {
-			svcs[u] = core.NewLBAlg(p)
+			svcs[u] = core.NewLBAlgWithPlan(lbPlan)
 			return svcs[u]
 		},
 		Fade:      fade,
@@ -113,8 +114,9 @@ func steadyEngine(tb testing.TB, monitored bool) *sim.Engine {
 	}
 	svcs := make([]core.Service, d.N())
 	procs := make([]sim.Process, d.N())
+	lbPlan := core.NewPhasePlan(p)
 	for u := range svcs {
-		svcs[u] = core.NewLBAlg(p)
+		svcs[u] = core.NewLBAlgWithPlan(lbPlan)
 		procs[u] = svcs[u]
 	}
 	env := core.NewSaturatingEnv(svcs, []int{0, 1, 2, 3})

@@ -282,8 +282,9 @@ func TestEndToEndLBAlg(t *testing.T) {
 	}
 	procs := make([]core.Service, d.N())
 	simProcs := make([]sim.Process, d.N())
+	lbPlan := core.NewPhasePlan(p)
 	for u := range procs {
-		procs[u] = core.NewLBAlg(p)
+		procs[u] = core.NewLBAlgWithPlan(lbPlan)
 		simProcs[u] = procs[u]
 	}
 	env := core.NewSaturatingEnv(procs, []int{0, 1})

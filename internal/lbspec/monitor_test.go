@@ -195,8 +195,9 @@ func monitoredLBAlgRun(t *testing.T, seed int64, driver sim.Driver, workers int)
 	}
 	procs := make([]core.Service, d.N())
 	simProcs := make([]sim.Process, d.N())
+	lbPlan := core.NewPhasePlan(p)
 	for u := range procs {
-		procs[u] = core.NewLBAlg(p)
+		procs[u] = core.NewLBAlgWithPlan(lbPlan)
 		simProcs[u] = procs[u]
 	}
 	env := core.NewSaturatingEnv(procs, []int{0, 1})
@@ -373,8 +374,9 @@ func TestMonitorChurnLockstep(t *testing.T) {
 		}
 		procs := make([]core.Service, d.N())
 		simProcs := make([]sim.Process, d.N())
+		lbPlan := core.NewPhasePlan(p)
 		for u := range procs {
-			procs[u] = core.NewLBAlg(p)
+			procs[u] = core.NewLBAlgWithPlan(lbPlan)
 			simProcs[u] = procs[u]
 		}
 		env := core.NewSaturatingEnv(procs, []int{0, 1, 2, 3})
@@ -389,7 +391,7 @@ func TestMonitorChurnLockstep(t *testing.T) {
 			Plan: plan, Dual: d, Index: geo.BuildGridIndex(d.Emb),
 			Policy: dualgraph.GreyUnreliable,
 			Restart: func(u int) sim.Process {
-				procs[u] = core.NewLBAlg(p)
+				procs[u] = core.NewLBAlgWithPlan(lbPlan)
 				simProcs[u] = procs[u]
 				return procs[u]
 			},
@@ -464,8 +466,9 @@ func TestMonitorDiscardConsumed(t *testing.T) {
 		}
 		procs := make([]core.Service, d.N())
 		simProcs := make([]sim.Process, d.N())
+		lbPlan := core.NewPhasePlan(p)
 		for u := range procs {
-			procs[u] = core.NewLBAlg(p)
+			procs[u] = core.NewLBAlgWithPlan(lbPlan)
 			simProcs[u] = procs[u]
 		}
 		env := core.NewSaturatingEnv(procs, []int{0, 1, 2, 3})

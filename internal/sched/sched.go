@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"lbcast/internal/dualgraph"
 )
@@ -313,11 +312,13 @@ func (a *Adaptive) rebind(d *dualgraph.Dual) {
 	// cache that silently tracked some splices but not the edge renumbering
 	// would be worse than a stale snapshot.
 	a.reliableNbrs = append(a.reliableNbrs[:0], d.G.Neighbors(a.target)...)
+	// A CSR row lists its edges in increasing index order, so the copy is
+	// already sorted by edge.
 	a.incident = a.incident[:0]
-	for _, arc := range d.UnreliableIncidence(a.target) {
-		a.incident = append(a.incident, incidentArc{edge: int(arc.EdgeIndex()), peer: arc.Peer()})
+	uc := d.UnreliableCSR()
+	for i := uc.Off[a.target]; i < uc.Off[a.target+1]; i++ {
+		a.incident = append(a.incident, incidentArc{edge: int(uc.Edges[i]), peer: uc.Peers[i]})
 	}
-	sort.Slice(a.incident, func(i, j int) bool { return a.incident[i].edge < a.incident[j].edge })
 	a.curRound, a.chosenEdge = 0, -1
 }
 

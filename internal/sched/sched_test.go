@@ -329,9 +329,10 @@ func TestIncludedBatchMatchesIncluded(t *testing.T) {
 func TestAdaptiveDeterministicChoice(t *testing.T) {
 	d := adaptiveFixture(t, 4)
 	lowest := -1
-	for _, arc := range d.UnreliableIncidence(0) {
-		if lowest == -1 || int(arc.EdgeIndex()) < lowest {
-			lowest = int(arc.EdgeIndex())
+	uc := d.UnreliableCSR()
+	for _, e := range uc.Edges[uc.Off[0]:uc.Off[1]] {
+		if lowest == -1 || int(e) < lowest {
+			lowest = int(e)
 		}
 	}
 	for trial := 0; trial < 20; trial++ {

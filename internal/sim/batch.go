@@ -66,11 +66,10 @@ type RoundView struct {
 // that also implements it has FlushRound(t, trace) called once per round,
 // after the round's receive phase and delivery stats but before the
 // per-node recorder buffers drain. A bank that accumulates events in its
-// own columns (instead of going through each node's Recorder) emits them
-// here in one batch — Trace.AppendHearBatch — which removes the per-event
-// recorder round-trip from the hot receive path. The flush must emit events
-// in ascending node order so traces stay byte-identical to the recorder
-// path it replaces.
+// own columns (instead of going through each node's Recorder) records them
+// here with Trace.Record, skipping the per-event recorder round-trip of the
+// receive phase. The flush must emit events in ascending node order so
+// traces stay byte-identical to the recorder path it replaces.
 type RoundFlusher interface {
 	FlushRound(t int, tr *Trace)
 }

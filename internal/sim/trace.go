@@ -205,40 +205,6 @@ func (s *eventStore) appendAll(evs []Event, defaultRound int) {
 	}
 }
 
-// appendHears bulk-records EvHear events for round t: nodes[i] heard
-// froms[i]. Semantically identical to calling append for each with a zero
-// MsgID and no payload; the columnar fill skips the per-event chunk checks
-// and the sparse-payload probe, which is what makes banked receive flushes
-// (RoundFlusher) cheaper than the recorder drain they replace.
-func (s *eventStore) appendHears(t int, nodes, froms []int32) {
-	i := 0
-	for i < len(nodes) {
-		var c *eventChunk
-		if len(s.chunks) == 0 || len(s.chunks[len(s.chunks)-1].round) == eventChunkLen {
-			c = newEventChunk()
-			s.chunks = append(s.chunks, c)
-			s.maybeSpill()
-		} else {
-			c = s.chunks[len(s.chunks)-1]
-		}
-		k := len(c.round)
-		batch := min(i+eventChunkLen-k, len(nodes)) - i
-		m := k + batch
-		c.round, c.node, c.kind = c.round[:m], c.node[:m], c.kind[:m]
-		c.from, c.msgID = c.from[:m], c.msgID[:m]
-		for j := 0; j < batch; j++ {
-			c.round[k+j] = int32(t)
-			c.node[k+j] = nodes[i+j]
-			c.kind[k+j] = EvHear
-			c.from[k+j] = froms[i+j]
-			c.msgID[k+j] = 0
-		}
-		s.n += batch
-		i += batch
-	}
-	s.kindCount[EvHear] += len(nodes)
-}
-
 // at reassembles event i from the columns.
 func (s *eventStore) at(i int) Event {
 	ci := i/eventChunkLen - s.droppedChunks
@@ -309,20 +275,6 @@ func (tr *Trace) Record(ev Event) { tr.store.append(ev) }
 // the engine's drain path.
 func (tr *Trace) recordAll(evs []Event, defaultRound int) {
 	tr.store.appendAll(evs, defaultRound)
-}
-
-// AppendHearBatch bulk-records channel-level EvHear events for round t:
-// nodes[i] heard a data message from froms[i], with no message id or
-// payload (the sweep workload's hears carry neither). nodes must be
-// ascending so the trace stays byte-identical to the per-node recorder
-// drain this replaces. Like Record, it must only be called from
-// engine-owned contexts — a bank calls it from its RoundFlusher hook, never
-// from concurrent ReceiveRange calls.
-func (tr *Trace) AppendHearBatch(t int, nodes, froms []int32) {
-	if len(nodes) != len(froms) {
-		panic("sim: AppendHearBatch nodes/froms length mismatch")
-	}
-	tr.store.appendHears(t, nodes, froms)
 }
 
 // Len returns the number of recorded events.

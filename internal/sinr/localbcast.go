@@ -68,7 +68,6 @@ func NewLocalBcast(p LayerParams) *LocalBcast {
 	}
 	l := &LocalBcast{p: p, prob: p.TxProb}
 	l.AckRounds = p.AckRounds
-	l.RecordHears = true
 	return l
 }
 

@@ -28,11 +28,12 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			plan := core.NewPhasePlan(lbParams)
 			return &Instance{
 				AckWindow: lbParams.TAckBound(),
 				Neighbors: dualNeighbors(top),
 				NewService: func(int) core.Service {
-					return core.NewLBAlg(lbParams)
+					return core.NewLBAlgWithPlan(plan)
 				},
 			}, nil
 		},

@@ -1,9 +1,12 @@
 package world
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"lbcast/internal/core"
 	"lbcast/internal/sim"
 )
 
@@ -162,4 +165,50 @@ func TestTopologyClone(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLBAlgServiceFootprint pins the lbalg policy's bytes per NewService
+// call: every service of an Instance shares one phase plan, so a service
+// costs its own state only, whatever the plan's phase length. A private
+// plan per service cost about 10 KB per node on these topologies.
+func TestLBAlgServiceFootprint(t *testing.T) {
+	const calls = 1000
+	pol, ok := Get("lbalg")
+	if !ok {
+		t.Fatal("lbalg policy not registered")
+	}
+	perCall := func(n int) (float64, int) {
+		top, err := NewSweepTopology(n, 1, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := pol.Instantiate(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcs := make([]core.Service, calls)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range svcs {
+			svcs[i] = inst.NewService(i % n)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(svcs)
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls, svcs[0].(*core.LBAlg).Params().PhaseLen()
+	}
+	small, smallLen := perCall(48)
+	large, largeLen := perCall(128)
+	if smallLen == largeLen {
+		t.Fatalf("both topologies have phase length %d; the comparison is vacuous", smallLen)
+	}
+	if math.Abs(small-large) >= 1 {
+		t.Errorf("NewService allocates %.1f B at phase length %d but %.1f B at %d; it must not depend on the phase length",
+			small, smallLen, large, largeLen)
+	}
+	for _, b := range []float64{small, large} {
+		if b >= 1024 {
+			t.Errorf("NewService allocates %.1f B per call, want < 1 KB", b)
+		}
+	}
+	t.Logf("%.1f B per NewService at phase length %d, %.1f B at %d", small, smallLen, large, largeLen)
 }
