@@ -3,6 +3,7 @@ package dualgraph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lbcast/internal/geo"
 	"lbcast/internal/xrand"
@@ -33,20 +34,17 @@ const (
 // distance 1 are reliable (condition 1), grey-zone pairs follow the policy,
 // pairs beyond r are unconnected (condition 2).
 //
-// Edges are collected into flat lists and bulk-built via NewGraphFromEdges
-// (sort once, dedupe). The pair scan runs over the dense geo.GridIndex with
-// the precomputed distance-r neighbor stencil: O(1) array lookups where the
-// map-based region index paid a hash per region, which was ~70% of the
-// n = 10⁵ construction time. The stencil visits regions in the same
-// (di, dj) order as the square window it replaces and only drops regions
-// beyond distance r — which cannot contain an edge or a grey-zone pair — so
-// each pair is still visited at most once and in the same order as before,
-// GreyMixed draws the same coin for the same pair, and the resulting dual is
-// identical (the golden execution fingerprints pin this).
+// scanPairs finds the pairs over the geo.GridIndex and its distance-r
+// stencil, so the cost is O(n·Δ′) rather than O(n²), and collects the edges
+// into flat lists that NewGraphFromEdges bulk-builds (sort once, dedupe).
+// The dual does not depend on the scan's visit order: every adjacency list
+// is sorted, and the unreliable edges are derived from the adjacency in
+// (U, V) order. Only GreyMixed sees the order, since it draws one coin per
+// grey-zone pair in visit order.
 //
 // Because every produced edge satisfies the r-geographic conditions by
 // construction, the result is assembled through the trusted path; tests
-// certify it against Dual.Validate.
+// certify it against Dual.Validate and the all-pairs loop.
 func buildFromEmbedding(emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source) (*Dual, error) {
 	if err := checkR(r); err != nil {
 		return nil, err
@@ -75,39 +73,66 @@ func checkR(r float64) error {
 	return nil
 }
 
-// scanPairs runs the policy pair scan over every vertex, returning the
-// reliable and unreliable-only edges in the scan's visit order. rng is
-// consulted only for GreyMixed; the policy was validated by the caller.
+// scanPairs runs the policy pair scan region by region and returns the
+// reliable and the unreliable-only edges, each with U < V. Every occupied
+// region first pairs its own members, all reliable because a region's
+// diameter is at most 1 (Lemma A.1). It then pairs them with the members of
+// each occupied region at a positive offset: the stencil is symmetric and
+// sorted, so the offsets after (0, 0) reach every pair of distinct regions
+// from one side only, and each unordered vertex pair is examined once.
+// Positions are read from one copy in member order, where each region's
+// points are contiguous. rng is consulted only for GreyMixed, one draw per
+// grey-zone pair in this visit order; the policy was validated by the
+// caller.
 func scanPairs(gi *geo.GridIndex, stencil []geo.CellOffset, emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source) (gEdges, gpOnly []Edge) {
-	for u := range emb {
-		ru := gi.RegionOfVertex(u)
-		for _, o := range stencil {
-			ri, ok := gi.IndexOf(geo.RegionID{I: ru.I + o.DI, J: ru.J + o.DJ})
+	zero := slices.Index(stencil, geo.CellOffset{})
+	if zero < 0 {
+		return nil, nil // an empty embedding has an empty stencil
+	}
+	forward := stencil[zero+1:]
+	// Region ri's members are pos[off[ri]:off[ri+1]] in member order.
+	off := make([]int32, gi.Len()+1)
+	pos := make([]geo.Point, 0, len(emb))
+	for ri := range gi.Len() {
+		for _, v := range gi.MembersAt(ri) {
+			pos = append(pos, emb[v])
+		}
+		off[ri+1] = int32(len(pos))
+	}
+	for ra := range gi.Len() {
+		am := gi.MembersAt(ra)
+		for i, u := range am {
+			for _, v := range am[i+1:] {
+				gEdges = append(gEdges, Edge{U: u, V: v}) // members ascend
+			}
+		}
+		ap := pos[off[ra]:off[ra+1]]
+		a := gi.RegionAt(ra)
+		for _, o := range forward {
+			rb, ok := gi.IndexOf(geo.RegionID{I: a.I + o.DI, J: a.J + o.DJ})
 			if !ok {
 				continue
 			}
-			for _, v32 := range gi.MembersAt(ri) {
-				v := int(v32)
-				if v <= u {
-					continue
-				}
-				e := Edge{U: int32(u), V: int32(v)}
-				dist := geo.Dist(emb[u], emb[v])
-				switch {
-				case dist <= 1:
-					gEdges = append(gEdges, e)
-				case dist <= r:
-					switch policy {
-					case GreyUnreliable:
-						gpOnly = append(gpOnly, e)
-					case GreyReliable:
+			bm, bp := gi.MembersAt(rb), pos[off[rb]:off[rb+1]]
+			for i, u := range am {
+				for j, v := range bm {
+					e := Edge{U: min(u, v), V: max(u, v)}
+					switch dist := geo.Dist(ap[i], bp[j]); {
+					case dist <= 1:
 						gEdges = append(gEdges, e)
-					case GreyMixed:
-						switch f := rng.Float64(); {
-						case f < 2.0/3:
+					case dist <= r:
+						switch policy {
+						case GreyUnreliable:
 							gpOnly = append(gpOnly, e)
-						case f < 2.0/3+1.0/6:
+						case GreyReliable:
 							gEdges = append(gEdges, e)
+						case GreyMixed:
+							switch f := rng.Float64(); {
+							case f < 2.0/3:
+								gpOnly = append(gpOnly, e)
+							case f < 2.0/3+1.0/6:
+								gEdges = append(gEdges, e)
+							}
 						}
 					}
 				}
@@ -115,6 +140,13 @@ func scanPairs(gi *geo.GridIndex, stencil []geo.CellOffset, emb []geo.Point, r f
 		}
 	}
 	return gEdges, gpOnly
+}
+
+// Geometric derives the dual graph of an explicit embedding, every
+// grey-zone pair unreliable: the r-geographic network of a caller's
+// placement. It draws no randomness.
+func Geometric(emb []geo.Point, r float64) (*Dual, error) {
+	return buildFromEmbedding(emb, r, GreyUnreliable, nil)
 }
 
 // RandomGeometric places n vertices uniformly at random in a w × h rectangle

@@ -74,34 +74,37 @@ func TestNewGraphFromEdgesEmpty(t *testing.T) {
 	}
 }
 
-// TestBuildersUnchangedByBulkPath pins that switching buildFromEmbedding to
-// the bulk path left every builder's output graph identical: the geometric
-// families must match a direct all-pairs reconstruction from the embedding.
+// TestBuildersUnchangedByBulkPath pins that the grid-indexed pair scan and
+// the bulk path build the graphs a direct all-pairs reconstruction from the
+// embedding gives, for every grey policy whose outcome the scan's visit
+// order cannot change.
 func TestBuildersUnchangedByBulkPath(t *testing.T) {
-	d, err := RandomGeometric(120, 5, 5, 1.5, GreyUnreliable, xrand.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := d.N()
-	g, gp := NewGraph(n), NewGraph(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			dist := distOf(d, u, v)
-			switch {
-			case dist <= 1:
-				g.AddEdge(u, v)
-				gp.AddEdge(u, v)
-			case dist <= d.R:
-				gp.AddEdge(u, v)
+	for _, policy := range []GreyPolicy{GreyUnreliable, GreyNone, GreyReliable} {
+		d, err := RandomGeometric(120, 5, 5, 1.5, policy, xrand.New(99))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.N()
+		g, gp := NewGraph(n), NewGraph(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				dist := distOf(d, u, v)
+				switch {
+				case dist <= 1, dist <= d.R && policy == GreyReliable:
+					g.AddEdge(u, v)
+					gp.AddEdge(u, v)
+				case dist <= d.R && policy == GreyUnreliable:
+					gp.AddEdge(u, v)
+				}
 			}
 		}
-	}
-	for u := 0; u < n; u++ {
-		if !reflect.DeepEqual(nonNil(d.G.Neighbors(u)), nonNil(g.Neighbors(u))) {
-			t.Fatalf("G adjacency of %d diverged: %v vs %v", u, d.G.Neighbors(u), g.Neighbors(u))
-		}
-		if !reflect.DeepEqual(nonNil(d.Gp.Neighbors(u)), nonNil(gp.Neighbors(u))) {
-			t.Fatalf("G' adjacency of %d diverged: %v vs %v", u, d.Gp.Neighbors(u), gp.Neighbors(u))
+		for u := 0; u < n; u++ {
+			if !reflect.DeepEqual(nonNil(d.G.Neighbors(u)), nonNil(g.Neighbors(u))) {
+				t.Fatalf("policy %d: G adjacency of %d diverged: %v vs %v", policy, u, d.G.Neighbors(u), g.Neighbors(u))
+			}
+			if !reflect.DeepEqual(nonNil(d.Gp.Neighbors(u)), nonNil(gp.Neighbors(u))) {
+				t.Fatalf("policy %d: G' adjacency of %d diverged: %v vs %v", policy, u, d.Gp.Neighbors(u), gp.Neighbors(u))
+			}
 		}
 	}
 }

@@ -78,6 +78,14 @@ func TestTrustedMatchesValidatedConstruction(t *testing.T) {
 		{"random-cluster-tree", func(s uint64) (*Dual, error) {
 			return RandomClusterTree(5, 8, 1.8, xrand.New(s))
 		}},
+		{"geometric", func(s uint64) (*Dual, error) {
+			rng := xrand.New(s)
+			emb := make([]geo.Point, 100)
+			for i := range emb {
+				emb[i] = geo.Point{X: rng.Float64()*6 - 3, Y: rng.Float64() * 5}
+			}
+			return Geometric(emb, 1.7)
+		}},
 	}
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {

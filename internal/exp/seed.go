@@ -145,10 +145,13 @@ func runSeedSpec(size Size, seed uint64) (*Result, error) {
 		}},
 		{"line-30", func() (*dualgraph.Dual, error) { return dualgraph.Line(30, 0.9, 1.5, rng) }},
 	}
-	schedulers := map[string]sim.LinkScheduler{
-		"never":   sched.Never{},
-		"always":  sched.Always{},
-		"random½": sched.NewRandom(0.5, seed),
+	schedulers := []struct {
+		name string
+		s    sim.LinkScheduler
+	}{
+		{"never", sched.Never{}},
+		{"always", sched.Always{}},
+		{"random½", sched.NewRandom(0.5, seed)},
 	}
 
 	tbl := &stats.Table{
@@ -168,11 +171,11 @@ func runSeedSpec(size Size, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for name, s := range schedulers {
+		for _, sc := range schedulers {
 			violations, worst := 0, 0
 			ones, bits := 0, 0
 			for trial := 0; trial < trials; trial++ {
-				procs, err := runSeedInstance(d, p, s, seed^uint64(trial)*2654435761)
+				procs, err := runSeedInstance(d, p, sc.s, seed^uint64(trial)*2654435761)
 				if err != nil {
 					return nil, err
 				}
@@ -200,7 +203,7 @@ func runSeedSpec(size Size, seed uint64) (*Result, error) {
 				}
 			}
 			balance := float64(ones) / float64(bits)
-			tbl.AddRow(fam.name, name, trials, violations, worst, balance)
+			tbl.AddRow(fam.name, sc.name, trials, violations, worst, balance)
 		}
 	}
 	return &Result{ID: "E-SEED-SPEC", Claim: "Seed(δ,ε) §3.1 conditions", Tables: []*stats.Table{tbl}}, nil

@@ -221,11 +221,10 @@ func (gi *GridIndex) Members(id RegionID) []int32 {
 func (gi *GridIndex) OfVertex(v int) int { return int(gi.of[v]) }
 
 // VisitNear applies fn to every vertex in the stencil neighborhood of
-// vertex u (u itself included), in stencil-then-ascending-member order —
-// the canonical pair-scan order consumers rely on for deterministic RNG
-// coin sequences. Hot paths that cannot afford the indirect call (the dual
-// graph builder's innermost loop) inline the same traversal; this is the
-// shared form for everything else.
+// vertex u (u itself included), in stencil-then-ascending-member order, a
+// deterministic order consumers may draw RNG coins in. The dual graph
+// builder does not use it: it scans region pairs rather than each vertex's
+// neighborhood.
 func (gi *GridIndex) VisitNear(u int, stencil []CellOffset, fn func(v int32)) {
 	center := gi.RegionOfVertex(u)
 	for _, o := range stencil {

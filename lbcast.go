@@ -178,14 +178,16 @@ type Network struct {
 
 // NewGeometric builds a network from an explicit embedding: vertices within
 // distance 1 get reliable links, pairs within (1, r] get unreliable links,
-// and farther pairs are unconnected (the r-geographic model).
+// and farther pairs are unconnected (the r-geographic model). Building the
+// links costs O(n·Δ′): a grid of squares of side ½ bounds each node's
+// candidate neighbours by the local density, not by n.
 func NewGeometric(points []Point, r float64, opts ...Option) (*Network, error) {
 	emb := make([]geo.Point, len(points))
 	for i, p := range points {
 		emb[i] = geo.Point{X: p.X, Y: p.Y}
 	}
 	o := gather(opts)
-	d, err := dualFromEmbedding(emb, r, o)
+	d, err := dualgraph.Geometric(emb, r)
 	if err != nil {
 		return nil, err
 	}
@@ -220,22 +222,6 @@ func gather(opts []Option) options {
 		opt(&o)
 	}
 	return o
-}
-
-func dualFromEmbedding(emb []geo.Point, r float64, o options) (*dualgraph.Dual, error) {
-	g, gp := dualgraph.NewGraph(len(emb)), dualgraph.NewGraph(len(emb))
-	for u := range emb {
-		for v := u + 1; v < len(emb); v++ {
-			switch dist := geo.Dist(emb[u], emb[v]); {
-			case dist <= 1:
-				g.AddEdge(u, v)
-				gp.AddEdge(u, v)
-			case dist <= r:
-				gp.AddEdge(u, v)
-			}
-		}
-	}
-	return dualgraph.NewDual(g, gp, emb, r)
 }
 
 func assemble(d *dualgraph.Dual, o options) (*Network, error) {

@@ -1,9 +1,17 @@
 package lbcast
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
+
+	"lbcast/internal/core"
+	"lbcast/internal/dualgraph"
+	"lbcast/internal/geo"
 )
 
 func TestNewClusterBasics(t *testing.T) {
@@ -121,6 +129,216 @@ func TestNewGeometric(t *testing.T) {
 	if s.DeltaPrime < s.Delta {
 		t.Errorf("Δ'=%d < Δ=%d", s.DeltaPrime, s.Delta)
 	}
+}
+
+// pairLoopDual is the reference construction for NewGeometric: the
+// distance of every pair, sorted-insert edges and the validating NewDual.
+// It is O(n²), which is why NewGeometric builds through the grid index
+// instead.
+func pairLoopDual(points []Point, r float64) (*dualgraph.Dual, error) {
+	emb := toEmbedding(points)
+	g, gp := dualgraph.NewGraph(len(emb)), dualgraph.NewGraph(len(emb))
+	for u := range emb {
+		for v := u + 1; v < len(emb); v++ {
+			switch dist := geo.Dist(emb[u], emb[v]); {
+			case dist <= 1:
+				g.AddEdge(u, v)
+				gp.AddEdge(u, v)
+			case dist <= r:
+				gp.AddEdge(u, v)
+			}
+		}
+	}
+	return dualgraph.NewDual(g, gp, emb, r)
+}
+
+func toEmbedding(points []Point) []geo.Point {
+	emb := make([]geo.Point, len(points))
+	for i, p := range points {
+		emb[i] = geo.Point{X: p.X, Y: p.Y}
+	}
+	return emb
+}
+
+// requireSameDual fails unless got and want agree on everything the engine
+// and the schedulers read: the embedding, r, G and G′ neighbours, the
+// unreliable edge order and both CSR forms.
+func requireSameDual(t *testing.T, got, want *dualgraph.Dual) {
+	t.Helper()
+	if got.N() != want.N() || got.R != want.R || !slices.Equal(got.Emb, want.Emb) {
+		t.Fatalf("shape: n=%d r=%v vs n=%d r=%v, or the embeddings differ", got.N(), got.R, want.N(), want.R)
+	}
+	for u := range got.N() {
+		if !slices.Equal(got.G.Neighbors(u), want.G.Neighbors(u)) {
+			t.Fatalf("G neighbours of %d: %v, want %v", u, got.G.Neighbors(u), want.G.Neighbors(u))
+		}
+		if !slices.Equal(got.Gp.Neighbors(u), want.Gp.Neighbors(u)) {
+			t.Fatalf("G′ neighbours of %d: %v, want %v", u, got.Gp.Neighbors(u), want.Gp.Neighbors(u))
+		}
+	}
+	if !slices.Equal(got.UnreliableEdges(), want.UnreliableEdges()) {
+		t.Fatal("unreliable edges differ")
+	}
+	gc, wc := got.ReliableCSR(), want.ReliableCSR()
+	if !slices.Equal(gc.Off, wc.Off) || !slices.Equal(gc.Targets, wc.Targets) {
+		t.Fatal("reliable CSR differs")
+	}
+	gu, wu := got.UnreliableCSR(), want.UnreliableCSR()
+	if !slices.Equal(gu.Off, wu.Off) || !slices.Equal(gu.Peers, wu.Peers) || !slices.Equal(gu.Edges, wu.Edges) {
+		t.Fatal("unreliable CSR differs")
+	}
+}
+
+// campusPlacement is the benchmark's campus-ack placement: 32 × 32 rooms
+// 2.2 apart, each with 8 nodes uniform in the disk of diameter 1 around
+// its centre.
+func campusPlacement(seed uint64) []Point {
+	rng := rand.New(rand.NewPCG(seed, 0xca3b05ac))
+	pts := make([]Point, 0, 32*32*8)
+	for k := range 32 * 32 {
+		cx, cy := float64(k%32)*2.2, float64(k/32)*2.2
+		for range 8 {
+			rad, th := 0.5*math.Sqrt(rng.Float64()), 2*math.Pi*rng.Float64()
+			pts = append(pts, Point{X: cx + rad*math.Cos(th), Y: cy + rad*math.Sin(th)})
+		}
+	}
+	return pts
+}
+
+// lattice returns the nx × ny points (x0 + i·dx, y0 + j·dy).
+func lattice(nx, ny int, x0, y0, dx, dy float64) []Point {
+	pts := make([]Point, 0, nx*ny)
+	for i := range nx {
+		for j := range ny {
+			pts = append(pts, Point{X: x0 + float64(i)*dx, Y: y0 + float64(j)*dy})
+		}
+	}
+	return pts
+}
+
+// TestNewGeometricMatchesPairLoop: on placements that stress the grid
+// index — dense rooms, duplicates, pairs at exactly distance 1 and r,
+// points on region boundaries, negative coordinates and a ±10⁸ spread that
+// puts the index in its sparse mode — NewGeometric's dual passes Validate
+// and equals the all-pairs reference's.
+func TestNewGeometricMatchesPairLoop(t *testing.T) {
+	spread := []Point{{-1e8, -1e8}, {-1e8 + 0.5, -1e8}, {-1e8 + 1.7, -1e8 + 0.2}, {0, 0}, {0.3, -0.9},
+		{1e8, 1e8}, {1e8 - 1, 1e8}, {1e8, 1e8 - 2.7}, {1e8 - 0.5, 1e8 - 0.5}, {-1e8, 1e8}}
+	for _, r := range []float64{1, 1.5, 2.7} {
+		for _, tc := range []struct {
+			name   string
+			points []Point
+		}{
+			{"campus seed 1", campusPlacement(1)},
+			{"campus seed 97", campusPlacement(97)},
+			{"duplicates", append(lattice(3, 3, 0.25, 0.25, 0, 0), lattice(4, 2, 0.25, 1.25, 1, 0)...)},
+			{"unit lattice", lattice(9, 7, 0, 0, 1, 1)},
+			{"r lattice", lattice(8, 6, -3, 2, r, r)},
+			{"mixed lattice", lattice(10, 10, -1, -1, 1, r)},
+			{"region boundaries", lattice(13, 13, -3, -3, geo.RegionSide, geo.RegionSide)},
+			{"spread", spread},
+		} {
+			t.Run(fmt.Sprintf("r=%v/%s", r, tc.name), func(t *testing.T) {
+				nw, err := NewGeometric(tc.points, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				if err := nw.dual.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				want, err := pairLoopDual(tc.points, r)
+				if err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+				requireSameDual(t, nw.dual, want)
+			})
+		}
+	}
+}
+
+// maxFuzzPhase caps the phase length FuzzNewGeometric builds a network
+// for. A valid placement with a large r and few neighbours derives a long
+// schedule, and NewPhasePlan allocates one slot per round of a phase (over
+// 1 GB for one node at r = 1000): that is the plan's cost, not the
+// constructor's boundary, so the target stops at the dual for those.
+const maxFuzzPhase = 1 << 16
+
+// FuzzNewGeometric feeds NewGeometric arbitrary placements: r, and up to 64
+// points read from the bytes as little-endian float64 pairs. NewGeometric
+// must never panic; dualgraph.Geometric must accept exactly what the
+// validating all-pairs reference accepts; and an accepted placement must
+// give the reference's dual and pass Validate.
+func FuzzNewGeometric(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, seed := range []struct {
+		r      float64
+		points []Point
+	}{
+		{1.5, []Point{{0, 0}, {0.5, 0}, {2, 0}}},
+		{1, nil},
+		{1.5, []Point{{0, 0}, {nan, 0.5}}},
+		{1.5, []Point{{inf, 0}, {0.5, -inf}}},
+		{nan, []Point{{0, 0}, {0.5, 0}}},
+		{inf, []Point{{0, 0}, {0.5, 0}}},
+		{2.7, []Point{{1, 1}, {1, 1}, {1, 1}, {1, 2}, {1, 3.7}, {-1.5, 1}}},
+		{1.5, []Point{{-1e8, -1e8}, {1e8, 1e8}, {1e8 - 1, 1e8}, {1e8 - 2, 1e8 - 0.5}, {0, 0}}},
+		{1e9, []Point{{0, 0}, {1e6, 0}}},
+		{1e9, lattice(8, 8, 0, 0, 1, 1)},
+		{1, lattice(6, 6, -1.5, -1.5, 0.5, 1)},
+	} {
+		f.Add(seed.r, encodePoints(seed.points))
+	}
+	f.Fuzz(func(t *testing.T, r float64, data []byte) {
+		points := decodePoints(data)
+		got, err := dualgraph.Geometric(toEmbedding(points), r)
+		want, wantErr := pairLoopDual(points, r)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Geometric error %v, reference error %v", err, wantErr)
+		}
+		if err == nil {
+			if err := got.Validate(); err != nil {
+				t.Fatalf("accepted dual fails Validate: %v", err)
+			}
+			requireSameDual(t, got, want)
+			p, err := core.DeriveParams(got.Delta(), got.DeltaPrime(), r, defaultOptions().eps)
+			if err == nil && p.PhaseLen() > maxFuzzPhase {
+				return
+			}
+		}
+		nw, err := NewGeometric(points, r)
+		if err != nil {
+			return
+		}
+		defer nw.Close()
+		if want == nil {
+			t.Fatal("NewGeometric accepted a placement the reference rejects")
+		}
+		requireSameDual(t, nw.dual, want)
+	})
+}
+
+// encodePoints and decodePoints map points to FuzzNewGeometric's input
+// bytes and back; decodePoints ignores a trailing partial point and
+// everything after 64 points.
+func encodePoints(points []Point) []byte {
+	var b []byte
+	for _, p := range points {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.X))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y))
+	}
+	return b
+}
+
+func decodePoints(b []byte) []Point {
+	points := make([]Point, 0, min(len(b)/16, 64))
+	for ; len(b) >= 16 && len(points) < 64; b = b[16:] {
+		points = append(points, Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(b)),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		})
+	}
+	return points
 }
 
 func TestNewGeometricInvalid(t *testing.T) {
@@ -252,6 +470,12 @@ func TestHostileInputsReturnErrors(t *testing.T) {
 		{"radius 1000", func() (*Network, error) { return NewRandomGeometric(10, 3, 3, 1000) }},
 		{"unbounded radius, spread placement", func() (*Network, error) {
 			return NewRandomGeometric(10, 1e6, 1e6, 1e9)
+		}},
+		{"unbounded radius, explicit placement", func() (*Network, error) {
+			return NewGeometric([]Point{{0, 0}, {1e6, 0}}, 1e9)
+		}},
+		{"unbounded radius, explicit lattice", func() (*Network, error) {
+			return NewGeometric(lattice(40, 25, 0, 0, 1, 1), 1e9)
 		}},
 		{"tiny epsilon", func() (*Network, error) { return NewCluster(8, WithEpsilon(1e-300)) }},
 		{"NaN epsilon", func() (*Network, error) { return NewCluster(8, WithEpsilon(nan)) }},
