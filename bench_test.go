@@ -1,12 +1,10 @@
 package lbcast
 
 import (
-	"math"
 	"testing"
 
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/exp"
-	"lbcast/internal/geo"
 	"lbcast/internal/sinr"
 	"lbcast/internal/xrand"
 )
@@ -180,33 +178,32 @@ func BenchmarkGeometricConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkSINRRound measures one region-bucketed SINR resolution round at
-// the 10⁴ sweep point with 10% of nodes transmitting — the physical-layer
-// hot path of the large-n SINR comparison rows.
+// BenchmarkSINRRound measures one SINR resolution round on E-SINR's
+// full-size configuration: its n = 1024 sweep-geometric placement,
+// DefaultParams (Tolerance 0, the exact resolver) and uniform power, with
+// 10% of nodes transmitting. A warm-up Resolve before the timer keeps any
+// first-round scratch growth out of the measured rounds.
 func BenchmarkSINRRound(b *testing.B) {
-	const n = 10000
-	rng := xrand.New(1)
-	side := math.Sqrt(float64(n) / 4)
-	pos := make([]geo.Point, n)
-	for i := range pos {
-		pos[i] = geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-	}
-	params := sinr.DefaultParams()
-	params.Tolerance = 0.05
-	model, err := sinr.NewModel(pos, sinr.UniformPower(1), params)
+	d, err := dualgraph.RandomGeometric(1024, 16, 16, 1.5, dualgraph.GreyUnreliable, xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
+	model, err := sinr.NewModel(d.Emb, sinr.UniformPower(1), sinr.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(2)
 	var txs []int32
-	for u := 0; u < n; u++ {
+	for u := 0; u < d.N(); u++ {
 		if rng.Coin(0.1) {
 			txs = append(txs, int32(u))
 		}
 	}
-	out := make([]int32, n)
+	out := make([]int32, d.N())
+	model.Resolve(1, txs, out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Resolve(i+1, txs, out)
+		model.Resolve(i+2, txs, out)
 	}
 }

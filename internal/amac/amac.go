@@ -178,12 +178,6 @@ func (f *Flood) BeforeRound(t int) {
 // AfterRound implements sim.Environment.
 func (f *Flood) AfterRound(t int) { f.round = t }
 
-// Delivered reports whether node u has the flood (origin counts).
-func (f *Flood) Delivered(u int, key FloodKey) bool {
-	_, ok := f.delivered[u][key]
-	return ok
-}
-
 // Coverage returns how many nodes hold the flood.
 func (f *Flood) Coverage(key FloodKey) int { return f.deliveredCount[key] }
 

@@ -76,7 +76,7 @@ func TestFloodSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(p.TAckBound() + 1)
-	if !flood.Delivered(0, key) {
+	if _, ok := flood.delivered[0][key]; !ok {
 		t.Error("origin does not hold its own flood")
 	}
 	if _, done := flood.Complete(key); !done {

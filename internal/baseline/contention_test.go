@@ -74,10 +74,10 @@ func TestContentionBroadcastCycle(t *testing.T) {
 		window := procs[0].p.AckRounds
 		e.Run(2*window + 2)
 		tr := e.Trace()
-		if tr.KindCount(sim.EvAck) < 2 {
-			t.Errorf("%v: expected ≥ 2 acks, got %d", strat, tr.KindCount(sim.EvAck))
+		if len(tr.ByKind(sim.EvAck)) < 2 {
+			t.Errorf("%v: expected ≥ 2 acks, got %d", strat, len(tr.ByKind(sim.EvAck)))
 		}
-		if tr.KindCount(sim.EvRecv) == 0 {
+		if len(tr.ByKind(sim.EvRecv)) == 0 {
 			t.Errorf("%v: no recv outputs", strat)
 		}
 		// Ack latency is deterministic: the bcast round itself counts, so

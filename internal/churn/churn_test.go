@@ -90,43 +90,6 @@ func TestPoissonDeterministic(t *testing.T) {
 	}
 }
 
-// TestCrashBurst checks the burst generator: exactly Crashes distinct
-// victims, all down at Round and all back at Round+Downtime.
-func TestCrashBurst(t *testing.T) {
-	p, err := CrashBurst(BurstConfig{N: 50, Round: 10, Crashes: 20, Downtime: 15, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(50); err != nil {
-		t.Fatal(err)
-	}
-	crash, rec := map[int]bool{}, map[int]bool{}
-	for _, ev := range p.Events {
-		switch ev.Kind {
-		case Crash:
-			if ev.Round != 10 {
-				t.Fatalf("crash at round %d, want 10", ev.Round)
-			}
-			crash[ev.Node] = true
-		case Recover:
-			if ev.Round != 25 {
-				t.Fatalf("recover at round %d, want 25", ev.Round)
-			}
-			rec[ev.Node] = true
-		default:
-			t.Fatalf("unexpected event kind %s", ev.Kind)
-		}
-	}
-	if len(crash) != 20 || len(rec) != 20 {
-		t.Fatalf("got %d crashes, %d recovers, want 20 each", len(crash), len(rec))
-	}
-	for u := range crash {
-		if !rec[u] {
-			t.Fatalf("node %d crashed but never recovers", u)
-		}
-	}
-}
-
 // TestPlanValidateRejects spot-checks the lifecycle state machine.
 func TestPlanValidateRejects(t *testing.T) {
 	cases := []struct {

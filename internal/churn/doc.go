@@ -20,7 +20,7 @@
 //     exclusion layered over the run's base link scheduler; reliable edges
 //     are untouched, as the model guarantees.
 //
-// Everything is deterministic: generators (Poisson, CrashBurst) expand a
+// Everything is deterministic: the Poisson generator expands a
 // seed into a sorted event list once, before the run, and the injector
 // applies events between rounds — so a churned execution is as replayable
 // as a churn-free one, and bit-identical across engine drivers and worker

@@ -195,8 +195,10 @@ func TestInjectorLeaveJoin(t *testing.T) {
 		if err := fx.d.Validate(); err != nil {
 			t.Fatalf("patched dual failed validation: %v", err)
 		}
-		if fx.d.NumPresent() != fx.d.N() {
-			t.Fatalf("%d nodes present at end, want all %d", fx.d.NumPresent(), fx.d.N())
+		for v := 0; v < fx.d.N(); v++ {
+			if !fx.d.Present(v) {
+				t.Fatalf("node %d absent at end, want all %d present", v, fx.d.N())
+			}
 		}
 		return fx.eng.Trace()
 	}

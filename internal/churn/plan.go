@@ -363,47 +363,3 @@ func sampleDuration(rng *xrand.Source, mean int) int {
 	}
 	return 1 + rng.Intn(2*mean-1)
 }
-
-// BurstConfig parameterises a correlated mass failure.
-type BurstConfig struct {
-	// N is the network size.
-	N int
-	// Round is when the burst strikes; Crashes nodes go down together.
-	Round, Crashes int
-	// Downtime is how many rounds later every victim recovers; 0 leaves
-	// them down for good.
-	Downtime int
-	// Seed selects the victim set (a seeded partial shuffle).
-	Seed uint64
-}
-
-// CrashBurst expands a burst config: Crashes distinct victims picked by a
-// seeded Fisher–Yates prefix all crash at Round and, when Downtime > 0,
-// all recover at Round+Downtime — the worst case for protocols that
-// amortise over disjoint failures.
-func CrashBurst(cfg BurstConfig) (*Plan, error) {
-	if cfg.N <= 0 || cfg.Round < 1 {
-		return nil, fmt.Errorf("churn: burst needs N > 0 and Round ≥ 1")
-	}
-	if cfg.Crashes < 0 || cfg.Crashes > cfg.N {
-		return nil, fmt.Errorf("churn: burst of %d crashes exceeds N = %d", cfg.Crashes, cfg.N)
-	}
-	perm := make([]int, cfg.N)
-	for i := range perm {
-		perm[i] = i
-	}
-	rng := xrand.New(cfg.Seed)
-	for i := 0; i < cfg.Crashes; i++ {
-		j := i + rng.Intn(cfg.N-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	p := &Plan{}
-	for _, u := range perm[:cfg.Crashes] {
-		p.Events = append(p.Events, Event{Round: cfg.Round, Kind: Crash, Node: u})
-		if cfg.Downtime > 0 {
-			p.Events = append(p.Events, Event{Round: cfg.Round + cfg.Downtime, Kind: Recover, Node: u})
-		}
-	}
-	p.normalize()
-	return p, nil
-}

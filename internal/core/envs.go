@@ -56,7 +56,6 @@ type SaturatingEnv struct {
 	// Per-node state indexed by node id, so each OnAck hook — run on the
 	// engine's worker goroutines — writes only its own node's entries.
 	sender, ready []bool
-	acks          []int
 	seq           int
 }
 
@@ -65,7 +64,7 @@ type SaturatingEnv struct {
 func NewSaturatingEnv(procs []Service, senders []int) *SaturatingEnv {
 	n := len(procs)
 	e := &SaturatingEnv{procs: procs, senders: append([]int(nil), senders...),
-		sender: make([]bool, n), ready: make([]bool, n), acks: make([]int, n)}
+		sender: make([]bool, n), ready: make([]bool, n)}
 	for _, s := range e.senders {
 		e.sender[s] = true
 		e.arm(s)
@@ -75,10 +74,7 @@ func NewSaturatingEnv(procs []Service, senders []int) *SaturatingEnv {
 
 // arm hooks node's OnAck and marks it ready for a fresh bcast.
 func (e *SaturatingEnv) arm(node int) {
-	e.procs[node].SetOnAck(func(Message) {
-		e.acks[node]++
-		e.ready[node] = true
-	})
+	e.procs[node].SetOnAck(func(Message) { e.ready[node] = true })
 	e.ready[node] = true
 }
 
@@ -112,6 +108,3 @@ func (e *SaturatingEnv) Rearm(node int) {
 		e.arm(node)
 	}
 }
-
-// Acks returns the ack count observed for the given sender.
-func (e *SaturatingEnv) Acks(node int) int { return e.acks[node] }

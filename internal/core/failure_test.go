@@ -20,10 +20,8 @@ func TestSeedExhaustionFailsClosed(t *testing.T) {
 	// A seed far too short for even one round's K1 bits: every decoded
 	// round fails closed.
 	commitDirect(l, xrand.New(2).DrawSeed(1))
-	for i := 0; i < 20; i++ {
-		if _, sent := l.bodyRound(i % p.Tprog); sent {
-			t.Fatal("transmitted with an exhausted seed")
-		}
+	if sent := runBody(l); sent != 0 {
+		t.Fatalf("transmitted in %d body rounds with an exhausted seed", sent)
 	}
 }
 
@@ -35,8 +33,8 @@ func TestNilCommitFailsClosed(t *testing.T) {
 	l.Init(&sim.NodeEnv{ID: 0, Delta: 8, DeltaPrime: 8, R: 1, Rng: xrand.New(1), Rec: nopRec{}})
 	l.state = StateSending
 	l.pending = &Message{ID: sim.NewMsgID(0, 1)}
-	if _, sent := l.bodyRound(0); sent {
-		t.Fatal("transmitted without a committed seed")
+	if sent := runBody(l); sent != 0 {
+		t.Fatalf("transmitted in %d body rounds without a committed seed", sent)
 	}
 }
 
@@ -57,17 +55,17 @@ func TestMidPhaseBcastWaitsForBoundary(t *testing.T) {
 	if _, err := procs[0].Bcast("late"); err != nil {
 		t.Fatal(err)
 	}
-	if procs[0].State() != StateReceiving {
+	if procs[0].state != StateReceiving {
 		t.Fatal("entered sending state mid-phase")
 	}
 	// Finish phase 1: still receiving through the last round of the phase.
 	e.Run(p.PhaseLen() - mid)
-	if procs[0].State() != StateReceiving {
+	if procs[0].state != StateReceiving {
 		t.Fatal("sending before the phase boundary")
 	}
 	// First round of phase 2: now sending.
 	e.Run(1)
-	if procs[0].State() != StateSending {
+	if procs[0].state != StateSending {
 		t.Fatal("did not enter sending state at the boundary")
 	}
 	// The ack must come exactly at the end of Tack further full phases.

@@ -73,10 +73,10 @@ type LBAlg struct {
 	// memoT/memoPhase/memoPos track the current round's phase coordinates
 	// incrementally: rounds arrive in order, so the common case is a +1 step
 	// (or a repeat from Receive after Transmit) instead of a div/mod.
-	// curPreLen is the memoised phase's preamble cut taken from its slot
-	// table (positions below it are RoundPreamble slots, positions at or
-	// above are RoundBody slots with Body = pos − curPreLen), refreshed
-	// whenever the phase advances; phaseLen mirrors plan.phaseLen.
+	// curPreLen is the memoised phase's preamble length (positions below it
+	// are preamble rounds, positions at or above are body rounds with coin
+	// index pos − curPreLen), refreshed whenever the phase advances;
+	// phaseLen mirrors plan.phaseLen.
 	memoT, memoPhase, memoPos int
 	curPreLen                 int
 	phaseLen                  int
@@ -87,7 +87,7 @@ type LBAlg struct {
 	// decided and is not advertising, its Transmit/Receive are no-ops (no
 	// private coin draws), so the calls are skipped for the rest of the
 	// preamble. It shares a word with sendingStarted and cur, which keeps
-	// LBAlg at 384 B.
+	// LBAlg at 368 B.
 	seedIdle       bool
 	sendingStarted bool  // pending has entered its sending phases
 	cur            int32 // the next unread bit of committed
@@ -105,8 +105,8 @@ type LBAlg struct {
 	env *sim.NodeEnv
 
 	// plan is the precomputed phase schedule (shared across nodes when
-	// constructed with NewLBAlgWithPlan): per-position slot tables plus the
-	// seed agreement schedule.
+	// constructed with NewLBAlgWithPlan), including the seed agreement
+	// schedule.
 	plan *PhasePlan
 
 	seed      *seedagree.Alg
@@ -131,10 +131,6 @@ type LBAlg struct {
 	// defined over receptions rather than recv outputs). On by default;
 	// large sweeps that only need recv/ack events can disable it.
 	RecordHears bool
-
-	// participations and transmissions count body-round decisions, for the
-	// E-RECV-PROB instrumentation.
-	participations, transmissions int
 }
 
 var _ Service = (*LBAlg)(nil)
@@ -161,23 +157,9 @@ func (l *LBAlg) Init(env *sim.NodeEnv) {
 	l.seed = seedagree.NewAlgWithPlan(l.plan.Seed, env.ID, env.Rng)
 }
 
-// Params returns the node's schedule parameters.
-func (l *LBAlg) Params() Params { return l.p }
-
-// State returns the node's current phase state.
-func (l *LBAlg) State() State { return l.state }
-
 // Active reports whether the node is actively broadcasting some message: a
 // bcast input was received whose ack has not yet been generated.
 func (l *LBAlg) Active() bool { return l.pending != nil }
-
-// ActiveMessage returns the message being broadcast, if Active.
-func (l *LBAlg) ActiveMessage() (Message, bool) {
-	if l.pending == nil {
-		return Message{}, false
-	}
-	return *l.pending, true
-}
 
 // Bcast accepts a bcast(m)_u input from the environment. Per the problem's
 // environment well-formedness, a second bcast may only be issued after the
@@ -207,7 +189,7 @@ func (l *LBAlg) Bcast(payload any) (sim.MsgID, error) {
 // they are interface-called, so helper calls on the per-round path are pure
 // overhead): cross into the next phase for the sequential next round, or
 // re-derive the coordinates from the plan for an out-of-order t; either way
-// the per-phase slot-table cache (curPreLen) is refreshed.
+// the per-phase preamble length (curPreLen) is refreshed.
 func (l *LBAlg) advanceRound(t int) int {
 	if t == l.memoT+1 {
 		l.memoPos++
@@ -224,8 +206,8 @@ func (l *LBAlg) advanceRound(t int) int {
 	return l.memoPos
 }
 
-// Transmit implements sim.Process: resolve the round's slot in the phase
-// plan and dispatch to the preamble state machine or the decoded body
+// Transmit implements sim.Process: resolve the round's position in the
+// phase and dispatch to the preamble state machine or the decoded body
 // coins.
 func (l *LBAlg) Transmit(t int) (any, bool) {
 	// Resolve the round position: the sequential +1 step inline, phase
@@ -241,7 +223,7 @@ func (l *LBAlg) Transmit(t int) (any, bool) {
 		l.beginPhase(l.memoPhase)
 	}
 
-	if pos < l.curPreLen { // a RoundPreamble slot of this phase's table
+	if pos < l.curPreLen { // a preamble round
 		if l.seedIdle {
 			return nil, false // decided, not advertising: a no-op round
 		}
@@ -249,9 +231,15 @@ func (l *LBAlg) Transmit(t int) (any, bool) {
 		l.seedIdle = l.seed.Idle()
 		return payload, tx
 	}
-	// A RoundBody slot, with the table's scratch index pos − curPreLen
-	// (under the Section 4.2 variant, skipped preamble slots are body
-	// slots too — curPreLen is 0 there). This is bodyRound, hand-inlined.
+	// A body round, with coin index pos − curPreLen (under the Section 4.2
+	// variant, a skipped preamble's rounds are body rounds too — curPreLen
+	// is 0 there). The three-step logic of Section 4.2 — group
+	// participation coin (K1 shared bits, participate iff all zero) and
+	// shared probability selection b ∈ [log Δ] (K2 shared bits) — was
+	// resolved for the whole phase by decodeCoins when the seed was
+	// committed, identically for every holder of the owner's seed. What
+	// remains per round is the coin lookup and, for sending participants,
+	// the private broadcast coin with probability 2^{−b}.
 	if !l.coins.valid || l.state != StateSending || l.pending == nil {
 		return nil, false
 	}
@@ -302,43 +290,13 @@ func (l *LBAlg) beginPhase(phase int) {
 	}
 }
 
-// bodyRound implements the j-th body round of the current phase (Transmit
-// hand-inlines this logic; the method remains the whitebox unit under
-// test). The three-step logic of Section 4.2 — group participation coin
-// (K1 shared bits, participate iff all zero) and shared probability
-// selection b ∈ [log Δ] (K2 shared bits) — was resolved for the whole
-// phase by decodeCoins when the seed was committed, identically for every
-// holder of the owner's seed (which is what kept per-round cursors aligned
-// in the incremental version). What remains per round is the scratch
-// lookup and, for sending participants, the private broadcast coin with
-// probability 2^{−b}.
-func (l *LBAlg) bodyRound(j int) (any, bool) {
-	// The condition is the incremental implementation's, reordered (it
-	// gates the same participations count and the same private coin
-	// draws): a committed scratch, a participant round, and the sending
-	// state.
-	if !l.coins.valid || l.state != StateSending || l.pending == nil {
-		return nil, false
-	}
-	if j >= len(l.coins.b) {
-		return nil, false // beyond the decoded span; fail closed
-	}
-	b := l.coins.b[j]
-	if b == 0 {
-		return nil, false // non-participant round for this owner group
-	}
-	return l.participate(int(b))
-}
-
 // participate is the (rare, ≈2^{−K1}) participant tail of a sending body
-// round, split out so bodyRound's common path inlines: draw the private
-// broadcast coin with probability 2^{−b}.
+// round, split out of Transmit: draw the private broadcast coin with
+// probability 2^{−b}.
 func (l *LBAlg) participate(b int) (any, bool) {
-	l.participations++
 	if l.env.Rng.Bits(b) != 0 {
 		return nil, false
 	}
-	l.transmissions++
 	return l.frame, true
 }
 
@@ -351,7 +309,7 @@ func (l *LBAlg) Receive(t, from int, payload any, ok bool) {
 		pos = l.advanceRound(t)
 	}
 
-	if pos < l.curPreLen { // a RoundPreamble slot of this phase's table
+	if pos < l.curPreLen { // a preamble round
 		if !l.seedIdle {
 			l.seed.Receive(pos+1, payload, ok)
 			l.seedIdle = l.seed.Idle()
@@ -425,10 +383,4 @@ func (l *LBAlg) ack(t int) {
 	if l.OnAck != nil {
 		l.OnAck(m)
 	}
-}
-
-// BodyStats returns how many body rounds this node participated in and how
-// many it transmitted in (E-RECV-PROB instrumentation).
-func (l *LBAlg) BodyStats() (participations, transmissions int) {
-	return l.participations, l.transmissions
 }

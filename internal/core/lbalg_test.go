@@ -51,6 +51,17 @@ func commitDirect(l *LBAlg, seed xrand.Seed) {
 	l.plan.decodeCoins(seed, &l.cur, l.coins.reuse(l.plan.tprog))
 }
 
+// runBody drives l's Transmit over the body rounds of phase 1, rounds
+// Ts+1 … PhaseLen, and returns how many of them it transmitted in.
+func runBody(l *LBAlg) (sent int) {
+	for t := l.plan.ts + 1; t <= l.plan.phaseLen; t++ {
+		if _, tx := l.Transmit(t); tx {
+			sent++
+		}
+	}
+	return sent
+}
+
 func TestSingletonAckWithinBound(t *testing.T) {
 	d, err := dualgraph.Abstract(1, nil, nil)
 	if err != nil {
@@ -94,8 +105,8 @@ func TestBcastWhileActiveRejected(t *testing.T) {
 	if !procs[0].Active() {
 		t.Error("node not active after bcast")
 	}
-	if m, ok := procs[0].ActiveMessage(); !ok || m.Payload != "first" {
-		t.Errorf("ActiveMessage = %v, %v", m, ok)
+	if m := procs[0].pending; m == nil || m.Payload != "first" {
+		t.Errorf("pending message = %v, want the first", m)
 	}
 }
 
@@ -196,7 +207,8 @@ func TestValidityOnTrace(t *testing.T) {
 func TestOwnerGroupLockstep(t *testing.T) {
 	// Two sending nodes committed to the same seed must make identical
 	// participation decisions and consume identical bit counts in every
-	// body round.
+	// body round: each draws its private broadcast coin in exactly the
+	// decoded participant rounds.
 	p := testParams(t, 8, 8, 0.1)
 	shared := xrand.New(9).DrawSeed(p.Kappa)
 
@@ -231,19 +243,24 @@ func TestOwnerGroupLockstep(t *testing.T) {
 	if want := p.Tprog*p.K1 + participants*p.K2; consumed != want {
 		t.Fatalf("phase decode consumed %d bits, want Tprog·K1 + participants·K2 = %d", consumed, want)
 	}
-	for round := 0; round < p.Tprog; round++ {
-		a.bodyRound(round)
-		b.bodyRound(round)
+	// The private coin streams after the body: one Bits(b) draw per
+	// decoded participant round and none elsewhere.
+	want := func(l *LBAlg) xrand.Source {
+		r := *l.env.Rng
+		for _, bj := range l.coins.b {
+			if bj != 0 {
+				r.Bits(int(bj))
+			}
+		}
+		return r
 	}
-	pa, _ := a.BodyStats()
-	pb, _ := b.BodyStats()
-	if pa != pb {
-		t.Errorf("group members participated %d vs %d times", pa, pb)
+	wantA, wantB := want(a), want(b)
+	runBody(a)
+	runBody(b)
+	if *a.env.Rng != wantA || *b.env.Rng != wantB {
+		t.Error("a group member's private coin draws disagree with the decoded participant rounds")
 	}
-	if pa != participants {
-		t.Errorf("participations %d disagree with decoded participant rounds %d", pa, participants)
-	}
-	if pa == 0 {
+	if participants == 0 {
 		t.Error("group never participated across a full phase body (probability ≈ (1−2^{-K1})^Tprog, should be negligible)")
 	}
 }
@@ -319,8 +336,7 @@ func TestProgressOnCluster(t *testing.T) {
 	got := map[int]bool{}
 	for _, rv := range e.Trace().ByKind(sim.EvHear) {
 		if rv.Node == 7 {
-			phase, _ := p.PhaseOf(rv.Round)
-			got[phase] = true
+			got[(rv.Round-1)/p.PhaseLen()+1] = true
 		}
 	}
 	if len(got) < phases-1 {
@@ -334,14 +350,12 @@ func TestSaturatingEnvKeepsSenderActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams(t, 2, 2, 0.25)
-	var env *SaturatingEnv
 	e, procs := buildLB(t, d, p, nil, func(procs []Service) sim.Environment {
-		env = NewSaturatingEnv(procs, []int{0})
-		return env
+		return NewSaturatingEnv(procs, []int{0})
 	}, 14)
 	e.Run(3*p.TAckBound() + 2)
-	if env.Acks(0) < 2 {
-		t.Errorf("saturated sender acked only %d times", env.Acks(0))
+	if acks := len(e.Trace().ByKind(sim.EvAck)); acks < 2 {
+		t.Errorf("saturated sender acked only %d times", acks)
 	}
 	// The sender must be active again right after each ack.
 	if !procs[0].Active() {
@@ -405,23 +419,18 @@ func TestAblationSeedEveryK(t *testing.T) {
 	}
 }
 
+// TestBodyStatsAccounting: a receiving node's body rounds, with a
+// committed seed, neither transmit nor draw a private coin.
 func TestBodyStatsAccounting(t *testing.T) {
 	p := testParams(t, 4, 4, 0.25)
 	l := NewLBAlgWithPlan(NewPhasePlan(p))
 	l.Init(&sim.NodeEnv{ID: 0, Delta: 4, DeltaPrime: 4, R: 1, Rng: xrand.New(1), Rec: nopRec{}})
-	part, tx := l.BodyStats()
-	if part != 0 || tx != 0 {
-		t.Error("fresh node has nonzero stats")
-	}
-	// Not sending: body rounds must not count participations.
 	commitDirect(l, xrand.New(2).DrawSeed(p.Kappa))
-	for i := 0; i < 50; i++ {
-		if _, sent := l.bodyRound(i % p.Tprog); sent {
-			t.Fatal("receiver transmitted")
-		}
+	before := *l.env.Rng
+	if sent := runBody(l); sent != 0 {
+		t.Fatalf("receiver transmitted in %d body rounds", sent)
 	}
-	part, _ = l.BodyStats()
-	if part != 0 {
-		t.Error("receiver accumulated participations")
+	if *l.env.Rng != before {
+		t.Error("receiver drew private coins in body rounds")
 	}
 }

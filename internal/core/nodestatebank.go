@@ -18,7 +18,7 @@ import (
 // method field by field, except that sender-only state is held differently
 // (below) — and nodestatebank_test.go runs the two in lockstep over lossy
 // executions comparing every transmit decision, payload, recv, ack and
-// counter.
+// private coin draw.
 //
 // Why columns: at n = 10⁵⁻⁶ the per-node structs are ~200 B apart on the
 // heap, so a round's Transmit sweep takes one or two cache misses per node
@@ -112,8 +112,6 @@ type NodeStateBank struct {
 	onAck   []func(Message)
 	onRecv  []func(Message, int)
 
-	participations, transmissions []int64
-
 	// record turns on the hear, recv, ack and bcast events, the ones LBAlg
 	// records with RecordHears set. Off by default, so that a bank's
 	// memory does not grow with the rounds it runs.
@@ -139,7 +137,6 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 		envs: make([]*sim.NodeEnv, n), seeds: make([]*seedagree.Alg, n),
 		lastSeq: make([]map[int32]int32, n), seq: make([]int32, n),
 		onAck: make([]func(Message), n), onRecv: make([]func(Message, int), n),
-		participations: make([]int64, n), transmissions: make([]int64, n),
 		handles: make([]BankNode, n),
 	}
 	for u := 0; u < n; u++ {
@@ -151,9 +148,6 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 
 // Len returns the number of nodes the bank holds.
 func (bk *NodeStateBank) Len() int { return bk.n }
-
-// Params returns the schedule parameters shared by every node.
-func (bk *NodeStateBank) Params() Params { return bk.p }
 
 // Node returns node u's Service handle — the engine's Procs entry and the
 // environment's Bcast/callback surface.
@@ -175,7 +169,7 @@ func (bk *NodeStateBank) SetRecordEvents(on bool) { bk.record = on }
 
 // cursor is round t's place in the phase schedule, shared by every node:
 // the 1-based phase, the 0-based position within it, and the phase's
-// preamble cut (positions below pre are preamble slots).
+// preamble length (positions below pre are preamble rounds).
 type cursor struct {
 	t, phase, pos, pre int
 }
@@ -330,7 +324,7 @@ func (bk *NodeStateBank) transmit(u int, c cursor) (any, bool) {
 	if c.pos == 0 {
 		bk.beginPhase(u, c.phase)
 	}
-	if c.pos < c.pre { // a RoundPreamble slot of this phase's table
+	if c.pos < c.pre { // a preamble round
 		if bk.flags[u]&bankSeedLive == 0 {
 			return nil, false // decided, not advertising: a no-op round
 		}
@@ -338,8 +332,7 @@ func (bk *NodeStateBank) transmit(u int, c cursor) (any, bool) {
 		bk.syncSeed(u)
 		return payload, tx
 	}
-	// A RoundBody slot with scratch index pos − pre, exactly as
-	// LBAlg.Transmit's hand-inlined bodyRound.
+	// A body round with scratch index pos − pre, exactly as LBAlg.Transmit.
 	if bk.flags[u]&bankBodySender == 0 {
 		return nil, false
 	}
@@ -393,18 +386,16 @@ func (bk *NodeStateBank) decodeInto(u, rounds int) {
 
 // participate is LBAlg.participate over columns.
 func (bk *NodeStateBank) participate(u, b int) (any, bool) {
-	bk.participations[u]++
 	if bk.envs[u].Rng.Bits(b) != 0 {
 		return nil, false
 	}
-	bk.transmissions[u]++
 	return bk.frame[u], true
 }
 
 // receive is LBAlg.Receive ported to columns: node u's reception outcome
 // of the round at cursor c.
 func (bk *NodeStateBank) receive(u int, c cursor, from int, payload any, ok bool) {
-	if c.pos < c.pre { // a RoundPreamble slot of this phase's table
+	if c.pos < c.pre { // a preamble round
 		if bk.flags[u]&bankSeedLive != 0 {
 			bk.seeds[u].Receive(c.pos+1, payload, ok)
 			bk.syncSeed(u)
@@ -557,20 +548,3 @@ func (h *BankNode) SetOnAck(fn func(Message)) { h.bank.onAck[h.u] = fn }
 
 // SetOnRecv implements Service.
 func (h *BankNode) SetOnRecv(fn func(Message, int)) { h.bank.onRecv[h.u] = fn }
-
-// State returns the node's current phase state.
-func (h *BankNode) State() State {
-	if h.bank.flags[h.u]&bankSendingStarted != 0 {
-		return StateSending
-	}
-	return StateReceiving
-}
-
-// Params returns the node's schedule parameters.
-func (h *BankNode) Params() Params { return h.bank.p }
-
-// BodyStats returns how many body rounds this node participated in and how
-// many it transmitted in (E-RECV-PROB instrumentation).
-func (h *BankNode) BodyStats() (participations, transmissions int) {
-	return int(h.bank.participations[h.u]), int(h.bank.transmissions[h.u])
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -16,30 +17,25 @@ type captureRec struct{ evs *[]sim.Event }
 
 func (r captureRec) Record(ev sim.Event) { *r.evs = append(*r.evs, ev) }
 
-// lockstepNode is the per-node surface both representations expose.
-type lockstepNode interface {
-	Service
-	State() State
-	BodyStats() (participations, transmissions int)
-}
-
-// lockstepSide is one representation under the lockstep test: its nodes
-// and everything they emitted.
+// lockstepSide is one representation under the lockstep test: its nodes,
+// their private coin streams, and everything they emitted.
 type lockstepSide struct {
 	name  string
-	nodes []lockstepNode
+	nodes []Service
+	rngs  []*xrand.Source
 	evs   [][]sim.Event
 	acks  [][]sim.MsgID
 	recvs [][]sim.MsgID
 }
 
-func newLockstepSide(name string, nodes []lockstepNode) *lockstepSide {
+func newLockstepSide(name string, nodes []Service) *lockstepSide {
 	n := len(nodes)
-	s := &lockstepSide{name: name, nodes: nodes,
+	s := &lockstepSide{name: name, nodes: nodes, rngs: make([]*xrand.Source, n),
 		evs: make([][]sim.Event, n), acks: make([][]sim.MsgID, n), recvs: make([][]sim.MsgID, n)}
 	for u, nd := range nodes {
+		s.rngs[u] = xrand.NodeSource(7, u)
 		nd.Init(&sim.NodeEnv{ID: u, Delta: 8, DeltaPrime: 8, R: 1,
-			Rng: xrand.NodeSource(7, u), Rec: captureRec{&s.evs[u]}})
+			Rng: s.rngs[u], Rec: captureRec{&s.evs[u]}})
 		nd.SetOnAck(func(m Message) { s.acks[u] = append(s.acks[u], m.ID) })
 		nd.SetOnRecv(func(m Message, _ int) { s.recvs[u] = append(s.recvs[u], m.ID) })
 	}
@@ -52,7 +48,8 @@ func newLockstepSide(name string, nodes []lockstepNode) *lockstepSide {
 // staggered bcast schedule, same channel outcomes, a crash window for one
 // node — and requires byte-identical behavior: every round's transmit
 // decision and payload, every recorded event, every recv and ack callback,
-// Active/State, and the body-round statistics. The channel fills the
+// Active, the sending state, and each node's private coin stream (so every
+// private draw, not only how many). The channel fills the
 // RoundView the way the engine does: Touched marks every reached node —
 // clean receptions, collisions (Count ≥ 2), transmitters' own stamped slots
 // and down nodes — while silent listeners' Rx slots and non-transmitters'
@@ -92,7 +89,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 			handles := NewNodeStateBank(plan, n)
 			bank.SetRecordEvents(true)
 			handles.SetRecordEvents(true)
-			var bankNodes, handleNodes, oracleNodes []lockstepNode
+			var bankNodes, handleNodes, oracleNodes []Service
 			for u := 0; u < n; u++ {
 				bankNodes = append(bankNodes, bank.Node(u))
 				handleNodes = append(handleNodes, handles.Node(u))
@@ -137,6 +134,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 			}
 			loss := xrand.New(41)
 			var txs []int
+			sent := 0   // data transmissions
 			shared := 0 // rounds where two sending nodes hold one owner's coins
 			for tr := 1; tr <= rounds; tr++ {
 				if tr%(p.PhaseLen()/4+3) == 0 {
@@ -189,6 +187,9 @@ func TestNodeStateBankLockstep(t *testing.T) {
 					}
 					if view.Transmit[u] {
 						txs = append(txs, u)
+						if _, data := view.Payloads[u].(DataMsg); data {
+							sent++
+						}
 					}
 				}
 
@@ -238,22 +239,20 @@ func TestNodeStateBankLockstep(t *testing.T) {
 				clear(view.Touched)
 			}
 
-			sent, acks := 0, 0
+			acks := 0
 			for u := 0; u < n; u++ {
 				want := ref.nodes[u]
-				po, to := want.BodyStats()
-				sent += to
 				acks += len(ref.acks[u])
 				for _, s := range sides[:2] {
 					got := s.nodes[u]
 					if got.Active() != want.Active() {
 						t.Errorf("%s node %d: Active diverged (%v, oracle %v)", s.name, u, got.Active(), want.Active())
 					}
-					if got.State() != want.State() {
-						t.Errorf("%s node %d: State diverged (%v, oracle %v)", s.name, u, got.State(), want.State())
+					if g, w := sending(got), sending(want); g != w {
+						t.Errorf("%s node %d: sending state diverged (%v, oracle %v)", s.name, u, g, w)
 					}
-					if pb, tb := got.BodyStats(); pb != po || tb != to {
-						t.Errorf("%s node %d: body stats diverged (%d/%d, oracle %d/%d)", s.name, u, pb, tb, po, to)
+					if *s.rngs[u] != *ref.rngs[u] {
+						t.Errorf("%s node %d: private coin stream diverged from the oracle's", s.name, u)
 					}
 					if len(s.evs[u]) != len(ref.evs[u]) {
 						t.Fatalf("%s node %d: %d events vs oracle %d", s.name, u, len(s.evs[u]), len(ref.evs[u]))
@@ -292,8 +291,8 @@ func sharingSenders(t *testing.T, bk *NodeStateBank, tr int) bool {
 		if bk.coins[u] == nil {
 			continue
 		}
-		if bk.Node(u).State() != StateSending {
-			t.Fatalf("round %d node %d: holds a coin buffer while %v", tr, u, bk.Node(u).State())
+		if !sending(bk.Node(u)) {
+			t.Fatalf("round %d node %d: holds a coin buffer while receiving", tr, u)
 		}
 		if bk.flags[u]&bankCoinsValid != 0 {
 			holders[bk.committed[u]]++
@@ -301,6 +300,18 @@ func sharingSenders(t *testing.T, bk *NodeStateBank, tr int) bool {
 		}
 	}
 	return shared
+}
+
+// sending reports whether a node of either representation is in the
+// sending state.
+func sending(nd Service) bool {
+	switch nd := nd.(type) {
+	case *LBAlg:
+		return nd.state == StateSending
+	case *BankNode:
+		return nd.bank.flags[nd.u]&bankSendingStarted != 0
+	}
+	panic(fmt.Sprintf("sending: unexpected node type %T", nd))
 }
 
 // sameIDs requires two per-node message id sequences to be identical.
@@ -358,7 +369,7 @@ func TestNodeStateBankFootprint(t *testing.T) {
 			ctor:     float64(built.TotalAlloc-before.TotalAlloc) / n,
 			total:    float64(inited.TotalAlloc-before.TotalAlloc) / n,
 			reseed:   reseeded.TotalAlloc - inited.TotalAlloc,
-			phaseLen: plan.PhaseLen(), kappa: p.Kappa,
+			phaseLen: plan.phaseLen, kappa: p.Kappa,
 		}
 	}
 	fs, fl := perNode(0.25), perNode(0.05)

@@ -72,8 +72,8 @@ type Params struct {
 type Option func(*derivation)
 
 type derivation struct {
-	c1, cAck, seedC4 float64
-	seedEvery        int
+	c1, cAck  float64
+	seedEvery int
 }
 
 // WithC1 overrides the T_prog constant c₁.
@@ -81,9 +81,6 @@ func WithC1(c1 float64) Option { return func(d *derivation) { d.c1 = c1 } }
 
 // WithCAck overrides the T_ack constant.
 func WithCAck(c float64) Option { return func(d *derivation) { d.cAck = c } }
-
-// WithSeedC4 overrides SeedAlg's phase-length constant c₄.
-func WithSeedC4(c float64) Option { return func(d *derivation) { d.seedC4 = c } }
 
 // WithSeedEveryKPhases enables the Section 4.2 variant that refreshes seeds
 // only every k phases.
@@ -108,11 +105,11 @@ func DeriveParams(delta, deltaPrime int, r, eps1 float64, opts ...Option) (Param
 	if !(r >= 1) || math.IsInf(r, 1) {
 		return Params{}, fmt.Errorf("core: r = %v not a finite value ≥ 1", r)
 	}
-	d := derivation{c1: DefaultC1, cAck: DefaultCAck, seedC4: DefaultSeedC4, seedEvery: 1}
+	d := derivation{c1: DefaultC1, cAck: DefaultCAck, seedEvery: 1}
 	for _, opt := range opts {
 		opt(&d)
 	}
-	if !(d.c1 > 0) || !(d.cAck > 0) || !(d.seedC4 > 0) || d.seedEvery < 1 {
+	if !(d.c1 > 0) || !(d.cAck > 0) || d.seedEvery < 1 {
 		return Params{}, fmt.Errorf("core: non-positive constant override")
 	}
 
@@ -140,7 +137,7 @@ func DeriveParams(delta, deltaPrime int, r, eps1 float64, opts ...Option) (Param
 	// rounds. The Section 4.2 variant (k > 1) reuses one seed for a whole
 	// k-phase cycle and reclaims the skipped preambles as extra body
 	// rounds, so the worst-case consumption grows accordingly.
-	sp := seedagree.Params{Eps1: eps2, Kappa: 1, Delta: delta, C4: d.seedC4}
+	sp := seedagree.Params{Eps1: eps2, Kappa: 1, Delta: delta, C4: DefaultSeedC4}
 	if err := sp.Validate(); err != nil {
 		return Params{}, fmt.Errorf("core: deriving seed parameters: %w", err)
 	}
@@ -203,20 +200,6 @@ func (p Params) TProgBound() int { return p.PhaseLen() }
 // TAckBound returns the t_ack of the specification: (Tack+1)·(Ts+Tprog),
 // covering the wait for the next phase boundary plus Tack sending phases.
 func (p Params) TAckBound() int { return (p.Tack + 1) * p.PhaseLen() }
-
-// ParticipantProb returns the per-round group participation probability
-// 2^{−K1}.
-func (p Params) ParticipantProb() float64 { return math.Pow(2, -float64(p.K1)) }
-
-// PhaseOf maps a global 1-based round to its 1-based phase and 0-based
-// position within the phase.
-func (p Params) PhaseOf(t int) (phase, pos int) {
-	return (t-1)/p.PhaseLen() + 1, (t - 1) % p.PhaseLen()
-}
-
-// IsPreamble reports whether the position within a phase lies in the seed
-// agreement preamble.
-func (p Params) IsPreamble(pos int) bool { return pos < p.Ts }
 
 // bitsFor returns the smallest k ≥ 0 with 2^k ≥ n.
 func bitsFor(n int) int {

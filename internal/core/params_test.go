@@ -32,7 +32,7 @@ func TestDeriveParamsValidation(t *testing.T) {
 }
 
 func TestDeriveParamsRejectsBadOverrides(t *testing.T) {
-	for _, opt := range []Option{WithC1(0), WithCAck(-1), WithSeedC4(0), WithSeedEveryKPhases(0)} {
+	for _, opt := range []Option{WithC1(0), WithCAck(-1), WithSeedEveryKPhases(0)} {
 		if _, err := DeriveParams(8, 16, 1, 0.1, opt); err == nil {
 			t.Error("bad override accepted")
 		}
@@ -71,8 +71,8 @@ func TestDerivedStructure(t *testing.T) {
 	}
 	// Participant probability is a/(r²·log(1/ε₂)) with a ∈ (½, 1].
 	target := 1 / (p.R * p.R * math.Log2(1/p.Eps2))
-	if pp := p.ParticipantProb(); pp > target || pp <= target/2 {
-		t.Errorf("ParticipantProb = %v, want in (%v, %v]", pp, target/2, target)
+	if pp := math.Pow(2, -float64(p.K1)); pp > target || pp <= target/2 {
+		t.Errorf("participant probability 2^-K1 = %v, want in (%v, %v]", pp, target/2, target)
 	}
 	// K2 must index [log Δ].
 	if 1<<p.K2 < p.LogDelta {
@@ -145,14 +145,12 @@ func TestPhaseOf(t *testing.T) {
 		{pl + 1, 2, 0},
 		{2*pl + 5, 3, 4},
 	}
+	plan := NewPhasePlan(p)
 	for _, tt := range tests {
-		phase, pos := p.PhaseOf(tt.t)
+		phase, pos := plan.PhaseOf(tt.t)
 		if phase != tt.wantPhase || pos != tt.wantPos {
 			t.Errorf("PhaseOf(%d) = %d,%d want %d,%d", tt.t, phase, pos, tt.wantPhase, tt.wantPos)
 		}
-	}
-	if !p.IsPreamble(0) || !p.IsPreamble(p.Ts-1) || p.IsPreamble(p.Ts) {
-		t.Error("IsPreamble boundary wrong")
 	}
 }
 

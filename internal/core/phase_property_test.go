@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"lbcast/internal/dualgraph"
@@ -69,16 +70,16 @@ func TestPhaseTrafficSeparation(t *testing.T) {
 	}
 	seedMsgs, dataMsgs := 0, 0
 	for _, tx := range air {
-		_, pos := p.PhaseOf(tx.round)
+		preamble := (tx.round-1)%p.PhaseLen() < p.Ts
 		switch tx.payload.(type) {
 		case *seedagree.Msg:
 			seedMsgs++
-			if !p.IsPreamble(pos) {
+			if !preamble {
 				t.Fatalf("seed message on the air in body round %d", tx.round)
 			}
 		case DataMsg:
 			dataMsgs++
-			if p.IsPreamble(pos) {
+			if preamble {
 				t.Fatalf("data message on the air in preamble round %d", tx.round)
 			}
 		default:
@@ -123,29 +124,27 @@ func TestSenderSilentWhileReceiving(t *testing.T) {
 }
 
 // TestParticipationRateMatchesFormula: over many body rounds, a lone
-// sending group's participation frequency must match 2^{-K1}.
+// sending group's participation frequency — the share of non-zero decoded
+// coins — must match 2^{-K1}.
 func TestParticipationRateMatchesFormula(t *testing.T) {
 	p := testParams(t, 16, 16, 0.1)
 	l := NewLBAlgWithPlan(NewPhasePlan(p))
 	l.Init(&sim.NodeEnv{ID: 0, Delta: 16, DeltaPrime: 16, R: 1, Rng: xrand.New(3), Rec: nopRec{}})
-	l.state = StateSending
-	l.pending = &Message{ID: sim.NewMsgID(0, 1)}
 
 	const phases = 400
 	participations := 0
 	src := xrand.New(9)
 	for ph := 0; ph < phases; ph++ {
 		commitDirect(l, src.DrawSeed(p.Kappa))
-		before, _ := l.BodyStats()
-		for j := 0; j < p.Tprog; j++ {
-			l.bodyRound(j)
+		for _, b := range l.coins.b {
+			if b != 0 {
+				participations++
+			}
 		}
-		after, _ := l.BodyStats()
-		participations += after - before
 	}
 	total := phases * p.Tprog
 	got := float64(participations) / float64(total)
-	want := p.ParticipantProb()
+	want := math.Pow(2, -float64(p.K1))
 	if got < want*0.9 || got > want*1.1 {
 		t.Errorf("participation rate %v, want ≈ %v (2^-K1)", got, want)
 	}

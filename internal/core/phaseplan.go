@@ -6,39 +6,18 @@ import (
 )
 
 // This file is the phase-schedule subsystem. LBAlg's control flow is fully
-// phase-deterministic: which positions of a phase are preamble slots and
-// which are body rounds, and how many committed-seed bits a body round may
-// consume, are pure functions of Params. The PhasePlan resolves that
-// schedule once per configuration into per-position tables shared by every
-// node, so the per-node-per-round work in Transmit/Receive collapses to a
-// slot lookup — and the committed-seed coin stream is decoded once per
-// phase into a scratch buffer (phaseCoins) in one word-level pass instead
-// of two cursor-checked bit reads per node per round.
+// phase-deterministic: a phase that runs the seed agreement preamble is Ts
+// preamble rounds followed by Tprog body rounds, and a phase that skips it
+// (the Section 4.2 variant) is all body rounds, so the per-round work in
+// Transmit/Receive needs only the phase's preamble length. The
+// committed-seed coin stream is decoded once per phase into a scratch
+// buffer (phaseCoins) in one word-level pass instead of two cursor-checked
+// bit reads per node per round.
 //
-// The plan changes when coins are decoded, never which bits feed which
-// decision: the decode walks the committed seed in exactly the order the
-// incremental bodyRound logic consumed it, so traces and coin sequences
-// stay byte-identical (pinned by golden_test.go and phaseplan_test.go).
-
-// RoundKind classifies one position within a phase.
-type RoundKind uint8
-
-const (
-	// RoundPreamble positions run the seed agreement protocol.
-	RoundPreamble RoundKind = iota
-	// RoundBody positions run the shared-coin body round logic.
-	RoundBody
-)
-
-// Slot describes one position of a phase: its kind, the index of the body
-// round within the phase's decoded coin scratch (-1 for preamble slots),
-// and the worst-case number of committed-seed bits the round consumes
-// (K1+K2 for body slots, 0 for preamble slots).
-type Slot struct {
-	Kind       RoundKind
-	Body       int32
-	CoinBudget int16
-}
+// The decode changes when coins are read, never which bits feed which
+// decision: it walks the committed seed in exactly the order the paper's
+// per-round body logic consumes it, so traces and coin sequences stay
+// byte-identical (pinned by golden_test.go and phaseplan_test.go).
 
 // PhasePlan is the precomputed LBAlg schedule for one Params value. It is
 // read-only after construction, so one plan serves every node of a run
@@ -56,27 +35,16 @@ type PhasePlan struct {
 	seedEvery      int
 	alwaysPreamble bool
 
-	// preamble holds the slots of a phase that runs the seed agreement
-	// preamble (positions [0, Ts) preamble, [Ts, phaseLen) body); bodyOnly
-	// holds the slots of a skipped-preamble phase under the Section 4.2
-	// variant (every position a body round). bodyOnly is nil when k = 1.
-	// preambleCut is the number of leading RoundPreamble slots in
-	// `preamble`, counted off the built table — the scalar the per-round
-	// hot path compares against instead of loading slots.
-	preamble    []Slot
-	bodyOnly    []Slot
-	preambleCut int
-
 	// Seed is the shared schedule plan of the per-phase seed agreement
 	// preambles.
 	Seed *seedagree.Plan
 }
 
-// NewPhasePlan resolves the phase schedule of p into lookup tables. Params
-// must come from DeriveParams (or be equivalently consistent: PhaseLen =
-// Ts + Tprog, positive lengths).
+// NewPhasePlan resolves the phase schedule of p. Params must come from
+// DeriveParams (or be equivalently consistent: PhaseLen = Ts + Tprog,
+// positive lengths).
 func NewPhasePlan(p Params) *PhasePlan {
-	pl := &PhasePlan{
+	return &PhasePlan{
 		params:         p,
 		phaseLen:       p.PhaseLen(),
 		ts:             p.Ts,
@@ -88,34 +56,7 @@ func NewPhasePlan(p Params) *PhasePlan {
 		alwaysPreamble: p.SeedEveryKPhases <= 1,
 		Seed:           seedagree.NewPlan(p.SeedParams),
 	}
-	pl.preamble = make([]Slot, pl.phaseLen)
-	for pos := range pl.preamble {
-		if pos < pl.ts {
-			pl.preamble[pos] = Slot{Kind: RoundPreamble, Body: -1}
-		} else {
-			pl.preamble[pos] = Slot{Kind: RoundBody, Body: int32(pos - pl.ts),
-				CoinBudget: int16(pl.k1 + pl.k2)}
-		}
-	}
-	if !pl.alwaysPreamble {
-		// Section 4.2 variant: skipped preamble slots become body rounds.
-		pl.bodyOnly = make([]Slot, pl.phaseLen)
-		for pos := range pl.bodyOnly {
-			pl.bodyOnly[pos] = Slot{Kind: RoundBody, Body: int32(pos),
-				CoinBudget: int16(pl.k1 + pl.k2)}
-		}
-	}
-	for pos := range pl.preamble {
-		if pl.preamble[pos].Kind != RoundPreamble {
-			break
-		}
-		pl.preambleCut++
-	}
-	return pl
 }
-
-// PhaseLen returns the full phase length Ts + Tprog.
-func (pl *PhasePlan) PhaseLen() int { return pl.phaseLen }
 
 // RunsPreamble reports whether seed agreement runs in the given 1-based
 // phase (always true for the paper's algorithm; every k-th phase under the
@@ -124,22 +65,12 @@ func (pl *PhasePlan) RunsPreamble(phase int) bool {
 	return pl.alwaysPreamble || (phase-1)%pl.seedEvery == 0
 }
 
-// Slots returns the per-position slot table of the given phase.
-func (pl *PhasePlan) Slots(phase int) []Slot {
-	if pl.RunsPreamble(phase) {
-		return pl.preamble
-	}
-	return pl.bodyOnly
-}
-
-// preambleLen returns the phase's preamble cut: the number of leading
-// RoundPreamble slots in its table (Ts for preamble phases, 0 for
-// skipped-preamble phases). Body slots sit at positions ≥ the cut with
-// Body = pos − cut, which is what lets LBAlg cache one int per phase
-// instead of touching the table every round.
+// preambleLen returns the number of preamble rounds that open the phase:
+// Ts for preamble phases, 0 for skipped-preamble phases. Body rounds sit at
+// positions ≥ it, with coin index pos − preambleLen.
 func (pl *PhasePlan) preambleLen(phase int) int {
 	if pl.RunsPreamble(phase) {
-		return pl.preambleCut
+		return pl.ts
 	}
 	return 0
 }
@@ -151,12 +82,6 @@ func (pl *PhasePlan) BodyRounds(phase int) int {
 		return pl.tprog
 	}
 	return pl.phaseLen
-}
-
-// CoinBudget returns the worst-case number of committed-seed bits the given
-// phase consumes: Σ Slot.CoinBudget over its positions.
-func (pl *PhasePlan) CoinBudget(phase int) int {
-	return pl.BodyRounds(phase) * (pl.k1 + pl.k2)
 }
 
 // PhaseOf maps a global 1-based round to its 1-based phase and 0-based
@@ -192,7 +117,7 @@ func (c *phaseCoins) reuse(rounds int) []uint8 {
 
 // decodeCoins decodes len(dst) body rounds' worth of shared coins from seed
 // into dst, starting at bit *cur and advancing *cur exactly as len(dst)
-// incremental bodyRound executions would have: K1 participation bits per
+// incremental per-round reads would have: K1 participation bits per
 // round, then K2 selection bits only on participant rounds, with per-field
 // exhaustion semantics (a field that does not fit leaves the cursor in
 // place and the round silent). The seed's words are regenerated on the

@@ -166,15 +166,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for u := range g.adj {
-		c.adj[u] = append([]int32(nil), g.adj[u]...)
-	}
-	return c
-}
-
 // BFSDist returns hop distances from src, with -1 for unreachable vertices.
 func (g *Graph) BFSDist(src int) []int {
 	dist := make([]int, g.n)
@@ -249,9 +240,6 @@ type CSR struct {
 	Off     []int32
 	Targets []int32
 }
-
-// Degree returns the number of entries for node u.
-func (c CSR) Degree(u int) int { return int(c.Off[u+1] - c.Off[u]) }
 
 // UnreliableCSR is the flattened unreliable incidence: for node u, the
 // incident unreliable edges have peers Peers[Off[u]:Off[u+1]] and edge

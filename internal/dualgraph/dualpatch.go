@@ -38,20 +38,6 @@ import (
 // touched by PatchNode have every vertex present.
 func (d *Dual) Present(v int) bool { return d.present == nil || d.present[v] }
 
-// NumPresent returns the number of attached vertices.
-func (d *Dual) NumPresent() int {
-	if d.present == nil {
-		return d.G.N()
-	}
-	n := 0
-	for _, p := range d.present {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
 // PatchNode detaches (p == nil) or attaches (p != nil) vertex v in place.
 //
 // Detach removes every edge incident to v from both G and G′ and marks v

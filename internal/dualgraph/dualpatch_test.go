@@ -134,7 +134,7 @@ func TestPatchNodeRandomChurn(t *testing.T) {
 					checkDualEquiv(t, d, present)
 					if idx != nil {
 						for u := range present {
-							if idx.Contains(u) != present[u] {
+							if (idx.OfVertex(u) >= 0) != present[u] {
 								t.Fatalf("spatial index presence of %d diverged", u)
 							}
 						}

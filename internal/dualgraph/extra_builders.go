@@ -8,24 +8,6 @@ import (
 	"lbcast/internal/xrand"
 )
 
-// Ring places n vertices evenly on a circle whose circumference gives the
-// requested spacing between neighbors. Spacing ≤ 1 yields a reliable cycle;
-// second-neighbor chords fall in the grey zone for suitable r.
-func Ring(n int, spacing, r float64, rng *xrand.Source) (*Dual, error) {
-	if n < 3 || spacing <= 0 {
-		return nil, fmt.Errorf("dualgraph: invalid ring n=%d spacing=%v", n, spacing)
-	}
-	// Shrink by epsilon so that chords at exactly the threshold distance do
-	// not land infinitesimally above it under floating-point trigonometry.
-	radius := spacing / (2 * math.Sin(math.Pi/float64(n))) * (1 - 1e-9)
-	emb := make([]geo.Point, n)
-	for i := range emb {
-		theta := 2 * math.Pi * float64(i) / float64(n)
-		emb[i] = geo.Point{X: radius * math.Cos(theta), Y: radius * math.Sin(theta)}
-	}
-	return buildFromEmbedding(emb, r, GreyUnreliable, rng)
-}
-
 // RandomClusterTree builds a tree of single-hop clusters: cluster 0 is the
 // root; every other cluster attaches to a uniformly random earlier cluster
 // with a grey-zone gap, so the inter-cluster topology is a random tree whose
@@ -90,41 +72,4 @@ func RandomClusterTree(clusters, perCluster int, r float64, rng *xrand.Source) (
 		}
 	}
 	return buildFromEmbedding(emb, r, GreyUnreliable, rng)
-}
-
-// ConnectedComponents returns the vertex sets of g's connected components,
-// ordered by smallest contained vertex.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for start := 0; start < g.n; start++ {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		queue := []int{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, int(v))
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// DegreeHistogram returns counts of vertices per degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	out := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		out[len(g.adj[u])]++
-	}
-	return out
 }

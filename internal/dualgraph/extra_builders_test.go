@@ -6,37 +6,6 @@ import (
 	"lbcast/internal/xrand"
 )
 
-func TestRing(t *testing.T) {
-	rng := xrand.New(1)
-	d, err := Ring(12, 1, 1.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 12 {
-		t.Fatalf("N = %d", d.N())
-	}
-	// Adjacent ring vertices (spacing 1) must be reliable neighbors.
-	for i := 0; i < 12; i++ {
-		if !d.G.HasEdge(i, (i+1)%12) {
-			t.Errorf("ring edge {%d,%d} missing", i, (i+1)%12)
-		}
-	}
-	// The reliable graph must be connected with diameter ≈ n/2 hops or less.
-	if _, conn := d.G.Diameter(); !conn {
-		t.Error("ring disconnected")
-	}
-}
-
-func TestRingRejectsDegenerate(t *testing.T) {
-	rng := xrand.New(2)
-	if _, err := Ring(2, 1, 1, rng); err == nil {
-		t.Error("n=2 accepted")
-	}
-	if _, err := Ring(5, 0, 1, rng); err == nil {
-		t.Error("spacing=0 accepted")
-	}
-}
-
 func TestRandomClusterTree(t *testing.T) {
 	rng := xrand.New(3)
 	d, err := RandomClusterTree(5, 4, 2, rng)
@@ -69,10 +38,10 @@ func TestRandomClusterTree(t *testing.T) {
 		t.Errorf("inter-cluster pairs = %d, want 4 (a tree over 5 clusters)", len(pairs))
 	}
 	// G′ must be connected; G must have exactly 5 components (the clusters).
-	if comps := d.Gp.ConnectedComponents(); len(comps) != 1 {
+	if comps := connectedComponents(d.Gp); len(comps) != 1 {
 		t.Errorf("G' has %d components", len(comps))
 	}
-	if comps := d.G.ConnectedComponents(); len(comps) != 5 {
+	if comps := connectedComponents(d.G); len(comps) != 5 {
 		t.Errorf("G has %d components, want 5", len(comps))
 	}
 }
@@ -92,7 +61,7 @@ func TestConnectedComponents(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(4, 5)
-	comps := g.ConnectedComponents()
+	comps := connectedComponents(g)
 	if len(comps) != 3 {
 		t.Fatalf("components = %v", comps)
 	}
@@ -107,12 +76,30 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	hist := g.DegreeHistogram()
-	if hist[2] != 1 || hist[1] != 2 || hist[0] != 1 {
-		t.Errorf("histogram = %v", hist)
+// connectedComponents returns the vertex sets of g's connected components,
+// ordered by smallest contained vertex.
+func connectedComponents(g *Graph) [][]int {
+	seen := make([]bool, g.n)
+	var comps [][]int
+	for start := 0; start < g.n; start++ {
+		if seen[start] {
+			continue
+		}
+		var comp []int
+		queue := []int{start}
+		seen[start] = true
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			comp = append(comp, u)
+			for _, v := range g.adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, int(v))
+				}
+			}
+		}
+		comps = append(comps, comp)
 	}
+	return comps
 }

@@ -1,6 +1,7 @@
 package dualgraph
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -72,8 +73,16 @@ func TestTrustedMatchesValidatedConstruction(t *testing.T) {
 		{"grid-lattice", func(s uint64) (*Dual, error) {
 			return GridLattice(8, 0.7, 1.5, xrand.New(s))
 		}},
-		{"ring", func(s uint64) (*Dual, error) {
-			return Ring(50, 0.8, 1.9, xrand.New(s))
+		{"ring", func(uint64) (*Dual, error) {
+			// 50 points 0.8 apart on a circle: a reliable cycle whose
+			// second-neighbour chords fall in the grey zone.
+			emb := make([]geo.Point, 50)
+			radius := 0.8 / (2 * math.Sin(math.Pi/50))
+			for i := range emb {
+				theta := 2 * math.Pi * float64(i) / 50
+				emb[i] = geo.Point{X: radius * math.Cos(theta), Y: radius * math.Sin(theta)}
+			}
+			return Geometric(emb, 1.9)
 		}},
 		{"random-cluster-tree", func(s uint64) (*Dual, error) {
 			return RandomClusterTree(5, 8, 1.8, xrand.New(s))

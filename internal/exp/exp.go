@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
@@ -74,16 +73,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists all registered experiment IDs, sorted.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // --- shared plumbing -------------------------------------------------------

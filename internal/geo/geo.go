@@ -91,12 +91,3 @@ func intervalGap(a0, a1, b0, b1 float64) float64 {
 		return 0
 	}
 }
-
-// RegionDiameterOK reports whether every pair of points inside one region is
-// within distance 1, i.e. the first f-boundedness condition. For a square of
-// side ½ the diameter is √2/2 ≈ 0.707, so this always holds; the function
-// exists so tests can assert the invariant rather than assume it.
-func RegionDiameterOK() bool {
-	diag := RegionSide * math.Sqrt2
-	return diag <= 1
-}

@@ -79,7 +79,7 @@ func TestRegionPartitionIsPartition(t *testing.T) {
 }
 
 func TestRegionDiameter(t *testing.T) {
-	if !RegionDiameterOK() {
+	if RegionSide*math.Sqrt2 > 1 {
 		t.Fatal("region diameter exceeds 1; Lemma A.1 condition 1 violated")
 	}
 	// Two points in the same region are within distance 1 (condition 1).
@@ -173,10 +173,10 @@ func TestRegionGraphAdjacency(t *testing.T) {
 	// 4 cells apart (gap 1.5) are not.
 	ids := []RegionID{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}}
 	g := BuildRegionGraph(ids, 1)
-	i0, _ := g.IndexOf(RegionID{0, 0})
+	i0 := g.pos[RegionID{0, 0}]
 	degs := map[int32]int{}
 	for i := 0; i < g.Len(); i++ {
-		degs[g.ID(i).I] = g.Degree(i)
+		degs[g.ids[i].I] = len(g.adj[i])
 	}
 	// Region 0 reaches regions 1,2,3 → degree 3. Region 2 reaches all others.
 	if degs[0] != 3 {
@@ -204,7 +204,7 @@ func TestRegionGraphHops(t *testing.T) {
 		ids = append(ids, RegionID{i, 0})
 	}
 	g := BuildRegionGraph(ids, 1)
-	i0, _ := g.IndexOf(RegionID{0, 0})
+	i0 := g.pos[RegionID{0, 0}]
 	// At r=1 each hop reaches 3 cells down the row, so within h hops we see
 	// cells 0..3h → 3h+1 regions (clamped to 40).
 	for h := 0; h <= 13; h++ {
@@ -249,8 +249,8 @@ func TestRegionGraphEmpty(t *testing.T) {
 
 func TestRegionGraphSingle(t *testing.T) {
 	g := BuildRegionGraph([]RegionID{{5, -3}}, 2)
-	if g.Len() != 1 || g.Degree(0) != 0 {
-		t.Fatalf("singleton graph wrong: len=%d deg=%d", g.Len(), g.Degree(0))
+	if g.Len() != 1 || len(g.adj[0]) != 0 {
+		t.Fatalf("singleton graph wrong: len=%d deg=%d", g.Len(), len(g.adj[0]))
 	}
 	if got := g.WithinHops(0, 10); len(got) != 1 {
 		t.Fatalf("WithinHops on singleton = %d", len(got))
@@ -259,7 +259,7 @@ func TestRegionGraphSingle(t *testing.T) {
 
 func TestRegionGraphIndexOfMissing(t *testing.T) {
 	g := BuildRegionGraph([]RegionID{{0, 0}}, 1)
-	if _, ok := g.IndexOf(RegionID{9, 9}); ok {
+	if _, ok := g.pos[RegionID{9, 9}]; ok {
 		t.Fatal("IndexOf reported a missing region as present")
 	}
 }
@@ -281,7 +281,7 @@ func TestRegionGraphAdjacencyMatchesDistance(t *testing.T) {
 		g := BuildRegionGraph(ids, rr)
 		adj := make(map[[2]int]bool)
 		for i := 0; i < g.Len(); i++ {
-			for _, j := range g.Neighbors(i) {
+			for _, j := range g.adj[i] {
 				adj[[2]int{i, j}] = true
 			}
 		}
@@ -290,10 +290,10 @@ func TestRegionGraphAdjacencyMatchesDistance(t *testing.T) {
 				if i == j {
 					continue
 				}
-				want := RegionDist(g.ID(i), g.ID(j)) <= rr
+				want := RegionDist(g.ids[i], g.ids[j]) <= rr
 				if adj[[2]int{i, j}] != want {
 					t.Fatalf("r=%v: adjacency(%v,%v)=%v, want %v",
-						rr, g.ID(i), g.ID(j), adj[[2]int{i, j}], want)
+						rr, g.ids[i], g.ids[j], adj[[2]int{i, j}], want)
 				}
 			}
 		}

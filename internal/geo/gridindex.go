@@ -162,9 +162,6 @@ func compareRegionIDs(a, b RegionID) int {
 // Len returns the number of occupied regions.
 func (gi *GridIndex) Len() int { return len(gi.ids) }
 
-// NumVertices returns the number of indexed vertices.
-func (gi *GridIndex) NumVertices() int { return len(gi.of) }
-
 // Dense reports whether the O(1) cell table is active (false: lookups binary
 // search the sorted keys).
 func (gi *GridIndex) Dense() bool { return gi.cells != nil }
@@ -207,17 +204,7 @@ func (gi *GridIndex) MembersAt(ri int) []int32 {
 	return gi.members[gi.off[ri]:gi.off[ri+1]]
 }
 
-// Members returns the vertices of the region with the given key (nil when
-// unoccupied), in ascending vertex order.
-func (gi *GridIndex) Members(id RegionID) []int32 {
-	ri, ok := gi.IndexOf(id)
-	if !ok {
-		return nil
-	}
-	return gi.MembersAt(ri)
-}
-
-// OfVertex returns the region index of vertex v.
+// OfVertex returns the region index of vertex v, or -1 when v is absent.
 func (gi *GridIndex) OfVertex(v int) int { return int(gi.of[v]) }
 
 // VisitNear applies fn to every vertex in the stencil neighborhood of

@@ -23,8 +23,8 @@ func checkGridMatchesRegionIndex(t *testing.T, emb []Point) {
 	t.Helper()
 	gi := BuildGridIndex(emb)
 	oracle := BuildRegionIndex(emb)
-	if gi.NumVertices() != len(emb) {
-		t.Fatalf("NumVertices = %d, want %d", gi.NumVertices(), len(emb))
+	if len(gi.of) != len(emb) {
+		t.Fatalf("NumVertices = %d, want %d", len(gi.of), len(emb))
 	}
 	if gi.Len() != len(oracle.Members) {
 		t.Fatalf("region count = %d, want %d", gi.Len(), len(oracle.Members))
@@ -40,7 +40,7 @@ func checkGridMatchesRegionIndex(t *testing.T, emb []Point) {
 		if got, want := gi.MembersAt(ri), oracle.Members[id]; !equalInt32Int(got, want) {
 			t.Fatalf("region %v members = %v, want %v", id, got, want)
 		}
-		if got := gi.Members(id); !slices.Equal(got, gi.MembersAt(ri)) {
+		if got := members(gi, id); !slices.Equal(got, gi.MembersAt(ri)) {
 			t.Fatalf("Members(%v) = %v, want %v", id, got, gi.MembersAt(ri))
 		}
 	}
@@ -57,7 +57,7 @@ func checkGridMatchesRegionIndex(t *testing.T, emb []Point) {
 	if _, ok := gi.IndexOf(RegionID{I: math.MaxInt32 / 2, J: minJ}); ok {
 		t.Fatal("IndexOf reported a far-away region as occupied")
 	}
-	if m := gi.Members(RegionID{I: math.MaxInt32 / 2, J: minJ}); m != nil {
+	if m := members(gi, RegionID{I: math.MaxInt32 / 2, J: minJ}); m != nil {
 		t.Fatalf("Members of unoccupied region = %v, want nil", m)
 	}
 }
@@ -103,8 +103,8 @@ func TestGridIndexSparseFallback(t *testing.T) {
 
 func TestGridIndexEmpty(t *testing.T) {
 	gi := BuildGridIndex(nil)
-	if gi.Len() != 0 || gi.NumVertices() != 0 {
-		t.Fatalf("empty index: regions=%d vertices=%d", gi.Len(), gi.NumVertices())
+	if gi.Len() != 0 || len(gi.of) != 0 {
+		t.Fatalf("empty index: regions=%d vertices=%d", gi.Len(), len(gi.of))
 	}
 	if _, ok := gi.IndexOf(RegionID{}); ok {
 		t.Fatal("empty index reports region (0,0) occupied")
@@ -286,3 +286,16 @@ func BenchmarkBuildGridIndex(b *testing.B) {
 		BuildGridIndex(emb)
 	}
 }
+
+// members returns the vertices of the region with the given key (nil when
+// unoccupied), in ascending vertex order.
+func members(gi *GridIndex, id RegionID) []int32 {
+	ri, ok := gi.IndexOf(id)
+	if !ok {
+		return nil
+	}
+	return gi.MembersAt(ri)
+}
+
+// contains reports whether vertex v is currently present in the index.
+func contains(gi *GridIndex, v int) bool { return v < len(gi.of) && gi.of[v] >= 0 }

@@ -1,6 +1,6 @@
-// This file adds incremental maintenance to GridIndex: Insert, Delete and
-// Move patch the CSR layout in place instead of rebuilding it, which is what
-// makes mid-execution topology churn (node join/leave/mobility) affordable —
+// This file adds incremental maintenance to GridIndex: Insert and Delete
+// patch the CSR layout in place instead of rebuilding it, which is what
+// makes mid-execution topology churn (node join/leave) affordable —
 // a single-vertex patch costs a few bounded memmoves where a rebuild rescans
 // every vertex. The structural contract is exact: after any sequence of
 // patches the index is observably identical (Regions, members, vertex→region
@@ -23,19 +23,14 @@ import "slices"
 // index (deleted, or never inserted).
 const absentRegion = -1
 
-// Contains reports whether vertex v is currently present in the index.
-func (gi *GridIndex) Contains(v int) bool {
-	return v < len(gi.of) && gi.of[v] >= 0
-}
-
 // Insert adds vertex v at point p. v must either be the next fresh vertex
 // index (len(of), growing the universe) or an existing absent slot; inserting
-// a present vertex panics — use Move.
+// a present vertex panics.
 func (gi *GridIndex) Insert(v int, p Point) {
 	if v == len(gi.of) {
 		gi.of = append(gi.of, absentRegion)
 	} else if gi.of[v] >= 0 {
-		panic("geo: Insert of a present vertex (use Move)")
+		panic("geo: Insert of a present vertex")
 	}
 	key := RegionOf(p)
 	ri, ok := gi.IndexOf(key)
@@ -78,21 +73,6 @@ func (gi *GridIndex) Delete(v int) {
 	if gi.off[ri] == gi.off[ri+1] {
 		gi.removeRegion(ri)
 	}
-}
-
-// Move relocates vertex v to point p: a Delete/Insert pair that short-
-// circuits when the destination stays inside v's current region (the member
-// sets are then unchanged — members carry no coordinates).
-func (gi *GridIndex) Move(v int, p Point) {
-	ri := int(gi.of[v])
-	if ri < 0 {
-		panic("geo: Move of an absent vertex")
-	}
-	if gi.ids[ri] == RegionOf(p) {
-		return
-	}
-	gi.Delete(v)
-	gi.Insert(v, p)
 }
 
 // insertRegion splices a newly occupied region into the sorted key table and

@@ -43,7 +43,7 @@ func checkPatched(t *testing.T, gi *GridIndex, pos []Point, present []bool) {
 		if !slices.Equal(got, want[k]) {
 			t.Fatalf("MembersAt(%d) [%v] = %v, want %v", ri, k, got, want[k])
 		}
-		if got2 := gi.Members(k); !slices.Equal(got2, want[k]) {
+		if got2 := members(gi, k); !slices.Equal(got2, want[k]) {
 			t.Fatalf("Members(%v) = %v, want %v (IndexOf inconsistent)", k, got2, want[k])
 		}
 		total += len(got)
@@ -55,12 +55,12 @@ func checkPatched(t *testing.T, gi *GridIndex, pos []Point, present []bool) {
 	// Vertex→region table.
 	for v := range pos {
 		if !present[v] {
-			if gi.Contains(v) {
+			if contains(gi, v) {
 				t.Fatalf("Contains(%d) = true for deleted vertex", v)
 			}
 			continue
 		}
-		if !gi.Contains(v) {
+		if !contains(gi, v) {
 			t.Fatalf("Contains(%d) = false for present vertex", v)
 		}
 		if got := gi.RegionOfVertex(v); got != RegionOf(pos[v]) {
@@ -165,7 +165,8 @@ func TestGridPatchRandomChurn(t *testing.T) {
 						v = rng.Intn(len(pos))
 					}
 					p := Point{X: pos[v].X + rng.Float64()*0.3 - 0.15, Y: pos[v].Y + rng.Float64()*0.3 - 0.15}
-					gi.Move(v, p)
+					gi.Delete(v)
+					gi.Insert(v, p)
 					pos[v] = p
 				default: // long-range move, occasionally outside the original box
 					v := rng.Intn(len(pos))
@@ -173,7 +174,8 @@ func TestGridPatchRandomChurn(t *testing.T) {
 						v = rng.Intn(len(pos))
 					}
 					p := Point{X: rng.Float64()*8 - 1, Y: rng.Float64()*8 - 1}
-					gi.Move(v, p)
+					gi.Delete(v)
+					gi.Insert(v, p)
 					pos[v] = p
 				}
 				checkPatched(t, gi, pos, present)

@@ -53,22 +53,6 @@ func BuildRegionGraph(ids []RegionID, r float64) *RegionGraph {
 // Len returns the number of occupied regions.
 func (g *RegionGraph) Len() int { return len(g.ids) }
 
-// ID returns the region at the given internal index.
-func (g *RegionGraph) ID(i int) RegionID { return g.ids[i] }
-
-// IndexOf returns the internal index of a region and whether it exists.
-func (g *RegionGraph) IndexOf(id RegionID) (int, bool) {
-	i, ok := g.pos[id]
-	return i, ok
-}
-
-// Neighbors returns the internal indices of the regions adjacent to region
-// index i in G_{R,r}. The returned slice must not be modified.
-func (g *RegionGraph) Neighbors(i int) []int { return g.adj[i] }
-
-// Degree returns the number of neighbors of region index i.
-func (g *RegionGraph) Degree(i int) int { return len(g.adj[i]) }
-
 // WithinHops returns the internal indices of all regions whose hop distance
 // from region index i in G_{R,r} is at most h, including i itself
 // (hop distance 0). This is the "neighboring regions to distance h" notion

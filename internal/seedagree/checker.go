@@ -81,12 +81,6 @@ func MaxOwnerCount(d *dualgraph.Dual, ds []Decision) (maxOwners, argmax int) {
 	return maxOwners, argmax
 }
 
-// AgreementHolds reports the event B_{u,δ}: at most delta distinct owners
-// appear in decide outputs within N_G′(u) ∪ {u}.
-func AgreementHolds(d *dualgraph.Dual, ds []Decision, u, delta int) bool {
-	return OwnerCount(d, ds, u) <= delta
-}
-
 // OwnerSeeds returns the distinct owners' committed seed values, for the
 // statistical independence checks of the E-SEED-SPEC experiment.
 func OwnerSeeds(ds []Decision) map[int]xrand.Seed {

@@ -256,9 +256,6 @@ func TestOwnerCountSingleton(t *testing.T) {
 	if m != 1 || arg != 0 {
 		t.Errorf("MaxOwnerCount = %d,%d", m, arg)
 	}
-	if !AgreementHolds(d, ds, 0, 1) {
-		t.Error("agreement fails on singleton")
-	}
 }
 
 func TestMaxOwnerCountEmpty(t *testing.T) {

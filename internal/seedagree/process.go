@@ -1,9 +1,6 @@
 package seedagree
 
-import (
-	"lbcast/internal/sim"
-	"lbcast/internal/xrand"
-)
+import "lbcast/internal/sim"
 
 // Process adapts Alg to the simulator for standalone seed agreement runs
 // (the E-SEED experiments drive it directly). After Params.Rounds() rounds
@@ -47,9 +44,6 @@ func (sp *Process) Decided() bool { return sp.alg != nil && sp.alg.Decided() }
 
 // Decision returns the committed decision (valid once Decided).
 func (sp *Process) Decision() Decision { return sp.alg.Decision() }
-
-// InitialSeed exposes the node's own generated seed for spec checking.
-func (sp *Process) InitialSeed() xrand.Seed { return sp.alg.InitialSeed() }
 
 // Alg exposes the underlying state machine (tests and checkers).
 func (sp *Process) Alg() *Alg { return sp.alg }

@@ -174,9 +174,8 @@ type Plan struct {
 	bcastP   float64
 	// pp maps a local round 1..rounds to its packed (phase << 16 | pos)
 	// coordinates — 1-based election phase, 0-based position — replacing
-	// the per-round div/mod with one table load. Rounds() = Phases() ×
-	// PhaseLen() stays far below 2^16 on both axes for every reachable ε₁
-	// and Δ (NewPlan checks).
+	// the per-round div/mod with one table load. Phases() and PhaseLen()
+	// stay far below 2^16 for every reachable ε₁ and Δ (NewPlan checks).
 	pp []uint32
 	// leaderProb[h] is the election probability of phase h (1-based).
 	leaderProb []float64
@@ -203,21 +202,8 @@ func NewPlan(p Params) *Plan {
 	return pl
 }
 
-// Rounds returns the total running time in rounds.
-func (pl *Plan) Rounds() int { return pl.rounds }
-
 // PhaseLen returns the rounds per election phase.
 func (pl *Plan) PhaseLen() int { return pl.phaseLen }
-
-// LeaderProb returns the election probability of phase h (1-based).
-func (pl *Plan) LeaderProb(h int) float64 { return pl.leaderProb[h] }
-
-// PhaseOf maps a local round 1..Rounds() to (phase 1.., position 0..) by
-// table lookup.
-func (pl *Plan) PhaseOf(local int) (phase, pos int) {
-	v := pl.pp[local]
-	return int(v >> 16), int(v & 0xffff)
-}
 
 // Alg is the per-node SeedAlg state machine, driven by local round numbers
 // 1..Params.Rounds(). It is deliberately engine-agnostic so LBAlg can embed

@@ -315,12 +315,12 @@ func TestPlanMatchesFormulas(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := NewPlan(p)
-		if pl.Rounds() != p.Rounds() || pl.PhaseLen() != p.PhaseLen() {
+		if pl.rounds != p.Rounds() || pl.PhaseLen() != p.PhaseLen() {
 			t.Fatalf("Δ=%d: plan rounds/phaseLen %d/%d, want %d/%d",
-				delta, pl.Rounds(), pl.PhaseLen(), p.Rounds(), p.PhaseLen())
+				delta, pl.rounds, pl.PhaseLen(), p.Rounds(), p.PhaseLen())
 		}
 		for local := 1; local <= p.Rounds(); local++ {
-			phase, pos := pl.PhaseOf(local)
+			phase, pos := int(pl.pp[local]>>16), int(pl.pp[local]&0xffff)
 			if want := (local-1)/p.PhaseLen() + 1; phase != want {
 				t.Fatalf("Δ=%d local %d: phase %d, want %d", delta, local, phase, want)
 			}
@@ -329,8 +329,8 @@ func TestPlanMatchesFormulas(t *testing.T) {
 			}
 		}
 		for h := 1; h <= p.Phases(); h++ {
-			if pl.LeaderProb(h) != p.leaderProb(h) {
-				t.Fatalf("Δ=%d phase %d: leaderProb %v, want %v", delta, h, pl.LeaderProb(h), p.leaderProb(h))
+			if pl.leaderProb[h] != p.leaderProb(h) {
+				t.Fatalf("Δ=%d phase %d: leaderProb %v, want %v", delta, h, pl.leaderProb[h], p.leaderProb(h))
 			}
 		}
 	}

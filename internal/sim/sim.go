@@ -140,9 +140,3 @@ type NodeEnv struct {
 type Recorder interface {
 	Record(ev Event)
 }
-
-// discardRecorder drops all events; used when no trace is attached.
-type discardRecorder struct{}
-
-// Record implements Recorder by dropping the event.
-func (discardRecorder) Record(Event) {}

@@ -37,9 +37,6 @@ type traceSpill struct {
 	// err latches the first write failure: spilling stops (chunks simply
 	// stay in memory, correctness unaffected) and SpillError reports it.
 	err error
-	// chunks and bytes count what was written, for telemetry and tests.
-	chunks int
-	bytes  int64
 	// cacheIdx/cache is the one-chunk rehydration cache (absolute chunk
 	// index, -1 empty). Trace reads are single-threaded per the Trace
 	// contract, and every walk is ascending, so one slot suffices.
@@ -74,15 +71,6 @@ func (tr *Trace) SpillToDisk(dir string) error {
 	os.Remove(f.Name())
 	tr.store.spill = &traceSpill{f: f, retain: spillRetainDefault, cacheIdx: -1}
 	return nil
-}
-
-// SpillStats reports how many sealed chunks (and bytes) have been moved to
-// disk so far.
-func (tr *Trace) SpillStats() (chunks int, bytes int64) {
-	if sp := tr.store.spill; sp != nil {
-		return sp.chunks, sp.bytes
-	}
-	return 0, 0
 }
 
 // SpillError returns the latched write error, if spilling has failed. The
@@ -159,8 +147,6 @@ func (sp *traceSpill) writeChunk(abs int, c *eventChunk) error {
 	if _, err := sp.f.WriteAt(buf, int64(abs)*spillChunkBytes); err != nil {
 		return fmt.Errorf("sim: spilling trace chunk %d: %w", abs, err)
 	}
-	sp.chunks++
-	sp.bytes += spillChunkBytes
 	if sp.cacheIdx == abs {
 		sp.cacheIdx = -1 // never stale, but keep the invariant obvious
 	}

@@ -28,8 +28,8 @@ func fillTrace(tr *Trace, n int) {
 
 // TestSpillRoundTrip: a trace spilling to disk must serve the identical
 // event sequence as an in-memory trace over every read path — WriteJSON
-// byte-identical, At/ByKind/ByNode element-identical — while actually
-// holding most chunks on disk.
+// byte-identical, At/ByKind element-identical — while actually holding most
+// chunks on disk.
 func TestSpillRoundTrip(t *testing.T) {
 	const n = 6*eventChunkLen + 123
 	mem, spilled := &Trace{}, &Trace{}
@@ -40,9 +40,6 @@ func TestSpillRoundTrip(t *testing.T) {
 	fillTrace(mem, n)
 	fillTrace(spilled, n)
 
-	if chunks, bytes_ := spilled.SpillStats(); chunks == 0 || bytes_ != int64(chunks)*spillChunkBytes {
-		t.Fatalf("spill stats = %d chunks / %d bytes; expected sealed chunks on disk", chunks, bytes_)
-	}
 	if err := spilled.SpillError(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +80,6 @@ func TestSpillRoundTrip(t *testing.T) {
 			t.Fatalf("ByKind(%v): %d events, want %d", kind, len(got), len(want))
 		}
 	}
-	got, want := spilled.ByNode(3), mem.ByNode(3)
-	if len(got) != len(want) {
-		t.Fatalf("ByNode(3): %d events, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("ByNode(3)[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }
 
 // TestSpillEnableMidRun: chunks sealed before SpillToDisk move to disk at
@@ -106,7 +94,7 @@ func TestSpillEnableMidRun(t *testing.T) {
 	}
 	defer spilled.CloseSpill()
 	fillTraceFrom(spilled, 2*eventChunkLen+5, n)
-	if chunks, _ := spilled.SpillStats(); chunks == 0 {
+	if onDisk(spilled) == 0 {
 		t.Fatal("no chunks spilled after mid-run enable")
 	}
 	for i := 0; i < n; i += 613 {
@@ -141,10 +129,10 @@ func TestSpillDiscardBefore(t *testing.T) {
 	cut := 3*eventChunkLen + 40 // releases three chunks, all already on disk
 	mem.DiscardBefore(cut)
 	spilled.DiscardBefore(cut)
-	if got, want := spilled.Discarded(), mem.Discarded(); got != want {
+	if got, want := discarded(spilled), discarded(mem); got != want {
 		t.Fatalf("Discarded = %d, want %d", got, want)
 	}
-	for i := spilled.Discarded(); i < n; i += 509 {
+	for i := discarded(spilled); i < n; i += 509 {
 		if got, want := spilled.At(i), mem.At(i); got != want {
 			t.Fatalf("At(%d) = %+v, want %+v", i, got, want)
 		}
@@ -152,7 +140,7 @@ func TestSpillDiscardBefore(t *testing.T) {
 	// Appending after a discard keeps spilling at the right absolute slots.
 	fillTraceFrom(spilled, n, n+2*eventChunkLen)
 	fillTraceFrom(mem, n, n+2*eventChunkLen)
-	for i := spilled.Discarded(); i < n+2*eventChunkLen; i += 509 {
+	for i := discarded(spilled); i < n+2*eventChunkLen; i += 509 {
 		if got, want := spilled.At(i), mem.At(i); got != want {
 			t.Fatalf("after append: At(%d) = %+v, want %+v", i, got, want)
 		}
@@ -160,9 +148,20 @@ func TestSpillDiscardBefore(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("At below Discarded() did not panic")
+				t.Error("At below the retained suffix did not panic")
 			}
 		}()
 		spilled.At(0)
 	}()
+}
+
+// onDisk counts the chunks whose in-memory copy was dropped after spilling.
+func onDisk(tr *Trace) int {
+	n := 0
+	for _, c := range tr.store.chunks {
+		if c == nil {
+			n++
+		}
+	}
+	return n
 }

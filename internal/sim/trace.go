@@ -280,7 +280,8 @@ func (tr *Trace) recordAll(evs []Event, defaultRound int) {
 // Len returns the number of recorded events.
 func (tr *Trace) Len() int { return tr.store.n }
 
-// At returns event i (Discarded() ≤ i < Len) in trace order. Incremental
+// At returns event i (i < Len, not released by DiscardBefore) in trace
+// order. Incremental
 // consumers — analyses that poll the trace between rounds — scan the tail
 // with At(i) for i in [seen, Len()).
 func (tr *Trace) At(i int) Event { return tr.store.at(i) }
@@ -290,7 +291,8 @@ func (tr *Trace) At(i int) Event { return tr.store.at(i) }
 // mode) that have fully processed the head of the trace. Logical indices
 // are unaffected: Len() keeps counting all recorded events, aggregate
 // statistics and per-kind counters are untouched, and At/Events serve the
-// retained suffix [Discarded(), Len()). Accessing a released index panics.
+// retained suffix, which starts at the first unreleased chunk. Accessing a
+// released index panics.
 func (tr *Trace) DiscardBefore(i int) {
 	s := &tr.store
 	if i > s.n {
@@ -323,10 +325,6 @@ func (tr *Trace) DiscardBefore(i int) {
 	}
 }
 
-// Discarded returns the index of the first retained event — 0 unless
-// DiscardBefore has released head chunks.
-func (tr *Trace) Discarded() int { return tr.store.droppedChunks * eventChunkLen }
-
 // Events iterates over all recorded events in trace order, walking the
 // columns chunk by chunk without materialising []Event. Sparse payloads are
 // joined with a single cursor over the payload table (indices are visited
@@ -358,21 +356,6 @@ func (tr *Trace) Events() iter.Seq[Event] {
 	}
 }
 
-// AppendEvents appends all recorded events to dst (growing it at most once)
-// and returns the result. Row-form materialisation for consumers that need a
-// slice; analysis paths should prefer Events/ByKind/ByNode.
-func (tr *Trace) AppendEvents(dst []Event) []Event {
-	if cap(dst)-len(dst) < tr.store.n {
-		grown := make([]Event, len(dst), len(dst)+tr.store.n)
-		copy(grown, dst)
-		dst = grown
-	}
-	for ev := range tr.Events() {
-		dst = append(dst, ev)
-	}
-	return dst
-}
-
 // ByKind returns the events of the given kind, in trace order. The result is
 // allocated exactly once, sized from the store's per-kind counters.
 func (tr *Trace) ByKind(kind EventKind) []Event {
@@ -393,41 +376,6 @@ func (tr *Trace) ByKind(kind EventKind) []Event {
 		}
 	}
 	return out
-}
-
-// ByNode returns the events of the given node, in trace order. A counting
-// pass sizes the result so the fill pass never reallocates.
-func (tr *Trace) ByNode(node int) []Event {
-	count := 0
-	for ci := range tr.store.chunks {
-		for _, u := range tr.store.chunk(ci).node {
-			if int(u) == node {
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]Event, 0, count)
-	for ev := range tr.Events() {
-		if ev.Node == node {
-			out = append(out, ev)
-			if len(out) == count {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// KindCount returns the number of recorded events of the given kind without
-// scanning the store.
-func (tr *Trace) KindCount(kind EventKind) int {
-	if k := int(kind); k >= 0 && k <= numEventKinds {
-		return tr.store.kindCount[k]
-	}
-	return 0
 }
 
 // nodeRecorder buffers one node's events between engine drain points, so

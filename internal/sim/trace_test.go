@@ -56,33 +56,12 @@ func TestColumnarStoreRoundTrip(t *testing.T) {
 				wantCount++
 			}
 		}
-		if got := tr.KindCount(k); got != wantCount {
-			t.Errorf("KindCount(%v) = %d, want %d", k, got, wantCount)
-		}
 		byKind := tr.ByKind(k)
 		if len(byKind) != wantCount {
 			t.Errorf("ByKind(%v) returned %d events, want %d", k, len(byKind), wantCount)
 		}
 		if cap(byKind) != wantCount {
 			t.Errorf("ByKind(%v) cap = %d, want exactly %d (preallocation contract)", k, cap(byKind), wantCount)
-		}
-	}
-	byNode := tr.ByNode(5)
-	for _, ev := range byNode {
-		if ev.Node != 5 {
-			t.Fatalf("ByNode(5) returned event for node %d", ev.Node)
-		}
-	}
-	if len(byNode) == 0 || cap(byNode) != len(byNode) {
-		t.Errorf("ByNode(5): len %d cap %d, want non-empty exact-capacity slice", len(byNode), cap(byNode))
-	}
-	all := tr.AppendEvents(nil)
-	if len(all) != total {
-		t.Fatalf("AppendEvents returned %d events", len(all))
-	}
-	for i, ev := range all {
-		if ev != want[i] {
-			t.Fatalf("AppendEvents[%d] = %+v, want %+v", i, ev, want[i])
 		}
 	}
 }
@@ -93,9 +72,6 @@ func TestByKindByNodeEmpty(t *testing.T) {
 	tr.Record(Event{Round: 1, Node: 0, Kind: EvBcast})
 	if got := tr.ByKind(EvDecide); got != nil {
 		t.Errorf("ByKind(EvDecide) = %v, want nil", got)
-	}
-	if got := tr.ByNode(9); got != nil {
-		t.Errorf("ByNode(9) = %v, want nil", got)
 	}
 	if got := tr.ByKind(EventKind(99)); got != nil {
 		t.Errorf("ByKind(99) = %v, want nil", got)
@@ -144,18 +120,18 @@ func TestDiscardBefore(t *testing.T) {
 
 	// Mid-chunk cutoff: only the full chunks before it are released.
 	tr.DiscardBefore(eventChunkLen + 7)
-	if got := tr.Discarded(); got != eventChunkLen {
+	if got := discarded(tr); got != eventChunkLen {
 		t.Fatalf("Discarded = %d, want %d", got, eventChunkLen)
 	}
 	if tr.Len() != total {
 		t.Fatalf("Len changed to %d after discard", tr.Len())
 	}
-	for i := tr.Discarded(); i < total; i++ {
+	for i := discarded(tr); i < total; i++ {
 		if got := tr.At(i); got != want[i] {
 			t.Fatalf("At(%d) = %+v, want %+v", i, got, want[i])
 		}
 	}
-	i := tr.Discarded()
+	i := discarded(tr)
 	for ev := range tr.Events() {
 		if ev != want[i] {
 			t.Fatalf("iterator event %d = %+v, want %+v", i, ev, want[i])
@@ -188,10 +164,14 @@ func TestDiscardBefore(t *testing.T) {
 	// Release everything recorded so far: Len is clamped, only the partial
 	// tail chunk survives.
 	tr.DiscardBefore(tr.Len() + 500)
-	if got, min := tr.Discarded(), 3*eventChunkLen; got != min {
+	if got, min := discarded(tr), 3*eventChunkLen; got != min {
 		t.Fatalf("full discard: Discarded = %d, want %d", got, min)
 	}
 	if got := tr.At(total); got != extra {
 		t.Fatalf("tail lost after full discard: At(%d) = %+v", total, got)
 	}
 }
+
+// discarded returns the index of the first retained event: 0 unless
+// DiscardBefore has released head chunks.
+func discarded(tr *Trace) int { return tr.store.droppedChunks * eventChunkLen }

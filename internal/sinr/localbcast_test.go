@@ -57,10 +57,10 @@ func TestLocalBcastAcksAndDelivers(t *testing.T) {
 	window := procs[0].p.AckRounds
 	e.Run(3*window + 5)
 	tr := e.Trace()
-	if got := tr.KindCount(sim.EvAck); got < 4 {
+	if got := len(tr.ByKind(sim.EvAck)); got < 4 {
 		t.Errorf("expected ≥ 4 acks over 3 windows of 2 saturated senders, got %d", got)
 	}
-	if tr.KindCount(sim.EvRecv) == 0 {
+	if len(tr.ByKind(sim.EvRecv)) == 0 {
 		t.Error("no recv outputs recorded")
 	}
 	if tr.Deliveries == 0 {

@@ -163,9 +163,6 @@ func NewModel(pos []geo.Point, pa PowerAssignment, p Params) (*Model, error) {
 	return m, nil
 }
 
-// N returns the number of nodes in the placement.
-func (m *Model) N() int { return len(m.pos) }
-
 // Params returns the physical constants.
 func (m *Model) Params() Params { return m.p }
 
@@ -183,27 +180,6 @@ func (m *Model) Gain(u, v int) float64 {
 // ReceivedPower returns the power of v's transmission as heard at u.
 func (m *Model) ReceivedPower(u, v int) float64 {
 	return m.power[v] * m.Gain(u, v)
-}
-
-// SINR returns the signal-to-interference-plus-noise ratio of transmitter v
-// at listener u when exactly the nodes in txs transmit (v must be in txs; u
-// is excluded from the interference sum, a transmitter cannot jam itself —
-// though a transmitting u never decodes anyone, see Resolve).
-func (m *Model) SINR(u int, v int32, txs []int32) float64 {
-	signal := 0.0
-	interference := m.p.Noise
-	for _, w := range txs {
-		if int(w) == u {
-			continue
-		}
-		pw := m.ReceivedPower(u, int(w))
-		if w == v {
-			signal = pw
-		} else {
-			interference += pw
-		}
-	}
-	return signal / interference
 }
 
 // Resolve implements sim.ReceptionModel: for every listener the strongest

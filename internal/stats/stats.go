@@ -9,11 +9,11 @@ import (
 	"text/tabwriter"
 )
 
-// Summary accumulates a stream of observations with Welford's algorithm.
-// The zero value is an empty summary ready for use.
+// Summary accumulates a stream of observations: a running mean and the
+// extrema. The zero value is an empty summary ready for use.
 type Summary struct {
 	n          int
-	mean, m2   float64
+	mean       float64
 	min, max   float64
 	hasExtrema bool
 }
@@ -21,9 +21,7 @@ type Summary struct {
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 	if !s.hasExtrema || x < s.min {
 		s.min = x
 	}
@@ -36,22 +34,8 @@ func (s *Summary) Add(x float64) {
 // AddInt incorporates one integer observation.
 func (s *Summary) AddInt(x int) { s.Add(float64(x)) }
 
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
 // Mean returns the sample mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance (0 with fewer than 2 samples).
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
 // Min and Max return the extrema (0 for an empty summary).
 func (s *Summary) Min() float64 { return s.min }

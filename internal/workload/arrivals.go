@@ -67,16 +67,6 @@ func (p *Plan) OfferedLoad() float64 {
 	return float64(len(p.Arrivals)) / (float64(p.N) * float64(p.Rounds))
 }
 
-// PerNode returns each node's arrival rounds in ascending order. The
-// N-independence tests diff these across network sizes.
-func (p *Plan) PerNode() [][]int {
-	out := make([][]int, p.N)
-	for _, a := range p.Arrivals {
-		out[a.Node] = append(out[a.Node], a.Round)
-	}
-	return out
-}
-
 // normalize sorts arrivals into canonical (Round, Node) order, preserving
 // the relative order of equal (Round, Node) pairs (a same-round burst keeps
 // its generation order).

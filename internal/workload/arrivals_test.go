@@ -25,7 +25,7 @@ func TestPoissonInterarrivalMoments(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gaps []float64
-	for _, times := range p.PerNode() {
+	for _, times := range perNode(p) {
 		for i := 1; i < len(times); i++ {
 			gaps = append(gaps, float64(times[i]-times[i-1]))
 		}
@@ -245,7 +245,7 @@ func TestNIndependence(t *testing.T) {
 	}
 	small, big := build(40), build(80)
 	for name := range small {
-		a, b := small[name].PerNode(), big[name].PerNode()
+		a, b := perNode(small[name]), perNode(big[name])
 		for u := 0; u < 40; u++ {
 			if !reflect.DeepEqual(a[u], b[u]) {
 				t.Errorf("%s: node %d arrivals changed when n grew 40→80", name, u)
@@ -293,4 +293,13 @@ func TestPlanZeroRate(t *testing.T) {
 	if len(p.Arrivals) != 0 || p.Validate() != nil || p.OfferedLoad() != 0 {
 		t.Errorf("zero-rate plan not empty/valid: %+v", p)
 	}
+}
+
+// perNode returns each node's arrival rounds in ascending order.
+func perNode(p *Plan) [][]int {
+	out := make([][]int, p.N)
+	for _, a := range p.Arrivals {
+		out[a.Node] = append(out[a.Node], a.Round)
+	}
+	return out
 }

@@ -15,8 +15,7 @@
 // engine drivers and worker counts.
 //
 // Preset scenarios ("iot-telemetry", "alarm-flood", "gossip-storm") bundle
-// a generator with a queue discipline, and TraceDoc records a run's
-// arrival schedule as lbcast-load-trace/v1 JSON for deterministic replay.
+// a generator with a queue discipline.
 // The E-LOAD experiment (internal/exp, `lbsim -exp load`) sweeps offered
 // load across protocol contenders over this engine to produce the
 // throughput/latency knee curves.

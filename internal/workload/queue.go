@@ -26,17 +26,6 @@ func (p DropPolicy) String() string {
 	return fmt.Sprintf("DropPolicy(%d)", uint8(p))
 }
 
-// ParseDropPolicy inverts String.
-func ParseDropPolicy(s string) (DropPolicy, error) {
-	switch s {
-	case "drop-newest":
-		return DropNewest, nil
-	case "drop-oldest":
-		return DropOldest, nil
-	}
-	return 0, fmt.Errorf("workload: unknown drop policy %q (drop-newest|drop-oldest)", s)
-}
-
 // queue is one node's bounded FIFO of pending messages. Entries are the
 // arrival rounds (all a message's SLO accounting needs); it is a ring
 // buffer so steady-state enqueue/dequeue allocates nothing.

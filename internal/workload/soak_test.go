@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"lbcast/internal/baseline"
@@ -8,6 +9,7 @@ import (
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
+	"lbcast/internal/stats"
 	"lbcast/internal/xrand"
 )
 
@@ -37,6 +39,37 @@ func engineChecksum(tr *sim.Trace) uint64 {
 		i++
 	}
 	return checksum
+}
+
+// Fingerprint reduces the metrics to one hash: every counter, both
+// histograms bin by bin, and the depth series. The soak and the driver
+// tests compare fingerprints across drivers and against the pinned run.
+func (m *Metrics) Fingerprint() uint64 {
+	h := fnv.New64a()
+	add := func(vs ...int64) {
+		var b [8]byte
+		for _, v := range vs {
+			for i := range b {
+				b[i] = byte(uint64(v) >> (8 * i))
+			}
+			h.Write(b[:])
+		}
+	}
+	// The 0 stands where a count of broadcasts abandoned by churn restarts
+	// was hashed; nothing produces one, and the pinned hash covers the slot.
+	add(int64(m.Rounds), int64(m.Offered), int64(m.Accepted), int64(m.Dropped),
+		int64(m.Bcasts), int64(m.Acks), 0, m.DepthSum, int64(m.DepthMax))
+	for _, hist := range []*stats.Histogram{m.Sojourn, m.Service} {
+		for v, c := range hist.Counts() {
+			if c != 0 {
+				add(int64(v), int64(c))
+			}
+		}
+	}
+	for _, d := range m.Depth {
+		add(int64(d.Round), int64(d.Total), int64(d.Max))
+	}
+	return h.Sum64()
 }
 
 func loadSoakFingerprint(tr *sim.Trace, m *Metrics) loadFingerprint {

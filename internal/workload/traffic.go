@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"lbcast/internal/core"
 	"lbcast/internal/sim"
@@ -32,9 +31,8 @@ type Metrics struct {
 	// Dropped).
 	Offered, Accepted, Dropped int
 	// Bcasts counts broadcasts handed to the protocol layer, Acks the ones
-	// acknowledged. Lost counts in-flight broadcasts abandoned by Rearm
-	// (churn restarts).
-	Bcasts, Acks, Lost int
+	// acknowledged.
+	Bcasts, Acks int
 	// Sojourn is the arrival→ack latency histogram (queue wait plus
 	// service) — the SLO the percentile columns come from. Service is the
 	// bcast→ack portion alone.
@@ -45,35 +43,6 @@ type Metrics struct {
 	DepthMax int
 	// Depth is the sampled depth time series.
 	Depth []DepthSample
-}
-
-// Fingerprint reduces the metrics to one hash: every counter, both
-// histograms bin by bin, and the depth series. The soak and replay tests
-// compare fingerprints across drivers and against recorded runs.
-func (m *Metrics) Fingerprint() uint64 {
-	h := fnv.New64a()
-	add := func(vs ...int64) {
-		var b [8]byte
-		for _, v := range vs {
-			for i := range b {
-				b[i] = byte(uint64(v) >> (8 * i))
-			}
-			h.Write(b[:])
-		}
-	}
-	add(int64(m.Rounds), int64(m.Offered), int64(m.Accepted), int64(m.Dropped),
-		int64(m.Bcasts), int64(m.Acks), int64(m.Lost), m.DepthSum, int64(m.DepthMax))
-	for _, hist := range []*stats.Histogram{m.Sojourn, m.Service} {
-		for v, c := range hist.Counts() {
-			if c != 0 {
-				add(int64(v), int64(c))
-			}
-		}
-	}
-	for _, d := range m.Depth {
-		add(int64(d.Round), int64(d.Total), int64(d.Max))
-	}
-	return h.Sum64()
 }
 
 // Config assembles a traffic run over an assembled protocol deployment.
@@ -182,23 +151,6 @@ func (tr *Traffic) hook(u int) {
 // Metrics returns the accumulated metrics (live; read after the run).
 func (tr *Traffic) Metrics() *Metrics { return &tr.m }
 
-// QueueDepth returns node u's current queue depth.
-func (tr *Traffic) QueueDepth(u int) int { return tr.queues[u].len() }
-
-// Rearm re-hooks node u after its Service was replaced (a churn restart
-// abandons the old process together with the planted OnAck). The in-flight
-// broadcast, if any, is accounted as lost and the node resumes draining
-// its queue — queued arrivals survive the crash, only the message on the
-// air goes down with the process.
-func (tr *Traffic) Rearm(u int) {
-	if tr.inflight[u] >= 0 {
-		tr.inflight[u] = -1
-		tr.m.Lost++
-	}
-	tr.ackedAt[u] = -1
-	tr.hook(u)
-}
-
 // BeforeRound implements sim.Environment: deliver the round's arrivals
 // into the queues, dispatch the head of every idle queue, then let the
 // wrapped environment act on the loaded world.
@@ -267,7 +219,7 @@ func (tr *Traffic) AfterRound(t int) {
 		ack := int(tr.ackedAt[u])
 		tr.ackedAt[u] = -1
 		if tr.inflight[u] < 0 {
-			continue // ack from an abandoned incarnation (Rearm raced it)
+			continue // ack of a broadcast Traffic did not dispatch
 		}
 		tr.m.Acks++
 		tr.m.Sojourn.Add(ack - int(tr.inflight[u]))

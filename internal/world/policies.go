@@ -117,9 +117,9 @@ func init() {
 		Model:       "sinr",
 		Instantiate: func(top *Topology) (*Instance, error) {
 			// Non-uniform transmit powers: a deterministic 2× spread over the
-			// same embedding (P_u ∈ [0.75, 1.5]). This exercises the per-cell
-			// power totals of the bucketed resolver, which a uniform
-			// assignment cannot.
+			// same embedding (P_u ∈ [0.75, 1.5]), so reception and the
+			// per-source isolation ranges depend on who transmits, which a
+			// uniform assignment cannot show.
 			n := top.Dual.N()
 			powers := make(sinr.PerNodePower, n)
 			prng := xrand.New(top.Seed).Split(0x9027)

@@ -194,7 +194,12 @@ func TestLBAlgServiceFootprint(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(svcs)
-		return float64(after.TotalAlloc-before.TotalAlloc) / calls, svcs[0].(*core.LBAlg).Params().PhaseLen()
+		// The policy derives its schedule from the topology the same way.
+		p, err := core.DeriveParams(top.Delta, top.DeltaPrime, top.Dual.R, top.Eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls, p.PhaseLen()
 	}
 	small, smallLen := perCall(48)
 	large, largeLen := perCall(128)

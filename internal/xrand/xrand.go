@@ -115,19 +115,6 @@ func (r *Source) Bits(k int) uint64 {
 	return r.Uint64() >> (64 - uint(k))
 }
 
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // NodeSource returns the canonical per-node stream for the given experiment
 // seed and node index. All simulator components use this single derivation
 // so that a configuration plus a seed fully determines an execution.

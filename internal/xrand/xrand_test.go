@@ -187,38 +187,6 @@ func TestBitsPanics(t *testing.T) {
 	New(1).Bits(65)
 }
 
-func TestPerm(t *testing.T) {
-	r := New(11)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make(map[int]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	r := New(12)
-	const n, draws = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		counts[r.Perm(n)[0]]++
-	}
-	want := float64(draws) / n
-	for v, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Errorf("Perm first element %d appeared %d times, want ≈%v", v, c, want)
-		}
-	}
-}
-
 func TestUint64BitBalance(t *testing.T) {
 	// Every bit position should be ~50% ones over a long run.
 	r := New(13)

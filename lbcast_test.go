@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/geo"
 )
@@ -257,13 +256,6 @@ func TestNewGeometricMatchesPairLoop(t *testing.T) {
 	}
 }
 
-// maxFuzzPhase caps the phase length FuzzNewGeometric builds a network
-// for. A valid placement with a large r and few neighbours derives a long
-// schedule, and NewPhasePlan allocates one slot per round of a phase (over
-// 1 GB for one node at r = 1000): that is the plan's cost, not the
-// constructor's boundary, so the target stops at the dual for those.
-const maxFuzzPhase = 1 << 16
-
 // FuzzNewGeometric feeds NewGeometric arbitrary placements: r, and up to 64
 // points read from the bytes as little-endian float64 pairs. NewGeometric
 // must never panic; dualgraph.Geometric must accept exactly what the
@@ -301,10 +293,6 @@ func FuzzNewGeometric(f *testing.F) {
 				t.Fatalf("accepted dual fails Validate: %v", err)
 			}
 			requireSameDual(t, got, want)
-			p, err := core.DeriveParams(got.Delta(), got.DeltaPrime(), r, defaultOptions().eps)
-			if err == nil && p.PhaseLen() > maxFuzzPhase {
-				return
-			}
 		}
 		nw, err := NewGeometric(points, r)
 		if err != nil {
@@ -347,6 +335,23 @@ func TestNewGeometricInvalid(t *testing.T) {
 	}
 	if _, err := NewGeometric([]Point{{0, 0}}, 0.5); err == nil {
 		t.Error("r < 1 accepted")
+	}
+}
+
+// TestNewGeometricSparseLongPhase: one node at r = 1000 derives a phase of
+// 86,142,882 rounds, and building its network must not allocate in
+// proportion.
+func TestNewGeometricSparseLongPhase(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nw, err := NewGeometric([]Point{{0, 0}}, 1000)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("NewGeometric allocated %d B for one node at r = 1000, want < 64 KB", alloc)
 	}
 }
 
