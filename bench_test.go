@@ -180,9 +180,9 @@ func BenchmarkGeometricConstruction(b *testing.B) {
 
 // BenchmarkSINRRound measures one SINR resolution round on E-SINR's
 // full-size configuration: its n = 1024 sweep-geometric placement,
-// DefaultParams (Tolerance 0, the exact resolver) and uniform power, with
-// 10% of nodes transmitting. A warm-up Resolve before the timer keeps any
-// first-round scratch growth out of the measured rounds.
+// DefaultParams and uniform power, with 10% of nodes transmitting. A
+// warm-up Resolve before the timer keeps any first-round scratch growth
+// out of the measured rounds.
 func BenchmarkSINRRound(b *testing.B) {
 	d, err := dualgraph.RandomGeometric(1024, 16, 16, 1.5, dualgraph.GreyUnreliable, xrand.New(1))
 	if err != nil {

@@ -20,6 +20,11 @@ import (
 // these services ack on a fixed round count — the window is sized so
 // delivery to all neighbors has failed with probability at most ε when it
 // expires.
+//
+// An idle window sleeps (sim.NodeEnv.Sleep): from Init until Bcast and
+// again from the ack, the embedding's Transmit must return false without
+// drawing a coin, and Receive of ⊥ changes nothing, so the engine calls
+// the node only when a transmission reaches it.
 type AckWindow struct {
 	// AckRounds is the fixed acknowledgement window: the ack output fires
 	// once the broadcast has been active for this many rounds (the bcast
@@ -38,7 +43,11 @@ type AckWindow struct {
 }
 
 // Init implements the sim.Process initialisation for the embedding service.
-func (w *AckWindow) Init(env *sim.NodeEnv) { w.env = env }
+// The node starts idle, so it sleeps until its first Bcast.
+func (w *AckWindow) Init(env *sim.NodeEnv) {
+	w.env = env
+	env.Sleep(true)
+}
 
 // Env returns the node environment handed to Init.
 func (w *AckWindow) Env() *sim.NodeEnv { return w.env }
@@ -49,14 +58,12 @@ func (w *AckWindow) Bcast(payload any) (sim.MsgID, error) {
 	if w.pending != nil {
 		return 0, fmt.Errorf("core: node %d already broadcasting %v", w.env.ID, w.pending.ID)
 	}
-	if w.seen == nil {
-		w.seen = make(map[sim.MsgID]struct{})
-	}
 	w.seq++
 	m := Message{ID: sim.NewMsgID(w.env.ID, w.seq), Payload: payload}
 	w.pending = &m
 	w.frame = DataMsg{Msg: m}
 	w.activeFor = 0
+	w.env.Sleep(false)
 	w.env.Rec.Record(sim.Event{Node: w.env.ID, Kind: sim.EvBcast, MsgID: m.ID, Payload: payload})
 	return m.ID, nil
 }
@@ -90,6 +97,7 @@ func (w *AckWindow) Receive(t, from int, payload any, ok bool) {
 			m := *w.pending
 			w.pending = nil
 			w.frame = nil
+			w.env.Sleep(true)
 			w.env.Rec.Record(sim.Event{Round: t, Node: w.env.ID, Kind: sim.EvAck, MsgID: m.ID})
 			if w.onAck != nil {
 				w.onAck(m)

@@ -67,8 +67,8 @@ type LBAlg struct {
 	// The leading fields are the per-round hot set, ordered so the
 	// receiver-path loads in Transmit/Receive (position memo, phase
 	// boundaries, state, coin scratch header) share the node's first cache
-	// lines; the wide Params value and the callback/bookkeeping tail live
-	// behind them.
+	// lines; the callback/bookkeeping tail lives behind them. Params are
+	// read from the shared plan.
 
 	// memoT/memoPhase/memoPos track the current round's phase coordinates
 	// incrementally: rounds arrive in order, so the common case is a +1 step
@@ -87,7 +87,7 @@ type LBAlg struct {
 	// decided and is not advertising, its Transmit/Receive are no-ops (no
 	// private coin draws), so the calls are skipped for the rest of the
 	// preamble. It shares a word with sendingStarted and cur, which keeps
-	// LBAlg at 368 B.
+	// LBAlg at 232 B.
 	seedIdle       bool
 	sendingStarted bool  // pending has entered its sending phases
 	cur            int32 // the next unread bit of committed
@@ -115,8 +115,7 @@ type LBAlg struct {
 	frame      any // pending's on-air DataMsg, boxed once at Bcast
 	phasesLeft int // full sending phases remaining for pending
 
-	p Params
-
+	// seen holds the ids delivered here; allocated at the first delivery.
 	seen map[sim.MsgID]struct{}
 	seq  int
 
@@ -145,10 +144,10 @@ func (l *LBAlg) SetOnRecv(fn func(Message, int)) { l.OnRecv = fn }
 // schedule, which carries the Params it was derived from. The plan is
 // read-only to the process, so any number of nodes may share one.
 func NewLBAlgWithPlan(plan *PhasePlan) *LBAlg {
-	return &LBAlg{p: plan.params, plan: plan, state: StateReceiving,
+	return &LBAlg{plan: plan, state: StateReceiving,
 		memoPhase: 1, memoPos: -1,
 		curPreLen: plan.preambleLen(1), phaseLen: plan.phaseLen,
-		seen: make(map[sim.MsgID]struct{}), RecordHears: true}
+		RecordHears: true}
 }
 
 // Init implements sim.Process.
@@ -262,7 +261,7 @@ func (l *LBAlg) beginPhase(phase int) {
 	if l.pending != nil && !l.sendingStarted {
 		l.sendingStarted = true
 		l.state = StateSending
-		l.phasesLeft = l.p.Tack
+		l.phasesLeft = l.plan.params.Tack
 	}
 	if l.plan.RunsPreamble(phase) {
 		l.seed.Reset()
@@ -361,6 +360,9 @@ func (l *LBAlg) commitSeed() {
 func (l *LBAlg) deliver(t, from int, m Message) {
 	if l.RecordHears {
 		l.env.Rec.Record(sim.Event{Round: t, Node: l.env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
+	}
+	if l.seen == nil {
+		l.seen = make(map[sim.MsgID]struct{})
 	}
 	if _, dup := l.seen[m.ID]; dup {
 		return

@@ -133,10 +133,14 @@ func TestPatchNodeRandomChurn(t *testing.T) {
 					}
 					checkDualEquiv(t, d, present)
 					if idx != nil {
-						for u := range present {
-							if (idx.OfVertex(u) >= 0) != present[u] {
-								t.Fatalf("spatial index presence of %d diverged", u)
+						indexed := make([]bool, len(present))
+						for ri := 0; ri < idx.Len(); ri++ {
+							for _, u := range idx.MembersAt(ri) {
+								indexed[u] = true
 							}
+						}
+						if !slices.Equal(indexed, present) {
+							t.Fatalf("spatial index holds %v, want %v", indexed, present)
 						}
 					}
 				}

@@ -156,16 +156,7 @@ func runComparisonPoint(n int, seed uint64, eps float64, roundsCap int, policies
 	err = w.Run(world.Hooks{
 		Rounds: func(int) int { return rounds },
 		Configure: func(i int, p world.Policy, inst *world.Instance, cfg *sim.Config) error {
-			svcs := make([]core.Service, n)
-			procs := make([]sim.Process, n)
-			for u := 0; u < n; u++ {
-				svcs[u] = inst.NewService(u)
-				procs[u] = svcs[u]
-			}
-			cfg.Procs = procs
-			cfg.Env = core.NewSaturatingEnv(svcs, senderRange(senders))
-			cfg.Seed = world.EngineSeed(seed, i)
-			inst.Channel(cfg, seed)
+			configureComparisonRun(cfg, inst, n, senders, seed, i)
 			return nil
 		},
 		Attach: func(i int, p world.Policy, e *sim.Engine) error {
@@ -201,6 +192,19 @@ func runComparisonPoint(n int, seed uint64, eps float64, roundsCap int, policies
 		return nil, err
 	}
 	return rows, nil
+}
+
+// configureComparisonRun fills policy i's closed-loop engine configuration
+// on an n-node point: fresh services (a bank for lbalg, see
+// world.Instance.Services), nodes [0, senders) saturated, the policy's
+// channel with the link scheduler seeded by the experiment seed, shared by
+// every policy.
+func configureComparisonRun(cfg *sim.Config, inst *world.Instance, n, senders int, seed uint64, i int) {
+	svcs, procs, bank := inst.Services(n)
+	cfg.Procs, cfg.Bank = procs, bank
+	cfg.Env = core.NewSaturatingEnv(svcs, senderRange(senders))
+	cfg.Seed = world.EngineSeed(seed, i)
+	inst.Channel(cfg, seed)
 }
 
 // ComparisonTable renders a report as a stats table for terminal output.

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math"
 
-	"lbcast/internal/core"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
 	"lbcast/internal/workload"
@@ -197,21 +196,15 @@ func runLoadPoint(top *world.Topology, seed uint64, load float64, roundsCap int,
 }
 
 // configureLoadRun fills one open-loop engine configuration: the policy's
-// services behind per-node queues fed by the plan, the policy's channel
-// seeded with the engine seed (the load matrix keys the link scheduler to
-// the engine seed, unlike the shared-scheduler comparison matrices), and
-// the traffic harness as environment. *traffic receives the harness for the
-// summary pass.
+// services (a fresh bank for lbalg, see world.Instance.Services) behind
+// per-node queues fed by the plan, the policy's channel seeded with the
+// engine seed (the load matrix keys the link scheduler to the engine seed,
+// unlike the shared-scheduler comparison matrices), and the traffic harness
+// as environment. *traffic receives the harness for the summary pass.
 func configureLoadRun(cfg *sim.Config, inst *world.Instance, engineSeed uint64, plan *workload.Plan,
 	capacity int, policy workload.DropPolicy, traffic **workload.Traffic) error {
 
-	n := plan.N
-	svcs := make([]core.Service, n)
-	procs := make([]sim.Process, n)
-	for u := 0; u < n; u++ {
-		svcs[u] = inst.NewService(u)
-		procs[u] = svcs[u]
-	}
+	svcs, procs, bank := inst.Services(plan.N)
 	tr, err := workload.NewTraffic(workload.Config{
 		Plan: plan, Services: svcs,
 		Capacity: capacity, Policy: policy,
@@ -220,7 +213,7 @@ func configureLoadRun(cfg *sim.Config, inst *world.Instance, engineSeed uint64, 
 	if err != nil {
 		return err
 	}
-	cfg.Procs = procs
+	cfg.Procs, cfg.Bank = procs, bank
 	cfg.Env = tr
 	cfg.Seed = engineSeed
 	inst.Channel(cfg, engineSeed)

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
+	"lbcast/internal/sim"
+	"lbcast/internal/workload"
 	"lbcast/internal/world"
 )
 
@@ -174,4 +177,101 @@ func TestWorldConcurrentIdentity(t *testing.T) {
 			t.Fatalf("rows at workers=%d differ from sequential run", workers)
 		}
 	}
+}
+
+// TestLBAlgBankMatchesPerNode runs the lbalg policy in both representations
+// through the experiments' own configuration hooks: the state bank
+// (Instance.NewBank, what E-COMPARE and E-LOAD run) and per-node services
+// (NewService, what E-CHURN runs). On the n = 48 E-COMPARE point over its
+// full shared window, and on the load-1 E-LOAD point, the two engines must
+// record the same events in the same order, with the same channel counters.
+func TestLBAlgBankMatchesPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs lbalg's full windows twice")
+	}
+	const seed = 1
+	all, err := world.Select(world.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := world.NewSweepTopology(48, seed, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := world.New(top, all, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Policies[0].Name != "lbalg" {
+		t.Fatalf("policy 0 is %s, want lbalg", w.Policies[0].Name)
+	}
+	banked := w.Instances[0]
+	if banked.NewBank == nil {
+		t.Fatal("the lbalg policy has no bank constructor")
+	}
+	perNode := *banked
+	perNode.NewBank = nil
+
+	run := func(t *testing.T, rounds int, configure func(*world.Instance, *sim.Config)) []*sim.Trace {
+		var traces []*sim.Trace
+		for _, inst := range []*world.Instance{banked, &perNode} {
+			cfg := sim.Config{Dual: top.Dual}
+			configure(inst, &cfg)
+			if (cfg.Bank != nil) != (inst == banked) {
+				t.Fatalf("Config.Bank set = %v for the banked run = %v", cfg.Bank != nil, inst == banked)
+			}
+			e, err := sim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Run(rounds)
+			traces = append(traces, e.Trace())
+		}
+		return traces
+	}
+	same := func(t *testing.T, bank, ref *sim.Trace) {
+		t.Helper()
+		if bank.Transmissions != ref.Transmissions || bank.Deliveries != ref.Deliveries ||
+			bank.Collisions != ref.Collisions || bank.Len() != ref.Len() {
+			t.Fatalf("bank {tx %d del %d col %d events %d}, per-node {tx %d del %d col %d events %d}",
+				bank.Transmissions, bank.Deliveries, bank.Collisions, bank.Len(),
+				ref.Transmissions, ref.Deliveries, ref.Collisions, ref.Len())
+		}
+		if len(ref.ByKind(sim.EvAck)) == 0 {
+			t.Fatal("no broadcast acked; the comparison is vacuous")
+		}
+		for i := 0; i < ref.Len(); i++ {
+			if bank.At(i) != ref.At(i) {
+				t.Fatalf("event %d: bank %+v, per-node %+v", i, bank.At(i), ref.At(i))
+			}
+		}
+	}
+
+	t.Run("E-COMPARE", func(t *testing.T) {
+		senders := len(w.Senders())
+		tr := run(t, w.Window(150_000), func(inst *world.Instance, cfg *sim.Config) {
+			configureComparisonRun(cfg, inst, 48, senders, seed, 0)
+		})
+		same(t, tr[0], tr[1])
+		t.Logf("%d rounds, %d events, %d acks", tr[1].RoundsRun, tr[1].Len(), len(tr[1].ByKind(sim.EvAck)))
+	})
+	t.Run("E-LOAD", func(t *testing.T) {
+		const load = 1.0
+		plan, err := workload.Poisson(workload.PoissonConfig{
+			N: 48, Rounds: loadRounds(banked.AckWindow, 400_000), Rate: load / float64(banked.AckWindow),
+			Seed: seed ^ math.Float64bits(load),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := run(t, plan.Rounds, func(inst *world.Instance, cfg *sim.Config) {
+			var traffic *workload.Traffic
+			if err := configureLoadRun(cfg, inst, world.EngineSeed(seed, 0), plan,
+				loadQueueCap, workload.DropNewest, &traffic); err != nil {
+				t.Fatal(err)
+			}
+		})
+		same(t, tr[0], tr[1])
+		t.Logf("%d rounds, %d events, %d acks", tr[1].RoundsRun, tr[1].Len(), len(tr[1].ByKind(sim.EvAck)))
+	})
 }

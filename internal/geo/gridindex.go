@@ -162,17 +162,6 @@ func compareRegionIDs(a, b RegionID) int {
 // Len returns the number of occupied regions.
 func (gi *GridIndex) Len() int { return len(gi.ids) }
 
-// Dense reports whether the O(1) cell table is active (false: lookups binary
-// search the sorted keys).
-func (gi *GridIndex) Dense() bool { return gi.cells != nil }
-
-// Bounds returns the bounding box of the occupied regions in grid
-// coordinates: the minimum region coordinates and the number of cells per
-// axis (zero for an empty index).
-func (gi *GridIndex) Bounds() (minI, minJ, nI, nJ int32) {
-	return gi.minI, gi.minJ, gi.nI, gi.nJ
-}
-
 // Regions returns the occupied region IDs in sorted (I, J) order. The
 // returned slice must not be modified.
 func (gi *GridIndex) Regions() []RegionID { return gi.ids }
@@ -203,9 +192,6 @@ func (gi *GridIndex) IndexOf(id RegionID) (int, bool) {
 func (gi *GridIndex) MembersAt(ri int) []int32 {
 	return gi.members[gi.off[ri]:gi.off[ri+1]]
 }
-
-// OfVertex returns the region index of vertex v, or -1 when v is absent.
-func (gi *GridIndex) OfVertex(v int) int { return int(gi.of[v]) }
 
 // VisitNear applies fn to every vertex in the stencil neighborhood of
 // vertex u (u itself included), in stencil-then-ascending-member order, a

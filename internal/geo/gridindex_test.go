@@ -8,6 +8,20 @@ import (
 	"lbcast/internal/xrand"
 )
 
+// Dense reports whether the O(1) cell table is active (false: lookups binary
+// search the sorted keys).
+func (gi *GridIndex) Dense() bool { return gi.cells != nil }
+
+// Bounds returns the bounding box of the occupied regions in grid
+// coordinates: the minimum region coordinates and the number of cells per
+// axis (zero for an empty index).
+func (gi *GridIndex) Bounds() (minI, minJ, nI, nJ int32) {
+	return gi.minI, gi.minJ, gi.nI, gi.nJ
+}
+
+// OfVertex returns the region index of vertex v, or -1 when v is absent.
+func (gi *GridIndex) OfVertex(v int) int { return int(gi.of[v]) }
+
 // randomEmbedding scatters n points over a side×side square.
 func randomEmbedding(n int, side float64, rng *xrand.Source) []Point {
 	emb := make([]Point, n)

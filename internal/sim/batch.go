@@ -10,10 +10,11 @@ package sim
 //
 // Per-node processes take the same path: without Config.Bank the engine
 // wraps Procs in a procBank, whose range calls step each node's Process in
-// turn. Semantics are pinned to it: a bank must produce exactly the
-// decisions and receptions that a procBank over its per-node handles would
-// have. The engine's driver-equivalence tests and core's lockstep oracle
-// test enforce this bit-for-bit.
+// turn, except where a process sleeps (NodeEnv.Sleep): like a bank's sparse
+// rounds, an idle node then costs a flag test. Semantics are pinned to it:
+// a bank must produce exactly the decisions and receptions that a procBank
+// over its per-node handles would have. The engine's driver-equivalence
+// tests and core's lockstep oracle test enforce this bit-for-bit.
 
 // RxSlot is one node's reception state for the current round, written by the
 // scatter (or the reception-model translation) and read at delivery. The
@@ -99,34 +100,45 @@ type ProcessBank interface {
 
 // procBank is the ProcessBank the engine builds over Config.Procs when
 // Config.Bank is nil: each range call steps its nodes' processes one by
-// one. It shares the engine's procs backing array, so ReplaceProc's writes
-// reach it.
-type procBank []Process
+// one, skipping the calls a sleeping process has declared no-ops (see
+// NodeEnv.Sleep). procs shares the engine's backing array, so ReplaceProc's
+// writes reach it.
+type procBank struct {
+	procs []Process
+	// asleep[u] is node u's sleep flag, written through its NodeEnv.
+	asleep []bool
+}
 
-// TransmitRange fixes the decisions of nodes [lo, hi): a down node
-// transmits nothing and its process is not consulted.
-func (b procBank) TransmitRange(t, lo, hi int, v *RoundView) {
+// TransmitRange fixes the decisions of nodes [lo, hi): a down or sleeping
+// node transmits nothing and its process is not consulted.
+func (b *procBank) TransmitRange(t, lo, hi int, v *RoundView) {
 	for u := lo; u < hi; u++ {
-		if v.Down != nil && v.Down[u] {
+		if b.asleep[u] || v.Down != nil && v.Down[u] {
 			v.Payloads[u], v.Transmit[u] = nil, false
 			continue
 		}
-		v.Payloads[u], v.Transmit[u] = b[u].Transmit(t)
+		v.Payloads[u], v.Transmit[u] = b.procs[u].Transmit(t)
 	}
 }
 
 // ReceiveRange delivers the outcomes of nodes [lo, hi): a touched listener
 // with exactly one transmitting topology neighbor hears that transmitter's
 // payload; everyone else — transmitters, silent listeners, collision
-// victims — gets ⊥. A down node's process does not run, not even for ⊥.
-func (b procBank) ReceiveRange(t, lo, hi int, v *RoundView) {
+// victims — gets ⊥. A down node's process does not run, not even for ⊥,
+// and a sleeping one runs only when touched.
+func (b *procBank) ReceiveRange(t, lo, hi int, v *RoundView) {
 	for u := lo; u < hi; u++ {
-		switch s := v.Rx[u]; {
+		switch {
 		case v.Down != nil && v.Down[u]:
-		case v.Touched[u] != 0 && !v.Transmit[u] && s.Count == 1:
-			b[u].Receive(t, int(s.From), v.Payloads[s.From], true)
+		case v.Touched[u] == 0:
+			if !b.asleep[u] {
+				b.procs[u].Receive(t, NoTransmitter, nil, false)
+			}
+		case !v.Transmit[u] && v.Rx[u].Count == 1:
+			from := v.Rx[u].From
+			b.procs[u].Receive(t, int(from), v.Payloads[from], true)
 		default:
-			b[u].Receive(t, NoTransmitter, nil, false)
+			b.procs[u].Receive(t, NoTransmitter, nil, false)
 		}
 	}
 }

@@ -97,7 +97,7 @@ type scatterShard struct {
 type Engine struct {
 	dual   *dualgraph.Dual
 	procs  []Process
-	bank   ProcessBank  // Config.Bank, or a procBank over procs
+	bank   ProcessBank  // Config.Bank, or a *procBank over procs
 	flush  RoundFlusher // non-nil when bank also bulk-records (see batch.go)
 	sched  LinkScheduler
 	batch  BatchLinkScheduler  // non-nil when sched supports batch fills
@@ -203,15 +203,17 @@ func New(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown Config.Driver %d", cfg.Driver)
 	}
+	n := cfg.Dual.N()
 	bank := cfg.Bank
+	var pb *procBank
 	if bank == nil {
-		bank = procBank(cfg.Procs)
+		pb = &procBank{procs: cfg.Procs, asleep: make([]bool, n)}
+		bank = pb
 	}
 	trace := cfg.Trace
 	if trace == nil {
 		trace = &Trace{}
 	}
-	n := cfg.Dual.N()
 	e := &Engine{
 		dual:     cfg.Dual,
 		procs:    cfg.Procs,
@@ -304,6 +306,9 @@ func New(cfg Config) (*Engine, error) {
 			R:          cfg.Dual.R,
 			Rng:        xrand.NodeSource(cfg.Seed, u),
 			Rec:        &e.recs[u],
+		}
+		if pb != nil {
+			env.asleep = &pb.asleep[u]
 		}
 		cfg.Procs[u].Init(env)
 	}

@@ -78,9 +78,12 @@ func (e *Engine) SetDown(u int, down bool) {
 // as New initialised the original — same Δ/Δ′/r parameters, same recorder —
 // but with an incarnation-salted randomness stream, so a restarted node does
 // not replay its predecessor's coin flips. The previous process is
-// abandoned mid-state, which is precisely what a crash means.
+// abandoned mid-state, which is precisely what a crash means; its sleep
+// flag goes with it, so the new process starts awake until its Init says
+// otherwise.
 func (e *Engine) ReplaceProc(u int, p Process) {
-	if _, ok := e.bank.(procBank); !ok {
+	pb, ok := e.bank.(*procBank)
+	if !ok {
 		// A Config.Bank owns every node's protocol state in shared columns;
 		// swapping one node's Process handle cannot reset that state, so the
 		// engine refuses rather than silently diverge. Churn executions use
@@ -93,6 +96,7 @@ func (e *Engine) ReplaceProc(u int, p Process) {
 	e.incarn[u]++
 	e.procs[u] = p
 	e.payloads[u], e.transmit[u] = nil, false
+	pb.asleep[u] = false
 	p.Init(&NodeEnv{
 		ID:         u,
 		Delta:      e.delta,
@@ -100,6 +104,7 @@ func (e *Engine) ReplaceProc(u int, p Process) {
 		R:          e.dual.R,
 		Rng:        xrand.NodeSource(e.seed+uint64(e.incarn[u])*0x9e3779b97f4a7c15, u),
 		Rec:        &e.recs[u],
+		asleep:     &pb.asleep[u],
 	})
 	// Init may record events (none of the current protocols do, but the
 	// recorder is live); fold them into the trace at the current round.

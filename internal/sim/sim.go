@@ -133,6 +133,29 @@ type NodeEnv struct {
 	Rng *xrand.Source
 	// Rec records protocol events (decide/bcast/ack/recv) into the trace.
 	Rec Recorder
+
+	// asleep is the engine's sleep flag for this node (see Sleep); nil on a
+	// NodeEnv built by hand or for a Config.Bank engine.
+	asleep *bool
+}
+
+// Sleep tells the engine whether it may skip this node's process. A process
+// may sleep only while its Transmit would return false and its Receive of ⊥
+// would change nothing. A sleeping node's Transmit is not called, and its
+// Receive runs only in rounds where a transmission reaches it, with the
+// outcome (a reception or ⊥) it would have had awake. A process that wakes
+// itself (Sleep(false)) on any input that ends the idle state, before the
+// next transmit phase, therefore runs exactly as if it never slept; one
+// that never calls Sleep is stepped every round. core.AckWindow sleeps from
+// Init until a Bcast and again from its ack.
+//
+// The flag is the node's own: only its Init, Transmit and Receive calls and
+// the environment between phases may set it. On a NodeEnv built by hand or
+// for a Config.Bank engine Sleep does nothing.
+func (env *NodeEnv) Sleep(on bool) {
+	if env.asleep != nil {
+		*env.asleep = on
+	}
 }
 
 // Recorder sinks protocol events. Engine-provided recorders are safe to use

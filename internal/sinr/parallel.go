@@ -1,7 +1,5 @@
-// This file makes Model a sim.ShardedReceptionModel, closing the ROADMAP
-// carry-over from the bucketed resolver: per-round bucket construction is a
-// single O(|txs|) pass, but per-listener resolution — the dominant cost —
-// touches only round-immutable state (the buckets, the placement, the
+// This file makes Model a sim.ShardedReceptionModel: per-listener
+// resolution touches only round-immutable state (the placement and the
 // powers), so the engine's worker pool can partition the listener range
 // freely. Outcomes are computed listener by listener with no cross-listener
 // state, so any partition produces bit-identical results to the sequential
@@ -12,30 +10,15 @@ package sinr
 
 import "lbcast/internal/sim"
 
-// PrepareRound implements sim.ShardedReceptionModel: it builds the round's
-// region buckets when the bucketed path applies (mirroring Resolve's gate)
-// and always opts in to sharding — the exact path is per-listener pure too.
-func (m *Model) PrepareRound(t int, txs []int32) bool {
-	if m.grid != nil && len(txs) >= BucketedMinTx {
-		m.prepareBuckets(txs)
-		m.roundBucketed = true
-	} else {
-		m.roundBucketed = false
-	}
-	return true
-}
+// PrepareRound implements sim.ShardedReceptionModel. Resolution keeps no
+// per-round state, so there is nothing to build, and it always opts in to
+// sharding.
+func (m *Model) PrepareRound(t int, txs []int32) bool { return true }
 
 // ResolveRange implements sim.ShardedReceptionModel: listeners [lo, hi) are
-// resolved against the state PrepareRound froze for this round. Concurrent
-// calls on disjoint ranges are safe; each touches only out[lo:hi].
+// resolved exactly as Resolve resolves them. Concurrent calls on disjoint
+// ranges are safe; each touches only out[lo:hi].
 func (m *Model) ResolveRange(t int, txs []int32, out []int32, lo, hi int) {
-	if m.roundBucketed {
-		n, total := len(txs), m.bucket.totalPow
-		for u := lo; u < hi; u++ {
-			out[u] = m.resolveOneBucketed(u, n, total)
-		}
-		return
-	}
 	for u := lo; u < hi; u++ {
 		out[u] = m.resolveOne(u, txs)
 	}

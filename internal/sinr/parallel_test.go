@@ -2,10 +2,12 @@ package sinr
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"lbcast/internal/dualgraph"
+	"lbcast/internal/geo"
 	"lbcast/internal/sim"
 	"lbcast/internal/xrand"
 )
@@ -32,20 +34,16 @@ func (c *coinTxProc) Receive(t, from int, payload any, ok bool) {
 // TestParallelResolveBitIdentity pins the sharded SINR resolver against the
 // sequential driver at full trace granularity: worker counts {1, 2, 7,
 // GOMAXPROCS} must reproduce the sequential execution byte for byte. The
-// placement is large enough to clear the engine's listener-count gate and
-// the transmit rate high enough that most rounds clear BucketedMinTx, so
-// both the bucketed and exact per-listener paths run sharded. Run under
-// -race to also certify the shards' synchronisation.
+// placement is large enough to clear the engine's listener-count gate. Run
+// under -race to also certify the shards' synchronisation.
 func TestParallelResolveBitIdentity(t *testing.T) {
 	d, err := dualgraph.RandomGeometric(400, 10, 10, 1.5, dualgraph.GreyUnreliable, xrand.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultParams()
-	params.Tolerance = 0.05
 
 	run := func(driver sim.Driver, workers int) *sim.Trace {
-		m, err := NewModel(d.Emb, UniformPower(1), params)
+		m, err := NewModel(d.Emb, UniformPower(1), DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,14 +87,22 @@ func TestParallelResolveBitIdentity(t *testing.T) {
 
 // TestResolveRangePartitionInvariance checks the ShardedReceptionModel
 // contract directly, without an engine: any partition of the listener range
-// must reproduce Resolve's output exactly, on both the bucketed (≥
-// BucketedMinTx transmitters) and exact (below it) paths.
+// must reproduce Resolve's output exactly, for sparse and dense transmitter
+// sets.
 func TestResolveRangePartitionInvariance(t *testing.T) {
 	rng := xrand.New(31)
 	const n = 300
-	m, _ := bucketedFixture(t, n, 0.05, UniformPower(1), 7)
+	side := math.Sqrt(n / 4.0)
+	pos := make([]geo.Point, n)
+	for i := range pos {
+		pos[i] = geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+	}
+	m, err := NewModel(pos, UniformPower(1), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, txCount := range []int{BucketedMinTx - 5, BucketedMinTx + 40} {
+	for _, txCount := range []int{27, 72} {
 		txs := make([]int32, 0, txCount)
 		seen := make(map[int32]bool)
 		for len(txs) < txCount {

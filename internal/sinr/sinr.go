@@ -26,16 +26,6 @@ type Params struct {
 	// treated as d₀, keeping the far-field law d^{−α} finite for
 	// zero-distance (co-located) pairs.
 	MinDist float64
-	// Tolerance, when positive, enables the region-bucketed resolver:
-	// interference is accumulated over the grid index ring by ring outward
-	// from each listener and truncated once the maximum possible remaining
-	// contribution drops low enough, with every decode/Blocked/silence
-	// decision guaranteed to match the exact resolver whenever the
-	// listener's SINR decision margin exceeds Tolerance (see
-	// Model.resolveOneBucketed for the margin algebra). 0 keeps the exact
-	// O(n·|txs|) resolver. Must stay below Beta·Noise — the decode floor —
-	// so a truncated transmitter can never have been the decodable one.
-	Tolerance float64
 }
 
 // DefaultParams returns the calibration used by the comparison experiments:
@@ -57,11 +47,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("sinr: noise N = %v must be > 0", p.Noise)
 	case !(p.MinDist > 0):
 		return fmt.Errorf("sinr: near-field clamp d₀ = %v must be > 0", p.MinDist)
-	case math.IsNaN(p.Tolerance) || p.Tolerance < 0:
-		return fmt.Errorf("sinr: tolerance %v must be ≥ 0", p.Tolerance)
-	case p.Tolerance > 0 && p.Tolerance >= p.Beta*p.Noise:
-		return fmt.Errorf("sinr: tolerance %v must stay below the decode floor β·N = %v",
-			p.Tolerance, p.Beta*p.Noise)
 	}
 	return nil
 }
@@ -97,29 +82,12 @@ func (p PerNodePower) Power(u int) float64 { return p[u] }
 // Model is an SINR reception resolver over a fixed node placement. It
 // implements sim.ReceptionModel: the engine hands it each round's
 // transmitter set and it decides, per listener, which transmission (if any)
-// decodes.
-//
-// With Params.Tolerance > 0 the model indexes the placement with the shared
-// geo.GridIndex and resolves large rounds through the region-bucketed
-// resolver (see bucketed.go); the exact resolver remains available as
-// ResolveExact and is the oracle the bucketed path is tested against.
-// Resolve reuses per-round scratch, so a Model must not be shared by
-// concurrent engines.
+// decodes. Resolution reads only the placement and the powers, so engines
+// may share a Model.
 type Model struct {
-	p        Params
-	pos      []geo.Point
-	power    []float64 // resolved per-node powers
-	maxPower float64
-
-	grid   *geo.GridIndex // non-nil iff Tolerance > 0 and the index is dense
-	bucket *bucketScratch
-	// powMode/minDist2 drive the bucketed path's closed-form d^{−α} from
-	// squared distances (see Model.invPowSq).
-	powMode  int
-	minDist2 float64
-	// roundBucketed records which path PrepareRound chose for the current
-	// round (see parallel.go).
-	roundBucketed bool
+	p     Params
+	pos   []geo.Point
+	power []float64 // resolved per-node powers
 }
 
 // NewModel validates the parameters and resolves the power assignment over
@@ -142,23 +110,6 @@ func NewModel(pos []geo.Point, pa PowerAssignment, p Params) (*Model, error) {
 			return nil, fmt.Errorf("sinr: node %d has non-positive power %v", u, pw)
 		}
 		m.power[u] = pw
-		if pw > m.maxPower {
-			m.maxPower = pw
-		}
-	}
-	m.minDist2 = p.MinDist * p.MinDist
-	switch p.Alpha {
-	case 2, 3, 4:
-		m.powMode = int(p.Alpha)
-	}
-	if p.Tolerance > 0 {
-		if gi := geo.BuildGridIndex(m.pos); gi.Dense() {
-			m.grid = gi
-			m.bucket = newBucketScratch(gi)
-		}
-		// A sparse index (pathologically spread placement) keeps the exact
-		// resolver: ring scans over a mostly-empty bounding box would cost
-		// more than they save.
 	}
 	return m, nil
 }
@@ -191,23 +142,8 @@ func (m *Model) ReceivedPower(u, v int) float64 {
 // round's aggregate interference is Blocked (a collision in the trace); one
 // whose strongest transmitter is beyond the isolation range hears silence,
 // just as a dual-graph listener with no transmitting topology neighbor does.
-//
-// When the model was built with a positive Tolerance and the transmitter set
-// is large enough to pay for the bucketing, resolution goes through the
-// region-bucketed resolver; small rounds and tolerance-zero models use the
-// exact resolver.
+// Every listener scans the full transmitter set, O(n·|txs|) per round.
 func (m *Model) Resolve(t int, txs []int32, out []int32) {
-	if m.grid != nil && len(txs) >= BucketedMinTx {
-		m.resolveBucketed(txs, out)
-		return
-	}
-	m.ResolveExact(t, txs, out)
-}
-
-// ResolveExact is the O(n·|txs|) reference resolver: every listener scans
-// the full transmitter set. It is the test oracle of the bucketed resolver
-// and the default when no tolerance was configured.
-func (m *Model) ResolveExact(t int, txs []int32, out []int32) {
 	for u := range out {
 		out[u] = m.resolveOne(u, txs)
 	}

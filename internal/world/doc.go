@@ -13,6 +13,15 @@
 //     policy into the registry (duplicate names panic); Select resolves
 //     user-facing name lists with an error that enumerates the valid set.
 //
+//   - Instance (world.go) is a policy instantiated over a Topology: its
+//     acknowledgement window, reception model, neighbor sets and node
+//     factories. NewService builds one node's service; lbalg also has
+//     NewBank, which builds all n nodes as one core.NodeStateBank that
+//     records the events Summarize reads. Instance.Services builds an
+//     engine's nodes through the bank where there is one, so E-COMPARE and
+//     E-LOAD run lbalg banked; E-CHURN restarts nodes, which a bank
+//     refuses, and calls NewService.
+//
 //   - Topology (world.go) is the common ground: one dual graph plus the
 //     derived Δ/Δ′ and the (seed, ε) every policy's parameters come from.
 //     NewSweepTopology builds the constant-density random-geometric family

@@ -35,6 +35,11 @@ func init() {
 				NewService: func(int) core.Service {
 					return core.NewLBAlgWithPlan(plan)
 				},
+				NewBank: func(n int) *core.NodeStateBank {
+					bk := core.NewNodeStateBank(plan, n)
+					bk.SetRecordEvents(true)
+					return bk
+				},
 			}, nil
 		},
 	})

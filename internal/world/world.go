@@ -81,6 +81,33 @@ type Instance struct {
 	// NewService builds node u's protocol instance (also the churn restart
 	// factory).
 	NewService func(u int) core.Service
+	// NewBank, when non-nil, builds the protocol state of n nodes as one
+	// state bank that records the events Summarize reads: the same
+	// executions as n NewService instances, stepped as columns. Engines
+	// that restart nodes (churn) cannot run a bank and use NewService.
+	NewBank func(n int) *core.NodeStateBank
+}
+
+// Services builds the protocol instances of one engine's n nodes: the
+// handles of a fresh NewBank when the policy has one, NewService instances
+// otherwise. procs is their Config.Procs; bank, nil without NewBank, is
+// the Config.Bank.
+func (inst *Instance) Services(n int) (svcs []core.Service, procs []sim.Process, bank sim.ProcessBank) {
+	svcs = make([]core.Service, n)
+	procs = make([]sim.Process, n)
+	if inst.NewBank != nil {
+		bk := inst.NewBank(n)
+		for u := range svcs {
+			svcs[u] = bk.Node(u)
+			procs[u] = svcs[u]
+		}
+		return svcs, procs, bk
+	}
+	for u := range svcs {
+		svcs[u] = inst.NewService(u)
+		procs[u] = svcs[u]
+	}
+	return svcs, procs, nil
 }
 
 // Channel applies the instance's physical-layer requirement to an engine

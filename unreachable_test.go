@@ -19,9 +19,8 @@ import (
 // path reaches but that stay, each with the reason. Keys are
 // "pkgpath.Name" or "pkgpath.Type.Method".
 var unreachableAllowlist = map[string]string{
-	"lbcast/internal/baseline.NewRoundRobin":             "the bank's scheduler comparison (ROADMAP direction 11) gives it a caller",
-	"lbcast/internal/core.NodeStateBank.SetRecordEvents": "direction 11's banked experiment runs record events through it; the root golden test turns it on",
-	"lbcast/internal/stats.Histogram.Counts":             "workload's Metrics fingerprint, a test oracle whose pinned hashes cover both latency histograms bin by bin, reads the bins through it",
+	"lbcast/internal/baseline.NewRoundRobin": "the bank's scheduler comparison (ROADMAP direction 11) gives it a caller",
+	"lbcast/internal/stats.Histogram.Counts": "workload's Metrics fingerprint, a test oracle whose pinned hashes cover both latency histograms bin by bin, reads the bins through it",
 }
 
 // stdlibMethodNames are methods the standard library calls through its own
