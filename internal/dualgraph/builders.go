@@ -35,16 +35,18 @@ const (
 // pairs beyond r are unconnected (condition 2).
 //
 // scanPairs finds the pairs over the geo.GridIndex and its distance-r
-// stencil, so the cost is O(n·Δ′) rather than O(n²), and collects the edges
-// into flat lists that NewGraphFromEdges bulk-builds (sort once, dedupe).
-// The dual does not depend on the scan's visit order: every adjacency list
-// is sorted, and the unreliable edges are derived from the adjacency in
-// (U, V) order. Only GreyMixed sees the order, since it draws one coin per
-// grey-zone pair in visit order.
+// stencil, so the cost is O(n·Δ′) rather than O(n²), and returns E and
+// E′ ∖ E as two flat edge lists, which become sorted rows in counting
+// passes with no comparison sort: NewGraphFromEdges builds G, sortedRows
+// lays out the unreliable rows, and G′ is the per-node merge of the two.
+// The dual does not depend on the scan's visit order: every row comes out
+// ascending and the unreliable edges are numbered in (U, V) order. Only
+// GreyMixed sees the order, since it draws one coin per grey-zone pair in
+// visit order.
 //
-// Because every produced edge satisfies the r-geographic conditions by
-// construction, the result is assembled through the trusted path; tests
-// certify it against Dual.Validate and the all-pairs loop.
+// Every produced edge satisfies the r-geographic conditions by
+// construction, so the dual skips NewDual's validation; tests certify it
+// against Dual.Validate and the all-pairs loop.
 func buildFromEmbedding(emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source) (*Dual, error) {
 	if err := checkR(r); err != nil {
 		return nil, err
@@ -60,9 +62,11 @@ func buildFromEmbedding(emb []geo.Point, r float64, policy GreyPolicy, rng *xran
 	n := len(emb)
 	gi := geo.BuildGridIndex(emb)
 	gEdges, gpOnly := scanPairs(gi, gi.Stencil(r), emb, r, policy, rng)
-	g := NewGraphFromEdges(n, gEdges)
-	gp := NewGraphFromEdges(n, append(gEdges, gpOnly...))
-	return newDualTrusted(g, gp, emb, r), nil
+	d := &Dual{G: NewGraphFromEdges(n, gEdges), Emb: emb, R: r}
+	d.uCSR.Off, d.uCSR.Peers = sortedRows(n, gpOnly)
+	d.Gp = mergeRows(d.G, d.uCSR.Off, d.uCSR.Peers)
+	d.flatten()
+	return d, nil
 }
 
 // checkR rejects a geographic parameter that is not a finite value ≥ 1.
@@ -73,6 +77,10 @@ func checkR(r float64) error {
 	return nil
 }
 
+// stencilRow is one grid row of the forward stencil: the offsets (di, dj)
+// with dj in [jlo, jhi].
+type stencilRow struct{ di, jlo, jhi int32 }
+
 // scanPairs runs the policy pair scan region by region and returns the
 // reliable and the unreliable-only edges, each with U < V. Every occupied
 // region first pairs its own members, all reliable because a region's
@@ -80,16 +88,28 @@ func checkR(r float64) error {
 // each occupied region at a positive offset: the stencil is symmetric and
 // sorted, so the offsets after (0, 0) reach every pair of distinct regions
 // from one side only, and each unordered vertex pair is examined once.
-// Positions are read from one copy in member order, where each region's
-// points are contiguous. rng is consulted only for GreyMixed, one draw per
-// grey-zone pair in this visit order; the policy was validated by the
-// caller.
+//
+// Those forward offsets hold one contiguous dj range per di (a disc's
+// cross-section is an interval, and an offset the index's stencil dropped
+// holds no points), so the scan asks the index once per stencil row for
+// the occupied regions in that range (GridIndex.RowSpan) and walks them in
+// ascending J, which is the stencil's offset order. Positions are read from
+// one copy in member order, where each region's points are contiguous. rng
+// is consulted only for GreyMixed, one draw per grey-zone pair in this
+// visit order; the policy was validated by the caller.
 func scanPairs(gi *geo.GridIndex, stencil []geo.CellOffset, emb []geo.Point, r float64, policy GreyPolicy, rng *xrand.Source) (gEdges, gpOnly []Edge) {
 	zero := slices.Index(stencil, geo.CellOffset{})
 	if zero < 0 {
 		return nil, nil // an empty embedding has an empty stencil
 	}
-	forward := stencil[zero+1:]
+	var rows []stencilRow
+	for _, o := range stencil[zero+1:] {
+		if k := len(rows) - 1; k >= 0 && rows[k].di == o.DI {
+			rows[k].jhi = o.DJ
+		} else {
+			rows = append(rows, stencilRow{di: o.DI, jlo: o.DJ, jhi: o.DJ})
+		}
+	}
 	// Region ri's members are pos[off[ri]:off[ri+1]] in member order.
 	off := make([]int32, gi.Len()+1)
 	pos := make([]geo.Point, 0, len(emb))
@@ -108,30 +128,29 @@ func scanPairs(gi *geo.GridIndex, stencil []geo.CellOffset, emb []geo.Point, r f
 		}
 		ap := pos[off[ra]:off[ra+1]]
 		a := gi.RegionAt(ra)
-		for _, o := range forward {
-			rb, ok := gi.IndexOf(geo.RegionID{I: a.I + o.DI, J: a.J + o.DJ})
-			if !ok {
-				continue
-			}
-			bm, bp := gi.MembersAt(rb), pos[off[rb]:off[rb+1]]
-			for i, u := range am {
-				for j, v := range bm {
-					e := Edge{U: min(u, v), V: max(u, v)}
-					switch dist := geo.Dist(ap[i], bp[j]); {
-					case dist <= 1:
-						gEdges = append(gEdges, e)
-					case dist <= r:
-						switch policy {
-						case GreyUnreliable:
-							gpOnly = append(gpOnly, e)
-						case GreyReliable:
+		for _, row := range rows {
+			lo, hi := gi.RowSpan(a.I+row.di, a.J+row.jlo, a.J+row.jhi)
+			for rb := lo; rb < hi; rb++ {
+				bm, bp := gi.MembersAt(rb), pos[off[rb]:off[rb+1]]
+				for i, u := range am {
+					for j, v := range bm {
+						e := Edge{U: min(u, v), V: max(u, v)}
+						switch dist := geo.Dist(ap[i], bp[j]); {
+						case dist <= 1:
 							gEdges = append(gEdges, e)
-						case GreyMixed:
-							switch f := rng.Float64(); {
-							case f < 2.0/3:
+						case dist <= r:
+							switch policy {
+							case GreyUnreliable:
 								gpOnly = append(gpOnly, e)
-							case f < 2.0/3+1.0/6:
+							case GreyReliable:
 								gEdges = append(gEdges, e)
+							case GreyMixed:
+								switch f := rng.Float64(); {
+								case f < 2.0/3:
+									gpOnly = append(gpOnly, e)
+								case f < 2.0/3+1.0/6:
+									gEdges = append(gEdges, e)
+								}
 							}
 						}
 					}

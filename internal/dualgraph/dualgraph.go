@@ -50,22 +50,37 @@ func insertSorted(s []int32, v int32) []int32 {
 	return s
 }
 
-// NewGraphFromEdges bulk-builds a graph: all edges are collected into the
-// adjacency lists first, then every list is sorted once and deduplicated in
-// place. For a graph with m edges this costs O(m log Δ) total instead of
-// the O(m·Δ) of repeated sorted inserts, which is what made graph
-// construction dominate the n = 10⁵ sweep point. Self-loops are ignored and
-// duplicates collapse, so the result is identical to AddEdge-ing every pair
-// into an empty graph (the dualgraph tests pin that equivalence against the
-// sorted-insert oracle).
+// NewGraphFromEdges bulk-builds a graph from an edge list in counting
+// passes: sortedRows lays the arcs out as ascending rows with no comparison
+// sort, and a repeated edge, adjacent in its rows, is compacted away. Self-
+// loops are ignored and duplicates collapse, so the result is identical to
+// AddEdge-ing every pair into an empty graph (the dualgraph tests pin that
+// equivalence against the sorted-insert oracle).
 //
 // The adjacency lists carve one shared arena instead of one allocation per
-// node: backing[off(u):off(u+1)] with the capacity clamped three-index
-// style, so a later sorted insert into a compacted list can never grow into
-// its neighbor's segment.
+// node: rows[off(u):off(u+1)] with the capacity clamped three-index style,
+// so a later sorted insert into a compacted list can never grow into its
+// neighbor's segment.
 func NewGraphFromEdges(n int, edges []Edge) *Graph {
 	g := NewGraph(n)
-	off := make([]int32, n+1)
+	off, rows := sortedRows(n, edges)
+	for u := range n {
+		if s := rows[off[u]:off[u+1]:off[u+1]]; len(s) > 0 {
+			g.adj[u] = slices.Compact(s)
+		}
+	}
+	return g
+}
+
+// sortedRows lays out the arcs of edges as compressed-sparse rows, row u
+// being rows[off[u]:off[u+1]], each ascending, without a comparison sort. A
+// counting scatter puts each edge's two arcs into unsorted rows; a
+// transpose then walks the sources in ascending order and appends each
+// source to its neighbours' rows, so every row comes out ascending and the
+// arcs of a repeated edge sit side by side. Self-loops are dropped; an
+// endpoint outside [0, n) panics.
+func sortedRows(n int, edges []Edge) (off, rows []int32) {
+	off = make([]int32, n+1)
 	for _, e := range edges {
 		u, v := int(e.U), int(e.V)
 		if u == v {
@@ -77,33 +92,58 @@ func NewGraphFromEdges(n int, edges []Edge) *Graph {
 		off[u+1]++
 		off[v+1]++
 	}
-	for u := 0; u < n; u++ {
+	for u := range n {
 		off[u+1] += off[u]
 	}
-	backing := make([]int32, off[n])
-	cur := make([]int32, n)
-	copy(cur, off[:n])
+	cur := slices.Clone(off[:n])
+	scattered := make([]int32, off[n])
 	for _, e := range edges {
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			scattered[cur[e.U]] = e.V
+			cur[e.U]++
+			scattered[cur[e.V]] = e.U
+			cur[e.V]++
 		}
-		backing[cur[e.U]] = e.V
-		cur[e.U]++
-		backing[cur[e.V]] = e.U
-		cur[e.V]++
 	}
-	for u := 0; u < n; u++ {
-		s := backing[off[u]:off[u+1]:off[u+1]]
-		if len(s) == 0 {
-			continue
+	copy(cur, off[:n])
+	rows = make([]int32, off[n])
+	for s := range n {
+		for _, t := range scattered[off[s]:off[s+1]] {
+			rows[cur[t]] = int32(s)
+			cur[t]++
 		}
-		if len(s) >= 2 {
-			slices.Sort(s)
-			s = slices.Compact(s)
-		}
-		g.adj[u] = s
 	}
-	return g
+	return off, rows
+}
+
+// mergeRows returns G′ as the per-node merge of g's rows with the
+// unreliable rows peers[off[u]:off[u+1]], which are ascending and share no
+// entry with g's, laid out in one arena like NewGraphFromEdges's rows.
+func mergeRows(g *Graph, off, peers []int32) *Graph {
+	gp := NewGraph(g.n)
+	arena := make([]int32, 2*g.EdgeCount()+len(peers))
+	k := 0
+	for u, a := range g.adj {
+		b := peers[off[u]:off[u+1]]
+		start, i, j := k, 0, 0
+		for i < len(a) && j < len(b) {
+			x, y := a[i], b[j]
+			arena[k] = min(x, y)
+			k++
+			step := 0 // branch-free: which row advances is a coin flip
+			if x < y {
+				step = 1
+			}
+			i += step
+			j += 1 - step
+		}
+		k += copy(arena[k:], a[i:])
+		k += copy(arena[k:], b[j:])
+		if k > start {
+			gp.adj[u] = arena[start:k:k]
+		}
+	}
+	return gp
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -226,10 +266,10 @@ type Dual struct {
 	// patchStencil caches the radius-R neighbor stencil PatchNode scans when
 	// attaching a node; it depends only on R.
 	patchStencil []geo.CellOffset
-	// uCur and uNew are scratch: the unreliable CSR's fill cursors, and
-	// PatchNode's per-attach new unreliable edges.
-	uCur []int32
-	uNew []Edge
+	// next and uNew are PatchNode's scratch: number's per-vertex cursors,
+	// and the patched vertex's unreliable peers.
+	next []int32
+	uNew []int32
 }
 
 // CSR is a flattened adjacency in compressed-sparse-row form: the neighbors
@@ -259,8 +299,9 @@ type UnreliableCSR struct {
 // NewDual is the untrusted entry point: input of unknown provenance
 // (abstract edge lists, deserialised topologies, tests) goes through the
 // full Validate pass. The geometric builders, which enforce the
-// r-geographic conditions by construction, use newDualTrusted and skip the
-// re-validation — it was the dominant cost of large constructions.
+// r-geographic conditions by construction, assemble their duals directly
+// and skip the re-validation — it was the dominant cost of large
+// constructions.
 func NewDual(g, gp *Graph, emb []geo.Point, r float64) (*Dual, error) {
 	d := &Dual{G: g, Gp: gp, Emb: emb, R: r}
 	if err := d.Validate(); err != nil {
@@ -268,18 +309,6 @@ func NewDual(g, gp *Graph, emb []geo.Point, r float64) (*Dual, error) {
 	}
 	d.index()
 	return d, nil
-}
-
-// newDualTrusted assembles a dual graph without validating the invariants:
-// the caller vouches that E ⊆ E′ and, when emb is non-nil, that the
-// r-geographic conditions hold. Reserved for builders that enforce those
-// conditions structurally; everything else must go through NewDual.
-// trusted_test.go pins that both paths produce structurally identical duals
-// and that Validate still rejects inputs the trusted path would accept.
-func newDualTrusted(g, gp *Graph, emb []geo.Point, r float64) *Dual {
-	d := &Dual{G: g, Gp: gp, Emb: emb, R: r}
-	d.index()
-	return d
 }
 
 // Validate checks the dual graph invariants — shared vertex set, E ⊆ E′,
@@ -355,102 +384,84 @@ func (d *Dual) checkGeographic() error {
 	return bad
 }
 
-// index precomputes the unreliable edge list and the flattened CSR forms, the structures the round engine consults when
-// applying a link schedule and scattering transmissions. PatchNode maintains
-// the edge list incrementally and re-runs rebuildFlat after every splice, so
-// the steady-state churn path reuses the same backing arrays. Callers that
-// copy the CSR slice headers (the round engine does, at construction) must
-// re-read them after any patch — rebuildFlat rewrites the shared backing
-// arrays in place whenever capacity allows.
+// index derives the unreliable rows of a validated dual as the per-node
+// difference G′ ∖ G, one merge walk per node (both rows ascend, and
+// E ⊆ E′), then flattens the dual.
 func (d *Dual) index() {
-	d.scanUnreliable()
-	d.rebuildFlat()
+	n := d.G.N()
+	off := make([]int32, n+1)
+	peers := make([]int32, 0, 2*(d.Gp.EdgeCount()-d.G.EdgeCount()))
+	for u := range n {
+		a, i := d.G.adj[u], 0
+		for _, v := range d.Gp.adj[u] {
+			for i < len(a) && a[i] < v {
+				i++
+			}
+			if i == len(a) || a[i] != v {
+				peers = append(peers, v)
+			}
+		}
+		off[u+1] = int32(len(peers))
+	}
+	d.uCSR.Off, d.uCSR.Peers = off, peers
+	d.flatten()
 }
 
-// scanUnreliable derives the canonical unreliable edge list E′ ∖ E from the
-// adjacency lists: u ascending over sorted G′ adjacency with u < v, i.e.
-// (U, V)-lexicographic order. Both adjacency lists are sorted, so a forward
-// merge walk over G.adj[u] replaces a per-arc binary search. This full scan
-// runs at construction only; PatchNode maintains d.unreliable incrementally
-// in the same canonical order.
-func (d *Dual) scanUnreliable() {
+// flatten completes a dual whose unreliable rows are in d.uCSR (Off and
+// Peers): number assigns them the canonical edge list and the incidence's
+// edge indices, and flattenReliable copies G's rows into the reliable CSR.
+// These are the structures the round engine consults when applying a link
+// schedule and scattering transmissions. PatchNode keeps them current with
+// the same two passes, rewriting the backing arrays in place whenever
+// capacity allows, so callers that copy the CSR slice headers (the round
+// engine does, at construction) must re-read them after any patch.
+func (d *Dual) flatten() {
 	n := d.G.N()
-	d.unreliable = d.unreliable[:0]
-	for u := 0; u < n; u++ {
-		gAdj := d.G.adj[u]
-		gi := 0
-		for _, v := range d.Gp.adj[u] {
-			if v <= int32(u) {
-				continue
-			}
-			for gi < len(gAdj) && gAdj[gi] < v {
-				gi++
-			}
-			if gi < len(gAdj) && gAdj[gi] == v {
-				continue
-			}
-			d.unreliable = append(d.unreliable, Edge{U: int32(u), V: v})
+	d.uCSR.Edges = make([]int32, len(d.uCSR.Peers))
+	d.unreliable = make([]Edge, 0, len(d.uCSR.Peers)/2)
+	d.number(make([]int32, n))
+	d.gCSR.Off = make([]int32, n+1)
+	d.gCSR.Targets = make([]int32, 0, 2*d.G.EdgeCount())
+	d.flattenReliable()
+}
+
+// number numbers the unreliable rows in one pass in node order. A forward
+// peer p > w of row w takes the next canonical index and appends (w, p) to
+// the edge list; a backward peer p < w takes next[p]++, where next[p] was
+// set to the list's length when row p was reached. So the edges are
+// numbered in (U, V) order and every row's indices ascend. Rows ascend, so
+// each splits into its backward and its forward peers, and the pass walks
+// the two runs without a branch per arc. next is scratch of one entry per
+// vertex.
+func (d *Dual) number(next []int32) {
+	uc := d.uCSR
+	list := d.unreliable[:0]
+	for w := range len(uc.Off) - 1 {
+		i, end := uc.Off[w], uc.Off[w+1]
+		next[w] = int32(len(list))
+		for ; i < end && uc.Peers[i] < int32(w); i++ {
+			p := uc.Peers[i]
+			uc.Edges[i] = next[p]
+			next[p]++
+		}
+		for ; i < end; i++ {
+			uc.Edges[i] = int32(len(list))
+			list = append(list, Edge{U: int32(w), V: uc.Peers[i]})
 		}
 	}
+	d.unreliable = list
 }
 
-// rebuildFlat re-derives the flattened forms — the unreliable CSR and the
-// reliable CSR — from d.unreliable and the adjacency lists, reusing buffer
-// capacity. Edge indices are positions in d.unreliable; because the list
-// is canonically ordered, the counting pass plus scatter pass below lays
-// every node's unreliable incidence out in increasing edge-index order.
-func (d *Dual) rebuildFlat() {
-	n := d.G.N()
-	gTotal := 0
-	for u := 0; u < n; u++ {
-		gTotal += len(d.G.adj[u])
+// flattenReliable copies G's rows into the reliable CSR, reusing its
+// capacity. The CSR stays a copy because PatchNode edits G's rows in place.
+func (d *Dual) flattenReliable() {
+	t := d.gCSR.Targets[:0]
+	for u, row := range d.G.adj {
+		d.gCSR.Off[u] = int32(len(t))
+		t = append(t, row...)
 	}
-	if len(d.gCSR.Off) != n+1 {
-		d.gCSR.Off = make([]int32, n+1)
-	}
-	if cap(d.gCSR.Targets) < gTotal {
-		d.gCSR.Targets = make([]int32, 0, gTotal)
-	} else {
-		d.gCSR.Targets = d.gCSR.Targets[:0]
-	}
-	for u := 0; u < n; u++ {
-		d.gCSR.Off[u] = int32(len(d.gCSR.Targets))
-		d.gCSR.Targets = append(d.gCSR.Targets, d.G.adj[u]...)
-	}
-	d.gCSR.Off[n] = int32(gTotal)
-
-	uTotal := 2 * len(d.unreliable)
-	if len(d.uCSR.Off) != n+1 {
-		d.uCSR.Off = make([]int32, n+1)
-	}
-	off := d.uCSR.Off
-	for i := range off {
-		off[i] = 0
-	}
-	for _, e := range d.unreliable {
-		off[e.U+1]++
-		off[e.V+1]++
-	}
-	for u := 0; u < n; u++ {
-		off[u+1] += off[u]
-	}
-	if cap(d.uCSR.Peers) < uTotal {
-		d.uCSR.Peers = make([]int32, uTotal)
-		d.uCSR.Edges = make([]int32, uTotal)
-	}
-	peers, edges := d.uCSR.Peers[:uTotal], d.uCSR.Edges[:uTotal]
-	if cap(d.uCur) < n {
-		d.uCur = make([]int32, n)
-	}
-	cur := d.uCur[:n]
-	copy(cur, off[:n])
-	for i, e := range d.unreliable {
-		peers[cur[e.U]], edges[cur[e.U]] = e.V, int32(i)
-		cur[e.U]++
-		peers[cur[e.V]], edges[cur[e.V]] = e.U, int32(i)
-		cur[e.V]++
-	}
-	d.uCSR.Peers, d.uCSR.Edges = peers, edges
+	d.gCSR.Off[len(d.G.adj)] = int32(len(t))
+	d.gCSR.Targets = t
 }
 
 // N returns the number of vertices.

@@ -8,27 +8,27 @@
 // patched duals: both r-geographic conditions are required of present
 // vertices only.
 //
-// Cost model: the adjacency-list splices are O(deg) sorted-slice edits, and
-// the canonical unreliable edge list is maintained incrementally — one
-// order-preserving compaction pass on detach, one backward in-place merge of
-// the O(deg) new edges on attach — rather than rescanned from the adjacency
-// lists. The flattened forms (incidence, both CSRs) are then re-derived by
-// rebuildFlat, a straight O(n + m) counting-fill pass into reused buffers.
-// That pass dominates a patch but is pure sequential int32 traffic — no
-// geometry, no per-edge search, no allocation in the steady state — which is
-// what separates it by well over an order of magnitude from a full rebuild
-// (geometric pair scan + graph construction + indexing); BenchmarkIndexPatch
-// pins the ratio and TestIndexPatchSpeedup enforces the 10× floor. Unreliable
-// edge indices stay in the same canonical (U, V)-lexicographic order, so
-// after a patch they remain valid scheduler identifiers — but indices of
-// surviving edges may shift, so stateful consumers (engine inclusion masks,
-// adaptive schedulers, fade masks) must re-sync; sim.Engine.RefreshTopology
-// and sched.Adaptive.Rebind are those hooks.
+// Cost model: the adjacency-list splices are O(deg) sorted-slice edits.
+// The unreliable incidence is then spliced in place (spliceOut, spliceIn)
+// with one block move per row the patch touches, so O(deg) copy calls;
+// number, the pass construction numbers the incidence with, renumbers the
+// edges, and flattenReliable re-copies G's rows into the reliable CSR.
+// These are sequential int32 passes — no geometry, no per-edge search, no
+// allocation in the steady state — which is what separates a patch by well
+// over an order of magnitude from a full rebuild (geometric pair scan +
+// graph construction + numbering); BenchmarkIndexPatch measures the patch
+// and TestIndexPatchSpeedup enforces the 10× floor. Unreliable edge indices
+// stay in the same canonical (U, V)-lexicographic order, so after a patch
+// they remain valid scheduler identifiers — but indices of surviving edges
+// may shift, so stateful consumers (engine inclusion masks, adaptive
+// schedulers, fade masks) must re-sync; sim.Engine.RefreshTopology and
+// sched.Adaptive.Rebind are those hooks.
 
 package dualgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lbcast/internal/geo"
@@ -53,8 +53,9 @@ func (d *Dual) Present(v int) bool { return d.present == nil || d.present[v] }
 // neighbor discovery to the radius-r stencil. With idx == nil attach falls
 // back to a linear scan over all present vertices.
 //
-// Consumers holding flattened views must re-sync afterwards: reflatten
-// rewrites the CSR backing arrays in place.
+// Either way the unreliable incidence is spliced in place and renumbered,
+// and the reliable CSR re-copied. Consumers holding flattened views must
+// re-sync afterwards: both passes rewrite the CSR backing arrays in place.
 func (d *Dual) PatchNode(v int, p *geo.Point, idx *geo.GridIndex, policy GreyPolicy) error {
 	if v < 0 || v >= d.G.N() {
 		return fmt.Errorf("dualgraph: PatchNode vertex %d out of range [0,%d)", v, d.G.N())
@@ -98,11 +99,7 @@ func (d *Dual) PatchNode(v int, p *geo.Point, idx *geo.GridIndex, policy GreyPol
 			switch policy {
 			case GreyUnreliable:
 				d.Gp.AddEdge(v, w)
-				if v < w {
-					d.uNew = append(d.uNew, Edge{U: int32(v), V: int32(w)})
-				} else {
-					d.uNew = append(d.uNew, Edge{U: int32(w), V: int32(v)})
-				}
+				d.uNew = append(d.uNew, int32(w))
 			case GreyReliable:
 				d.G.AddEdge(v, w)
 				d.Gp.AddEdge(v, w)
@@ -121,42 +118,17 @@ func (d *Dual) PatchNode(v int, p *geo.Point, idx *geo.GridIndex, policy GreyPol
 		}
 	}
 	d.present[v] = true
-	d.mergeUnreliable()
-	d.rebuildFlat()
+	if len(d.uNew) > 0 {
+		slices.Sort(d.uNew)
+		d.spliceIn(v, d.uNew)
+		d.number(d.nextScratch())
+	}
+	d.flattenReliable()
 	return nil
 }
 
-// mergeUnreliable splices the just-attached vertex's new unreliable edges
-// into the canonical list with one backward in-place merge, preserving the
-// (U, V)-lexicographic order a full rescan would produce. Duplicates are
-// impossible: the vertex was absent, so no surviving edge touches it.
-func (d *Dual) mergeUnreliable() {
-	k := len(d.uNew)
-	if k == 0 {
-		return
-	}
-	sort.Slice(d.uNew, func(i, j int) bool {
-		a, b := d.uNew[i], d.uNew[j]
-		return a.U < b.U || (a.U == b.U && a.V < b.V)
-	})
-	old := d.unreliable
-	d.unreliable = append(d.unreliable, d.uNew...)
-	i, j := len(old)-1, k-1
-	for w := len(d.unreliable) - 1; j >= 0; w-- {
-		if i >= 0 && (old[i].U > d.uNew[j].U ||
-			(old[i].U == d.uNew[j].U && old[i].V > d.uNew[j].V)) {
-			d.unreliable[w] = old[i]
-			i--
-		} else {
-			d.unreliable[w] = d.uNew[j]
-			j--
-		}
-	}
-}
-
-// detachNode splices v's adjacency out of both graphs, drops v's unreliable
-// edges with one order-preserving compaction pass, and re-derives the
-// flattened forms.
+// detachNode splices v's adjacency out of both graphs and v's unreliable
+// rows out of the incidence, and re-derives the flattened forms.
 func (d *Dual) detachNode(v int) {
 	if d.present == nil {
 		d.present = make([]bool, d.G.N())
@@ -171,15 +143,105 @@ func (d *Dual) detachNode(v int) {
 		}
 		g.adj[v] = g.adj[v][:0]
 	}
-	vv := int32(v)
-	keep := d.unreliable[:0]
-	for _, e := range d.unreliable {
-		if e.U != vv && e.V != vv {
-			keep = append(keep, e)
+	if row := d.uCSR.Peers[d.uCSR.Off[v]:d.uCSR.Off[v+1]]; len(row) > 0 {
+		d.uNew = append(d.uNew[:0], row...)
+		d.spliceOut(v, d.uNew)
+		d.number(d.nextScratch())
+	}
+	d.flattenReliable()
+}
+
+// spliceOut drops vertex v from the unreliable rows in place: v's own row,
+// and v's arc in the row of each of its peers (v's old row, ascending,
+// copied out of the incidence). Walking the touched rows in ascending
+// order, the arcs between two drops move down in one block, and the offsets
+// shift down by the arcs dropped before them. The edge indices are left for
+// number to reassign.
+func (d *Dual) spliceOut(v int, peers []int32) {
+	uc := &d.uCSR
+	rd, wr, w, dropped := -1, -1, 0, 0
+	for i, vDone := 0, false; i < len(peers) || !vDone; {
+		t := v
+		if !vDone && (i == len(peers) || int(peers[i]) > v) {
+			vDone = true
+		} else {
+			t = int(peers[i])
+			i++
+		}
+		a, b := int(uc.Off[t]), int(uc.Off[t+1])
+		if t != v {
+			k, _ := slices.BinarySearch(uc.Peers[a:b], int32(v))
+			a += k
+			b = a + 1
+		}
+		if rd < 0 {
+			rd, wr, w = a, a, t+1
+		}
+		copy(uc.Peers[wr:], uc.Peers[rd:a])
+		wr += a - rd
+		for ; w <= t; w++ {
+			uc.Off[w] -= int32(dropped)
+		}
+		dropped += b - a
+		rd = b
+	}
+	end := len(uc.Peers)
+	copy(uc.Peers[wr:], uc.Peers[rd:end])
+	for ; w < len(uc.Off); w++ {
+		uc.Off[w] -= int32(dropped)
+	}
+	uc.Peers, uc.Edges = uc.Peers[:end-dropped], uc.Edges[:end-dropped]
+}
+
+// spliceIn adds vertex v, absent until now, to the unreliable rows in
+// place: v's row becomes peers (ascending) and v joins each peer's row in
+// order. The rows grow by the 2·len(peers) new arcs; walking the touched
+// rows in descending order, the arcs between two insertions move up in one
+// block, and the offsets shift up by the arcs inserted before them. The
+// edge indices are left for number to reassign.
+func (d *Dual) spliceIn(v int, peers []int32) {
+	uc := &d.uCSR
+	end, ins := len(uc.Peers), 2*len(peers)
+	uc.Peers = slices.Grow(uc.Peers, ins)[:end+ins]
+	uc.Edges = slices.Grow(uc.Edges, ins)[:end+ins]
+	rd, wr, hi := end, end+ins, len(uc.Off)-1
+	for i, vDone := len(peers)-1, false; i >= 0 || !vDone; {
+		t := v
+		if !vDone && (i < 0 || int(peers[i]) < v) {
+			vDone = true
+		} else {
+			t = int(peers[i])
+			i--
+		}
+		a := int(uc.Off[t])
+		if t != v {
+			k, _ := slices.BinarySearch(uc.Peers[a:uc.Off[t+1]], int32(v))
+			a += k
+		}
+		for ; hi > t; hi-- {
+			uc.Off[hi] += int32(ins)
+		}
+		wr -= rd - a
+		copy(uc.Peers[wr:], uc.Peers[a:rd])
+		rd = a
+		if t == v {
+			wr -= len(peers)
+			ins -= len(peers)
+			copy(uc.Peers[wr:], peers)
+		} else {
+			wr--
+			ins--
+			uc.Peers[wr] = int32(v)
 		}
 	}
-	d.unreliable = keep
-	d.rebuildFlat()
+}
+
+// nextScratch returns number's per-vertex scratch, kept across patches.
+func (d *Dual) nextScratch() []int32 {
+	if len(d.next) < d.G.N() {
+		d.next = make([]int32, d.G.N())
+	}
+	return d.next
 }
 
 // removeSorted deletes v from a sorted slice if present, preserving order.

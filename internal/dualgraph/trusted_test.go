@@ -117,9 +117,10 @@ func TestTrustedMatchesValidatedConstruction(t *testing.T) {
 }
 
 // TestValidateRejectsWhatTrustedAccepts corrupts inputs in each way the
-// r-geographic model forbids and shows the split holds: newDualTrusted
-// assembles the dual without complaint (it checks nothing), while Validate —
-// and therefore NewDual — still rejects it.
+// r-geographic model forbids and shows the split holds: a dual assembled
+// without validation, as the geometric builders assemble theirs, holds the
+// corrupt graphs without complaint, while Validate — and therefore NewDual —
+// still rejects them.
 func TestValidateRejectsWhatTrustedAccepts(t *testing.T) {
 	corruptions := []struct {
 		name  string
@@ -157,15 +158,21 @@ func TestValidateRejectsWhatTrustedAccepts(t *testing.T) {
 			if _, err := NewDual(g, gp, emb, r); err == nil {
 				t.Fatal("NewDual accepted a corrupt input")
 			}
-			d := newDualTrusted(g, gp, emb, r)
-			if d == nil {
-				t.Fatal("trusted path refused to assemble (it must not check)")
-			}
+			d := &Dual{G: g, Gp: gp, Emb: emb, R: r}
 			if err := d.Validate(); err == nil {
 				t.Fatal("Validate passed a corrupt dual the trusted path assembled")
 			}
 		})
 	}
+}
+
+// newDualTrusted assembles and indexes a dual without validating it, for
+// oracles whose graphs are right by construction but which NewDual would
+// refuse: a churn oracle's absent vertices keep stale positions.
+func newDualTrusted(g, gp *Graph, emb []geo.Point, r float64) *Dual {
+	d := &Dual{G: g, Gp: gp, Emb: emb, R: r}
+	d.index()
+	return d
 }
 
 // TestBuildFromEmbeddingRejectsSmallR pins that the trusted builders did not

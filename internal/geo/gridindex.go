@@ -187,6 +187,39 @@ func (gi *GridIndex) IndexOf(id RegionID) (int, bool) {
 	return ri, true
 }
 
+// RowSpan returns the region-index range [lo, hi) of the occupied regions in
+// grid row i whose J lies in [jlo, jhi]; lo == hi when there are none.
+// Regions are sorted (I, J), so the range is contiguous and ascends in J.
+// Dense mode scans the row's cells, sparse mode binary-searches the keys.
+func (gi *GridIndex) RowSpan(i, jlo, jhi int32) (lo, hi int) {
+	if gi.cells == nil {
+		lo, _ = slices.BinarySearchFunc(gi.ids, RegionID{I: i, J: jlo}, compareRegionIDs)
+		hi, ok := slices.BinarySearchFunc(gi.ids[lo:], RegionID{I: i, J: jhi}, compareRegionIDs)
+		if ok {
+			hi++
+		}
+		return lo, lo + hi
+	}
+	i -= gi.minI
+	jlo, jhi = max(jlo-gi.minJ, 0), min(jhi-gi.minJ, gi.nJ-1)
+	if i < 0 || i >= gi.nI || jlo > jhi {
+		return 0, 0
+	}
+	row := gi.cells[i*gi.nJ+jlo : i*gi.nJ+jhi+1]
+	a := 0
+	for a < len(row) && row[a] < 0 {
+		a++
+	}
+	if a == len(row) {
+		return 0, 0
+	}
+	b := len(row) - 1
+	for row[b] < 0 {
+		b--
+	}
+	return int(row[a]), int(row[b]) + 1
+}
+
 // MembersAt returns the vertices of the region at the given region index, in
 // ascending vertex order. The returned slice must not be modified.
 func (gi *GridIndex) MembersAt(ri int) []int32 {

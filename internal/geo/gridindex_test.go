@@ -115,6 +115,60 @@ func TestGridIndexSparseFallback(t *testing.T) {
 	}
 }
 
+// TestRowSpanMatchesIndexOf pins RowSpan to a lookup per cell: for windows
+// around every occupied region, the range it returns holds exactly the
+// occupied regions IndexOf finds in the window, in ascending J, in dense
+// mode, in sparse mode, after patches have left absent cells in the dense
+// table, and on an empty index.
+func TestRowSpanMatchesIndexOf(t *testing.T) {
+	rng := xrand.New(12)
+	dense := BuildGridIndex(randomEmbedding(400, 8, rng))
+	var spread []Point
+	for _, c := range []Point{{0, 0}, {4e4, -3e4}, {-7e4, 5e4}} {
+		for _, p := range randomEmbedding(60, 3, rng) {
+			spread = append(spread, Point{X: c.X + p.X, Y: c.Y + p.Y})
+		}
+	}
+	sparse := BuildGridIndex(spread)
+	patched := BuildGridIndex(randomEmbedding(300, 6, rng))
+	for v := 0; v < 300; v += 3 {
+		patched.Delete(v)
+	}
+	patched.Insert(300, Point{X: -2, Y: 7})
+	if !dense.Dense() || sparse.Dense() || !patched.Dense() {
+		t.Fatalf("modes: dense %v, sparse %v, patched %v", dense.Dense(), sparse.Dense(), patched.Dense())
+	}
+	indexes := map[string]*GridIndex{
+		"dense": dense, "sparse": sparse, "patched": patched, "empty": BuildGridIndex(nil),
+	}
+	for name, gi := range indexes {
+		check := func(i, jlo, jhi int32) {
+			var want, got []int
+			for j := jlo; j <= jhi; j++ {
+				if ri, ok := gi.IndexOf(RegionID{I: i, J: j}); ok {
+					want = append(want, ri)
+				}
+			}
+			lo, hi := gi.RowSpan(i, jlo, jhi)
+			for ri := lo; ri < hi; ri++ {
+				got = append(got, ri)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: RowSpan(%d, %d, %d) = [%d, %d), IndexOf finds %v", name, i, jlo, jhi, lo, hi, want)
+			}
+		}
+		check(0, 0, 0)
+		for _, a := range gi.Regions() {
+			for di := int32(-2); di <= 2; di++ {
+				check(a.I+di, a.J-3, a.J+3)
+				check(a.I+di, a.J+1, a.J+1)
+				check(a.I+di, a.J+2, a.J-2)
+				check(a.I+di, a.J-40, a.J+40)
+			}
+		}
+	}
+}
+
 func TestGridIndexEmpty(t *testing.T) {
 	gi := BuildGridIndex(nil)
 	if gi.Len() != 0 || len(gi.of) != 0 {
