@@ -8,6 +8,10 @@
 //	lbbench -sweep [-sweepn 100,1000,10000,100000] [-seed N]
 //	lbbench -ab <git-ref>
 //
+// The first two forms take -cpuprofile and -memprofile, which write a CPU
+// profile of the run and a heap profile at its end for go tool pprof; -ab
+// rejects them, because its measured runs are child processes.
+//
 // With -sweep, lbbench builds the public banked stack,
 // lbcast.NewRandomGeometric, at constant density for every listed n, runs
 // every 100th node in a closed bcast→ack loop, and prints the build time,

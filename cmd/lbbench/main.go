@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lbcast/internal/exp"
+	"lbcast/internal/profiling"
 )
 
 func main() {
@@ -20,6 +21,8 @@ func main() {
 		sweep    = flag.Bool("sweep", false, "run the scaling sweep of the banked lbcast.Network instead of the experiments")
 		sweepN   = flag.String("sweepn", "100,1000,10000,100000", "comma-separated network sizes for -sweep")
 		abRef    = flag.String("ab", "", "A/B the working tree against this git ref on this machine (run from the repository root)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiments or the sweep to this file (not with -ab)")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file when the experiments or the sweep end (not with -ab)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -32,6 +35,11 @@ func main() {
 	}
 
 	if *abRef != "" {
+		if *cpuProf != "" || *memProf != "" {
+			// The A/B's measured work runs in child processes.
+			fmt.Fprintln(os.Stderr, "-cpuprofile and -memprofile do not apply to -ab")
+			os.Exit(2)
+		}
 		code, err := runAB(*abRef)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -39,47 +47,84 @@ func main() {
 		os.Exit(code)
 	}
 
+	var (
+		ns   []int
+		size exp.Size
+		todo []exp.Experiment
+		err  error
+	)
 	if *sweep {
-		ns, err := parseIntList(*sweepN, "-sweepn")
-		if err != nil {
+		if ns, err = parseIntList(*sweepN, "-sweepn"); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		tbl, err := runSweep(ns, *seedFlag)
-		if err != nil {
+	} else {
+		if size, err = exp.ParseSize(*sizeFlag); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(2)
 		}
-		if err := tbl.Render(os.Stdout); err != nil {
+		if todo, err = selectExperiments(*expFlag); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(2)
 		}
-		return
 	}
 
-	size, err := exp.ParseSize(*sizeFlag)
+	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var todo []exp.Experiment
-	if *expFlag == "" {
-		todo = exp.All()
+	code := 0
+	if *sweep {
+		code = sweepMain(ns, *seedFlag)
 	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			e, ok := exp.ByID(strings.TrimSpace(id))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
-				os.Exit(2)
-			}
-			todo = append(todo, e)
-		}
+		code = experimentsMain(todo, size, *seedFlag)
 	}
+	if err := stop(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		code = 1
+	}
+	os.Exit(code)
+}
 
+// selectExperiments resolves the -exp flag: every experiment when it is
+// empty, otherwise the listed IDs in order.
+func selectExperiments(ids string) ([]exp.Experiment, error) {
+	if ids == "" {
+		return exp.All(), nil
+	}
+	var todo []exp.Experiment
+	for _, id := range strings.Split(ids, ",") {
+		e, ok := exp.ByID(strings.TrimSpace(id))
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q; use -list", id)
+		}
+		todo = append(todo, e)
+	}
+	return todo, nil
+}
+
+// sweepMain runs the scaling sweep and renders its table; it returns the
+// process exit code.
+func sweepMain(ns []int, seed uint64) int {
+	tbl, err := runSweep(ns, seed)
+	if err == nil {
+		err = tbl.Render(os.Stdout)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	return 0
+}
+
+// experimentsMain runs the experiments and renders their tables; it returns
+// the process exit code, 1 when any experiment failed.
+func experimentsMain(todo []exp.Experiment, size exp.Size, seed uint64) int {
 	failed := 0
 	for _, e := range todo {
 		start := time.Now()
-		res, err := e.Run(size, *seedFlag)
+		res, err := e.Run(size, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.ID, err)
 			failed++
@@ -89,13 +134,14 @@ func main() {
 		for _, tbl := range res.Tables {
 			if err := tbl.Render(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // usage renders the synopsis of every operating mode ahead of the flag
@@ -118,6 +164,9 @@ Modes:
       interleaved pairs of every BENCHMARK.json workload and the round
       micro-benchmarks, with a per-metric verdict; exits 1 when a metric
       regressed or a change run was wrong
+
+The experiments and -sweep take -cpuprofile and -memprofile (read them
+with go tool pprof); -ab does not, because its runs are child processes.
 
 Flags:
 `)

@@ -17,4 +17,7 @@
 // the scaling-sweep topologies, rendering the comparison table and writing
 // the machine-readable JSON report (schema lbcast-comparison/v2, see
 // docs/EXPERIMENTS.md).
+//
+// Every mode takes -cpuprofile and -memprofile, which write a CPU profile
+// of the run and a heap profile at its end for go tool pprof.
 package main

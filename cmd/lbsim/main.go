@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -12,6 +13,7 @@ import (
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/exp"
 	"lbcast/internal/lbspec"
+	"lbcast/internal/profiling"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
@@ -23,7 +25,7 @@ func main() {
 	var (
 		topo      = flag.String("topo", "cluster", "topology: cluster|geometric|twotier|line|grid")
 		n         = flag.Int("n", 16, "node count (side² for grid; clusters×size for twotier)")
-		r         = flag.Float64("r", 1.5, "geographic parameter r ≥ 1")
+		r         = flag.Float64("r", 1.5, "geographic parameter r, finite and ≥ 1 (topologies geometric, line and grid; twotier uses max(r, 1.5); cluster ignores it)")
 		eps       = flag.Float64("eps", 0.1, "error bound ε₁ ∈ (0, ½]")
 		schedN    = flag.String("sched", "random", "link scheduler: never|always|random|periodic|antidecay")
 		schedP    = flag.Float64("sched-p", 0.5, "inclusion probability for -sched random")
@@ -36,21 +38,28 @@ func main() {
 		outFile   = flag.String("out", "", "JSON output path for -exp runs (default <exp>.json)")
 		reproFile = flag.String("repro", "", "with -exp chaos: replay this lbcast-chaos/v1 scenario instead of searching")
 		policies  = flag.String("policies", "", "comma-separated policy names for -exp comparison|churn|load (default: the experiment's own set); \"list\" prints the registry and exits")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Usage = usage
 	flag.Parse()
-	if *policies == "list" {
+	stop, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbsim:", err)
+		os.Exit(2)
+	}
+	switch {
+	case *policies == "list":
 		listPolicies(os.Stdout)
-		return
+	case *expFlag != "":
+		err = runExp(*expFlag, *sizeFlag, *seed, *outFile, *reproFile, splitPolicies(*policies))
+	default:
+		err = run(*topo, *n, *r, *eps, *schedN, *schedP, *phases, *senders, *seed, *traceFile)
 	}
-	if *expFlag != "" {
-		if err := runExp(*expFlag, *sizeFlag, *seed, *outFile, *reproFile, splitPolicies(*policies)); err != nil {
-			fmt.Fprintln(os.Stderr, "lbsim:", err)
-			os.Exit(1)
-		}
-		return
+	if perr := stop(); perr != nil && err == nil {
+		err = perr
 	}
-	if err := run(*topo, *n, *r, *eps, *schedN, *schedP, *phases, *senders, *seed, *traceFile); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbsim:", err)
 		os.Exit(1)
 	}
@@ -85,11 +94,12 @@ Modes:
   lbsim -exp load [-size ...] [-seed N] [-policies a,b] [-out load.json]
       E-LOAD matrix: the open-loop traffic engine sweeping offered load
       across the selected policies on identical arrival schedules, plus
-      the preset scenarios (lbcast-load/v2; recorded arrival schedules
-      replay via lbcast-load-trace/v1)
+      the preset scenarios (lbcast-load/v2)
   lbsim -policies list
       print the policy registry: every name -policies accepts, with a
       one-line description
+
+Every mode takes -cpuprofile and -memprofile (read them with go tool pprof).
 
 Flags:
 `)
@@ -262,6 +272,9 @@ func planEventCount(sc *chaos.Scenario) int {
 func run(topo string, n int, r, eps float64, schedName string, schedP float64, phases, senders int, seed uint64, traceFile string) error {
 	if senders < 0 {
 		return fmt.Errorf("-senders %d is negative", senders)
+	}
+	if !(r >= 1) || math.IsInf(r, 1) {
+		return fmt.Errorf("-r %v: want a finite r ≥ 1", r)
 	}
 	rng := xrand.New(seed)
 	var (

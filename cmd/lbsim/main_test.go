@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -141,6 +142,23 @@ func TestHostileFlagsReturnErrors(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		})
+	}
+}
+
+// TestRFlagValidatedForEveryTopology pins that -r is checked before any
+// topology is built: a value that is not finite and ≥ 1 is an error naming
+// the flag on every topology, including cluster, which does not use r, and
+// twotier, which once clamped it to 1.5 silently.
+func TestRFlagValidatedForEveryTopology(t *testing.T) {
+	for _, topo := range []string{"cluster", "geometric", "twotier", "line", "grid"} {
+		for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.999, 0.5, 0, -1} {
+			t.Run(fmt.Sprintf("-topo %s -r %v", topo, r), func(t *testing.T) {
+				err := run(topo, 16, r, 0.1, "random", 0.5, 1, 3, 1, "")
+				if err == nil || !strings.Contains(err.Error(), "-r ") {
+					t.Fatalf("run returned %v, want the -r error", err)
+				}
+			})
+		}
 	}
 }
 

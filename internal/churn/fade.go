@@ -184,7 +184,7 @@ func (f *FadeScheduler) IncludedFor(t int, edges []int32, out []bool) {
 
 // ObserveTransmitters implements sim.TransmitterAware by forwarding to an
 // adaptive base scheduler, so wrapping does not blind it.
-func (f *FadeScheduler) ObserveTransmitters(t int, transmitting []bool) {
+func (f *FadeScheduler) ObserveTransmitters(t int, transmitting []uint8) {
 	if f.aware != nil {
 		f.aware.ObserveTransmitters(t, transmitting)
 	}

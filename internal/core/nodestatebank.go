@@ -40,8 +40,8 @@ import (
 // Why sparse rounds: every node of a bank runs on the same global round, so
 // one (phase, pos, pre) cursor computed from t replaces per-node position
 // memos, and in most rounds most nodes have nothing to do — the paper's
-// service is "truly local". Work bits in the flags byte (seed machine live,
-// seed leader, body sender) plus the engine's touched column
+// service is "truly local". Work bits in the flags byte (seed machine
+// active, seed leader, body sender) plus the engine's touched column
 // (RoundView.Touched) tell a range call which nodes its round can change;
 // the range calls test eight flag bytes per load and visit only those, in
 // ascending node order. Every skipped call is a provable no-op of the
@@ -51,20 +51,27 @@ import (
 //     node begins the phase (beginPhase) and commits its seed (commitSeed);
 //   - preamble transmit visits seed leaders every round (a leader draws its
 //     advertising coin, and is retired lazily on its next call) and every
-//     live seed machine at seed sub-phase starts (the election draw); on
-//     all other rounds seedagree.Alg.Transmit changes nothing;
+//     live (active or leader) seed machine at seed sub-phase starts (the
+//     election draw); on all other rounds seedagree.Alg.Transmit changes
+//     nothing;
 //   - body transmit visits body senders only (coins valid, sending,
 //     pending); anyone else transmits nothing;
-//   - receive visits touched nodes — only they can hear anything — plus, at
-//     the last body round, sending nodes, which spend one of their Tack
-//     phases there.
+//   - preamble receive visits touched nodes whose seed machine is active:
+//     seedagree.Alg.Receive changes nothing for a leader or an inactive
+//     machine except through Finalize, which only the dense last preamble
+//     round reaches;
+//   - body receive visits touched nodes — only they can hear anything —
+//     plus, at the last body round, sending nodes, which spend one of their
+//     Tack phases there.
 
-// flag bits of NodeStateBank.flags. The first four are LBAlg's booleans
-// (bankSeedLive is the inverse of LBAlg.seedIdle); the last two are work
-// bits derived from the others and kept in sync at every edge, so a range
-// scan needs one bit test per node.
+// flag bits of NodeStateBank.flags. Three are LBAlg's booleans; the seed
+// machine's status is two bits, at most one of them set (neither means
+// Inactive, LBAlg.seedIdle); bankBodySender is a work bit derived from the
+// others and kept in sync at every edge, so a range scan needs one bit test
+// per node. bankSeedActive is bit 0, the bit a Touched byte sets, so
+// nextReceiver tests "touched and active" with one AND per eight nodes.
 const (
-	bankSeedLive       = 1 << iota // the seed machine is Active or Leader
+	bankSeedActive     = 1 << iota // the seed machine is Active
 	bankCoinsValid                 // LBAlg.coins.valid
 	bankSendingStarted             // LBAlg.sendingStarted, ⇔ LBAlg.state == StateSending
 	bankHasPending                 // LBAlg.pending != nil
@@ -72,8 +79,13 @@ const (
 	bankBodySender                 // coins valid, sending and pending: body rounds may transmit
 )
 
-// bankSenderBits are the flags whose conjunction is bankBodySender.
-const bankSenderBits = bankCoinsValid | bankSendingStarted | bankHasPending
+const (
+	// bankSeedLive marks a seed machine that is Active or Leader, the
+	// inverse of LBAlg.seedIdle.
+	bankSeedLive = bankSeedActive | bankSeedLeader
+	// bankSenderBits are the flags whose conjunction is bankBodySender.
+	bankSenderBits = bankCoinsValid | bankSendingStarted | bankHasPending
+)
 
 // NodeStateBank holds the protocol state of n LBAlg nodes in columns. It
 // implements sim.ProcessBank; its per-node handles (Node) implement Service
@@ -140,7 +152,7 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 		handles: make([]BankNode, n),
 	}
 	for u := 0; u < n; u++ {
-		bk.flags[u] = bankSeedLive // Init's fresh seed machine is Active
+		bk.flags[u] = bankSeedActive // Init's fresh seed machine is Active
 		bk.handles[u] = BankNode{bank: bk, u: int32(u)}
 	}
 	return bk
@@ -180,13 +192,12 @@ func (bk *NodeStateBank) cursorAt(t int) cursor {
 	return cursor{t: t, phase: phase, pos: pos, pre: bk.plan.preambleLen(phase)}
 }
 
-// TransmitRange implements sim.ProcessBank. It clears the range's Transmit
-// flags and visits only the nodes whose work bits say round t's transmit
-// can do something (see the file comment); payloads are written for
-// transmitters only.
+// TransmitRange implements sim.ProcessBank. It visits only the nodes whose
+// work bits say round t's transmit can do something (see the file comment)
+// and writes Transmit and Payloads for transmitters only: the engine hands
+// the range's Transmit column over all zero.
 func (bk *NodeStateBank) TransmitRange(t, lo, hi int, v *sim.RoundView) {
 	c := bk.cursorAt(t)
-	clear(v.Transmit[lo:hi])
 	if c.pos == 0 {
 		for u := lo; u < hi; u++ {
 			bk.transmitView(u, c, v)
@@ -212,14 +223,15 @@ func (bk *NodeStateBank) transmitView(u int, c cursor, v *sim.RoundView) {
 		return
 	}
 	if payload, tx := bk.transmit(u, c); tx {
-		v.Payloads[u], v.Transmit[u] = payload, true
+		v.Payloads[u], v.Transmit[u] = payload, 1
 	}
 }
 
 // ReceiveRange implements sim.ProcessBank, resolving each visited node's
-// outcome from the round view exactly as the engine's deliver does for
-// per-node processes. It visits touched nodes, plus sending nodes at the
-// last body round, plus every node at the last preamble round.
+// outcome from the round view exactly as procBank.ReceiveRange does for
+// per-node processes. It visits every node at the last preamble round,
+// touched active seed machines at the other preamble rounds, and touched
+// nodes in body rounds, plus sending nodes at the last one.
 func (bk *NodeStateBank) ReceiveRange(t, lo, hi int, v *sim.RoundView) {
 	c := bk.cursorAt(t)
 	if c.pos == c.pre-1 {
@@ -228,11 +240,13 @@ func (bk *NodeStateBank) ReceiveRange(t, lo, hi int, v *sim.RoundView) {
 		}
 		return
 	}
-	var mask uint8
-	if c.pos == bk.plan.phaseLen-1 {
-		mask = bankSendingStarted
+	gate, mask := uint8(bankSeedActive), uint8(0) // body rounds: every touched node
+	if c.pos < c.pre {
+		gate = 0 // preamble rounds: touched active seed machines only
+	} else if c.pos == bk.plan.phaseLen-1 {
+		mask = bankSendingStarted // and sending nodes, which spend a Tack phase
 	}
-	for u := nextReceiver(v.Touched, bk.flags, mask, lo, hi); u < hi; u = nextReceiver(v.Touched, bk.flags, mask, u+1, hi) {
+	for u := nextReceiver(v.Touched, bk.flags, gate, mask, lo, hi); u < hi; u = nextReceiver(v.Touched, bk.flags, gate, mask, u+1, hi) {
 		bk.receiveView(u, c, v)
 	}
 }
@@ -243,7 +257,7 @@ func (bk *NodeStateBank) receiveView(u int, c cursor, v *sim.RoundView) {
 	if v.Down != nil && v.Down[u] {
 		return
 	}
-	if v.Touched[u] != 0 && !v.Transmit[u] {
+	if v.Touched[u] != 0 && v.Transmit[u] == 0 {
 		if s := &v.Rx[u]; s.Count == 1 {
 			bk.receive(u, c, int(s.From), v.Payloads[s.From], true)
 			return
@@ -270,19 +284,26 @@ func nextFlagged(flags []uint8, mask uint8, from, hi int) int {
 	return hi
 }
 
-// nextReceiver returns the first node in [from, hi) that is touched or
-// whose flags share a bit with mask, or hi. It tests eight nodes per load.
-func nextReceiver(touched, flags []uint8, mask uint8, from, hi int) int {
-	m := uint64(mask) * 0x0101010101010101
+// nextReceiver returns the first node in [from, hi) that is touched and
+// has bankSeedActive set in its flags or in gate, or whose flags share a
+// bit with mask, or hi: a gate of bankSeedActive passes every touched node,
+// a gate of 0 only touched active seed machines. It tests eight nodes per
+// load, which works because a Touched byte is 0 or 1 and bankSeedActive is
+// bit 0.
+func nextReceiver(touched, flags []uint8, gate, mask uint8, from, hi int) int {
+	if gate == bankSeedActive && mask == 0 {
+		return nextFlagged(touched, 1, from, hi) // every touched node, and no flags to load
+	}
+	g, m := uint64(gate)*0x0101010101010101, uint64(mask)*0x0101010101010101
 	u := from
 	for ; u+8 <= hi; u += 8 {
-		w := binary.LittleEndian.Uint64(touched[u:]) | binary.LittleEndian.Uint64(flags[u:])&m
-		if w != 0 {
+		f := binary.LittleEndian.Uint64(flags[u:])
+		if w := binary.LittleEndian.Uint64(touched[u:])&(f|g) | f&m; w != 0 {
 			return u + bits.TrailingZeros64(w)>>3
 		}
 	}
 	for ; u < hi; u++ {
-		if touched[u] != 0 || flags[u]&mask != 0 {
+		if touched[u]&(flags[u]|gate) != 0 || flags[u]&mask != 0 {
 			return u
 		}
 	}
@@ -304,11 +325,11 @@ func (bk *NodeStateBank) syncSeed(u int) {
 	var set uint8
 	switch bk.seeds[u].Status() {
 	case seedagree.StatusActive:
-		set = bankSeedLive
+		set = bankSeedActive
 	case seedagree.StatusLeader:
-		set = bankSeedLive | bankSeedLeader
+		set = bankSeedLeader
 	}
-	bk.flags[u] = bk.flags[u]&^(bankSeedLive|bankSeedLeader) | set
+	bk.flags[u] = bk.flags[u]&^bankSeedLive | set
 }
 
 // initNode is BankNode.Init's body: LBAlg.Init ported to columns.
@@ -355,7 +376,7 @@ func (bk *NodeStateBank) beginPhase(u, phase int) {
 	}
 	if bk.plan.RunsPreamble(phase) {
 		bk.seeds[u].Reset()
-		bk.setFlags(u, bankSeedLive, bankSeedLeader|bankCoinsValid)
+		bk.setFlags(u, bankSeedActive, bankSeedLeader|bankCoinsValid)
 		bk.committed[u] = xrand.Seed{}
 		bk.coinsBehind[u] = 0
 	} else if bk.committed[u].Len() > 0 {
@@ -396,7 +417,7 @@ func (bk *NodeStateBank) participate(u, b int) (any, bool) {
 // of the round at cursor c.
 func (bk *NodeStateBank) receive(u int, c cursor, from int, payload any, ok bool) {
 	if c.pos < c.pre { // a preamble round
-		if bk.flags[u]&bankSeedLive != 0 {
+		if bk.flags[u]&bankSeedActive != 0 { // leaders and decided machines ignore receptions
 			bk.seeds[u].Receive(c.pos+1, payload, ok)
 			bk.syncSeed(u)
 		}

@@ -50,7 +50,8 @@ func newLockstepSide(name string, nodes []Service) *lockstepSide {
 // decision and payload, every recorded event, every recv and ack callback,
 // Active, the sending state, and each node's private coin stream (so every
 // private draw, not only how many). The channel fills the
-// RoundView the way the engine does: Touched marks every reached node —
+// RoundView the way the engine does: the Transmit column is all zero when
+// a round starts, and Touched marks every reached node —
 // clean receptions, collisions (Count ≥ 2), transmitters' own stamped slots
 // and down nodes — while silent listeners' Rx slots and non-transmitters'
 // payloads hold poison that a bank must never read. The range side runs in
@@ -104,7 +105,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 
 			view := sim.RoundView{
 				Payloads: make([]any, n),
-				Transmit: make([]bool, n),
+				Transmit: make([]uint8, n),
 				Touched:  make([]uint8, n),
 				Rx:       make([]sim.RxSlot, n),
 				Down:     make([]bool, n),
@@ -175,17 +176,21 @@ func TestNodeStateBankLockstep(t *testing.T) {
 				}
 				txs = txs[:0]
 				for u := 0; u < n; u++ {
+					if view.Transmit[u] > 1 {
+						t.Fatalf("round %d node %d: Transmit byte %d, want 0 or 1", tr, u, view.Transmit[u])
+					}
+					tx := view.Transmit[u] == 1
 					for i := 1; i < 3; i++ {
-						if view.Transmit[u] != pTransmit[i][u] {
+						if tx != pTransmit[i][u] {
 							t.Fatalf("round %d node %d: %s transmit decision diverged (bank %v, %s %v)",
-								tr, u, sides[i].name, view.Transmit[u], sides[i].name, pTransmit[i][u])
+								tr, u, sides[i].name, tx, sides[i].name, pTransmit[i][u])
 						}
-						if view.Transmit[u] && !samePayload(view.Payloads[u], pPayloads[i][u]) {
+						if tx && !samePayload(view.Payloads[u], pPayloads[i][u]) {
 							t.Fatalf("round %d node %d: payload diverged (bank %v, %s %v)",
 								tr, u, view.Payloads[u], sides[i].name, pPayloads[i][u])
 						}
 					}
-					if view.Transmit[u] {
+					if tx {
 						txs = append(txs, u)
 						if _, data := view.Payloads[u].(DataMsg); data {
 							sent++
@@ -214,7 +219,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 					}
 					from := txs[loss.Intn(len(txs))]
 					view.Rx[u].From = int32(from)
-					if !view.Transmit[u] && !view.Down[u] {
+					if view.Transmit[u] == 0 && !view.Down[u] {
 						heard[u] = from
 					}
 				}
@@ -237,6 +242,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 					}
 				}
 				clear(view.Touched)
+				clear(view.Transmit)
 			}
 
 			acks := 0
@@ -352,7 +358,7 @@ func TestNodeStateBankFootprint(t *testing.T) {
 			envs[u] = sim.NodeEnv{ID: u, Delta: 8, DeltaPrime: 8, R: 1,
 				Rng: xrand.NodeSource(1, u), Rec: nopRec{}}
 		}
-		view := sim.RoundView{Payloads: make([]any, n), Transmit: make([]bool, n),
+		view := sim.RoundView{Payloads: make([]any, n), Transmit: make([]uint8, n),
 			Touched: make([]uint8, n), Rx: make([]sim.RxSlot, n)}
 		var before, built, inited, reseeded runtime.MemStats
 		runtime.ReadMemStats(&before)

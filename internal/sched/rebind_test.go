@@ -29,7 +29,7 @@ func TestAdaptiveRebindAfterPatch(t *testing.T) {
 
 	// Sanity: with node 1 (reliable) and node 3 transmitting, the adversary
 	// includes edge {0,3} — index 1 before the patch.
-	tx := []bool{false, true, false, true}
+	tx := []uint8{0, 1, 0, 1}
 	a.ObserveTransmitters(1, tx)
 	if !a.Included(1, 1) || a.Included(1, 0) {
 		t.Fatalf("pre-patch adversary should include edge 1 only")

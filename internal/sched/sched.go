@@ -324,12 +324,12 @@ func (a *Adaptive) rebind(d *dualgraph.Dual) {
 
 // ObserveTransmitters implements sim.TransmitterAware: the engine reveals
 // the round's transmit decisions before querying Included.
-func (a *Adaptive) ObserveTransmitters(t int, transmitting []bool) {
+func (a *Adaptive) ObserveTransmitters(t int, transmitting []uint8) {
 	a.curRound = t
 	a.chosenEdge = -1
 	reliableTx := 0
 	for _, v := range a.reliableNbrs {
-		if transmitting[v] {
+		if transmitting[v] != 0 {
 			reliableTx++
 		}
 	}
@@ -338,7 +338,7 @@ func (a *Adaptive) ObserveTransmitters(t int, transmitting []bool) {
 		return
 	}
 	for _, arc := range a.incident {
-		if transmitting[arc.peer] {
+		if transmitting[arc.peer] != 0 {
 			a.chosenEdge = arc.edge
 			return
 		}

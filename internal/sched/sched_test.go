@@ -173,9 +173,9 @@ func TestAdaptiveCollidesSoleReliableTransmitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 (reliable neighbor) transmits; decoy 2 transmits as well.
-	tx := make([]bool, d.N())
-	tx[1] = true
-	tx[2] = true
+	tx := make([]uint8, d.N())
+	tx[1] = 1
+	tx[2] = 1
 	a.ObserveTransmitters(1, tx)
 	included := 0
 	var chosenPeer int32 = -1
@@ -202,17 +202,17 @@ func TestAdaptiveSilentWhenNoDeliveryThreat(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		tx   func([]bool)
+		tx   func([]uint8)
 	}{
-		{"nobody transmits", func([]bool) {}},
-		{"only decoys transmit", func(tx []bool) { tx[2], tx[3] = true, true }},
-		{"two reliable transmitters collide already", func(tx []bool) { tx[1] = true }},
+		{"nobody transmits", func([]uint8) {}},
+		{"only decoys transmit", func(tx []uint8) { tx[2], tx[3] = 1, 1 }},
+		{"two reliable transmitters collide already", func(tx []uint8) { tx[1] = 1 }},
 	}
 	// The third case needs a second reliable neighbor; StarWithDecoys has
 	// only one, so emulate with reliableTx≠1 by zero transmitters instead.
 	for _, tc := range cases[:2] {
 		t.Run(tc.name, func(t *testing.T) {
-			tx := make([]bool, d.N())
+			tx := make([]uint8, d.N())
 			tc.tx(tx)
 			a.ObserveTransmitters(2, tx)
 			for i := range d.UnreliableEdges() {
@@ -232,8 +232,8 @@ func TestAdaptiveNoTransmittingDecoy(t *testing.T) {
 	}
 	// Reliable neighbor transmits alone: the adversary cannot manufacture a
 	// collision because no unreliable peer transmits.
-	tx := make([]bool, d.N())
-	tx[1] = true
+	tx := make([]uint8, d.N())
+	tx[1] = 1
 	a.ObserveTransmitters(5, tx)
 	for i := range d.UnreliableEdges() {
 		if a.Included(5, i) {
@@ -248,8 +248,8 @@ func TestAdaptiveStaleRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := make([]bool, d.N())
-	tx[1], tx[2] = true, true
+	tx := make([]uint8, d.N())
+	tx[1], tx[2] = 1, 1
 	a.ObserveTransmitters(3, tx)
 	// Queries for other rounds must not leak the stale decision.
 	for i := range d.UnreliableEdges() {
@@ -278,8 +278,8 @@ func TestIncludedBatchMatchesIncluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := make([]bool, d.N())
-	tx[1], tx[2] = true, true
+	tx := make([]uint8, d.N())
+	tx[1], tx[2] = 1, 1
 
 	type batcher interface {
 		Included(t, edge int) bool
@@ -340,10 +340,10 @@ func TestAdaptiveDeterministicChoice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tx := make([]bool, d.N())
-		tx[1] = true // the sole reliable transmitter: a delivery threat
+		tx := make([]uint8, d.N())
+		tx[1] = 1 // the sole reliable transmitter: a delivery threat
 		for u := 2; u < d.N(); u++ {
-			tx[u] = true // every decoy transmits: all edges eligible
+			tx[u] = 1 // every decoy transmits: all edges eligible
 		}
 		a.ObserveTransmitters(1, tx)
 		chosen := -1

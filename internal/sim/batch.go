@@ -35,14 +35,15 @@ type RxSlot struct {
 // round. All slices are indexed by node and owned by the engine; banks must
 // only touch the index range a TransmitRange/ReceiveRange call names.
 type RoundView struct {
-	// Payloads and Transmit receive the transmit-phase decisions:
-	// TransmitRange must set Transmit for every node in its range exactly as
-	// Process.Transmit would have through procBank.TransmitRange, and
-	// Payloads[u] wherever it sets Transmit[u]. Payloads[u] only has meaning
-	// where Transmit[u] is set: the engine reads no other payload, so a bank
-	// may leave stale entries elsewhere.
+	// Payloads and Transmit receive the transmit-phase decisions. Like
+	// Touched, Transmit is all zero when TransmitRange starts: a bank sets
+	// Transmit[u] to 1 exactly where Process.Transmit would have returned
+	// true through procBank.TransmitRange, writes Payloads[u] there, and
+	// writes nothing else. The engine lists the transmitters from the
+	// column, and after the round's statistics it zeroes their Transmit and
+	// Payloads entries, so no payload outlives its round.
 	Payloads []any
-	Transmit []bool
+	Transmit []uint8
 	// Touched marks, with 1, the nodes this round's scatter or reception
 	// model reached — exactly the nodes whose Rx slot holds this round's
 	// reception state; every other entry is 0. The engine sets it before the
@@ -58,7 +59,7 @@ type RoundView struct {
 	Rx []RxSlot
 	// Down is the engine's crashed-node mask; nil when no node has ever been
 	// down. A down node's process must not run: TransmitRange leaves
-	// Transmit false for it without consulting protocol state, ReceiveRange
+	// Transmit 0 for it without consulting protocol state, ReceiveRange
 	// skips it entirely — mirroring procBank.
 	Down []bool
 }
@@ -86,10 +87,10 @@ type RoundFlusher interface {
 // nodes it does run see their calls in ascending node order (so recorded
 // events and protocol callbacks keep the per-node path's order).
 type ProcessBank interface {
-	// TransmitRange fixes round t's broadcast decisions for nodes [lo, hi):
-	// for each node u, v.Transmit[u] exactly as Process.Transmit(t) would
-	// have returned it (false for down nodes), and v.Payloads[u] wherever
-	// v.Transmit[u] is set.
+	// TransmitRange fixes round t's broadcast decisions for nodes [lo, hi),
+	// whose v.Transmit entries are all zero on entry: v.Transmit[u] = 1 and
+	// v.Payloads[u] for each node u whose Process.Transmit(t) would have
+	// returned true (never a down node), and no other write.
 	TransmitRange(t, lo, hi int, v *RoundView)
 	// ReceiveRange delivers round t's reception outcomes to nodes [lo, hi),
 	// resolving each node's outcome from v (see RoundView.Touched and
@@ -109,15 +110,17 @@ type procBank struct {
 	asleep []bool
 }
 
-// TransmitRange fixes the decisions of nodes [lo, hi): a down or sleeping
-// node transmits nothing and its process is not consulted.
+// TransmitRange fixes the decisions of nodes [lo, hi), writing only
+// transmitters: a down or sleeping node transmits nothing and its process
+// is not consulted.
 func (b *procBank) TransmitRange(t, lo, hi int, v *RoundView) {
 	for u := lo; u < hi; u++ {
 		if b.asleep[u] || v.Down != nil && v.Down[u] {
-			v.Payloads[u], v.Transmit[u] = nil, false
 			continue
 		}
-		v.Payloads[u], v.Transmit[u] = b.procs[u].Transmit(t)
+		if payload, tx := b.procs[u].Transmit(t); tx {
+			v.Payloads[u], v.Transmit[u] = payload, 1
+		}
 	}
 }
 
@@ -134,7 +137,7 @@ func (b *procBank) ReceiveRange(t, lo, hi int, v *RoundView) {
 			if !b.asleep[u] {
 				b.procs[u].Receive(t, NoTransmitter, nil, false)
 			}
-		case !v.Transmit[u] && v.Rx[u].Count == 1:
+		case v.Transmit[u] == 0 && v.Rx[u].Count == 1:
 			from := v.Rx[u].From
 			b.procs[u].Receive(t, int(from), v.Payloads[from], true)
 		default:

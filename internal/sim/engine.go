@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -128,9 +130,10 @@ type Engine struct {
 	// Per-round scratch, reused across rounds. The payload slot table keeps
 	// one slot per node; transmitters' Transmit results land in their own
 	// slot and are read at delivery, so no per-round payload allocation
-	// happens in the engine.
+	// happens in the engine. transmit is RoundView.Transmit: all zero
+	// between rounds, 1 at the round's transmitters while it runs.
 	payloads []any
-	transmit []bool
+	transmit []uint8
 	included []bool   // unreliable edge inclusion mask (incMask rounds only)
 	txList   []int32  // this round's transmitters, ascending
 	rx       []RxSlot // per-node reception state written by the scatter
@@ -225,7 +228,7 @@ func New(cfg Config) (*Engine, error) {
 		gCSR:     cfg.Dual.ReliableCSR(),
 		uCSR:     cfg.Dual.UnreliableCSR(),
 		payloads: make([]any, n),
-		transmit: make([]bool, n),
+		transmit: make([]uint8, n),
 		txList:   make([]int32, 0, n),
 		rx:       make([]RxSlot, n),
 		recs:     make([]nodeRecorder, n),
@@ -354,12 +357,7 @@ func (e *Engine) Step() {
 
 	// Collect this round's transmitters (ascending): both the inclusion-
 	// mode choice below and the scatter consume the list.
-	e.txList = e.txList[:0]
-	for u, tx := range e.transmit {
-		if tx {
-			e.txList = append(e.txList, int32(u))
-		}
-	}
+	e.txList = appendTransmitters(e.txList[:0], e.transmit)
 
 	// Resolve how the round topology's unreliable part is decided. Sparse
 	// schedulers collapse uniform rounds (Always/Never/Periodic/AntiDecay,
@@ -439,12 +437,13 @@ func (e *Engine) finishRound(t int) {
 	// listener with one transmitting topology neighbor received, one with
 	// two or more lost the round to interference. Only nodes the scatter
 	// reached are visited, so this costs O(Σ deg over transmitters). The
-	// same pass clears the touched column for the next round.
+	// same pass clears the touched column, and the transmitters' Transmit
+	// and Payloads entries, for the next round.
 	txBefore, delBefore, colBefore := e.trace.Transmissions, e.trace.Deliveries, e.trace.Collisions
 	e.trace.Transmissions += len(e.txList)
 	for _, u := range e.touched {
 		e.view.Touched[u] = 0
-		if e.transmit[u] || (e.down != nil && e.down[u]) {
+		if e.transmit[u] != 0 || (e.down != nil && e.down[u]) {
 			continue
 		}
 		if e.rx[u].Count == 1 {
@@ -452,6 +451,9 @@ func (e *Engine) finishRound(t int) {
 		} else {
 			e.trace.Collisions++
 		}
+	}
+	for _, u := range e.txList {
+		e.transmit[u], e.payloads[u] = 0, nil
 	}
 	if e.trace.SampleRounds {
 		e.trace.PerRound = append(e.trace.PerRound, RoundStat{
@@ -471,6 +473,35 @@ func (e *Engine) finishRound(t int) {
 	if e.env != nil {
 		e.env.AfterRound(t)
 	}
+}
+
+// appendTransmitters appends the nodes whose transmit byte is set to txs,
+// in ascending order, and returns the extended slice. It reads eight nodes
+// per load and takes one entry per nonzero byte. Transmitters are sparse,
+// so it first ORs eight loads together and skips 64 silent nodes at once;
+// the last len(transmit) mod 64 nodes are tested one by one.
+func appendTransmitters(txs []int32, transmit []uint8) []int32 {
+	le := binary.LittleEndian
+	u := 0
+	for rest := transmit; len(rest) >= 64; rest = rest[64:] {
+		if le.Uint64(rest)|le.Uint64(rest[8:])|le.Uint64(rest[16:])|le.Uint64(rest[24:])|
+			le.Uint64(rest[32:])|le.Uint64(rest[40:])|le.Uint64(rest[48:])|le.Uint64(rest[56:]) != 0 {
+			for k := 0; k < 64; k += 8 {
+				for w := le.Uint64(rest[k:]); w != 0; {
+					b := bits.TrailingZeros64(w) >> 3
+					txs = append(txs, int32(u+k+b))
+					w &^= 0xff << (b << 3)
+				}
+			}
+		}
+		u += 64
+	}
+	for ; u < len(transmit); u++ {
+		if transmit[u] != 0 {
+			txs = append(txs, int32(u))
+		}
+	}
+	return txs
 }
 
 // scatter walks the round's transmitters (txList, built in Step) and bumps
@@ -597,7 +628,7 @@ func (e *Engine) resolveModel(t int) {
 	}
 	t32 := int32(t)
 	for u, v := range e.recvOut {
-		if e.transmit[u] || (e.down != nil && e.down[u]) {
+		if e.transmit[u] != 0 || (e.down != nil && e.down[u]) {
 			continue
 		}
 		switch {

@@ -70,7 +70,7 @@ func (e *Engine) SetDown(u int, down bool) {
 	if down {
 		// Clear any already-fixed decision so a crash between phases cannot
 		// leave a phantom transmission behind.
-		e.payloads[u], e.transmit[u] = nil, false
+		e.payloads[u], e.transmit[u] = nil, 0
 	}
 }
 
@@ -95,7 +95,7 @@ func (e *Engine) ReplaceProc(u int, p Process) {
 	}
 	e.incarn[u]++
 	e.procs[u] = p
-	e.payloads[u], e.transmit[u] = nil, false
+	e.payloads[u], e.transmit[u] = nil, 0
 	pb.asleep[u] = false
 	p.Init(&NodeEnv{
 		ID:         u,

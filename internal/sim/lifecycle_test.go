@@ -162,8 +162,8 @@ func TestReplaceProcRestart(t *testing.T) {
 // stubBank is a ProcessBank that never transmits and ignores receptions.
 type stubBank struct{}
 
-func (stubBank) TransmitRange(_, lo, hi int, v *RoundView) { clear(v.Transmit[lo:hi]) }
-func (stubBank) ReceiveRange(int, int, int, *RoundView)    {}
+func (stubBank) TransmitRange(int, int, int, *RoundView) {}
+func (stubBank) ReceiveRange(int, int, int, *RoundView)  {}
 
 // TestReplaceProcRefusesBank pins that an engine stepping a Config.Bank
 // refuses to swap one node's process: the bank's state would not follow.

@@ -115,9 +115,11 @@ type ReceptionModel interface {
 // TransmitterAware is implemented by adaptive (non-oblivious) schedulers.
 // The engine calls ObserveTransmitters after transmit decisions are fixed
 // and before Included is queried for round t, giving the adversary exactly
-// the power the paper proves fatal for progress ([11]).
+// the power the paper proves fatal for progress ([11]). transmitting is the
+// round's Transmit column (RoundView.Transmit): 1 for a transmitter, 0
+// otherwise, read-only and valid only during the call.
 type TransmitterAware interface {
-	ObserveTransmitters(t int, transmitting []bool)
+	ObserveTransmitters(t int, transmitting []uint8)
 }
 
 // NodeEnv is a process's window onto the world, fixed at Init.
