@@ -12,7 +12,6 @@ import (
 	"lbcast/internal/core"
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/exp"
-	"lbcast/internal/lbspec"
 	"lbcast/internal/profiling"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
@@ -340,35 +339,22 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 	if senders > d.N() {
 		senders = d.N()
 	}
-	plan := core.NewPhasePlan(p)
-	procs := make([]*core.LBAlg, d.N())
-	simProcs := make([]sim.Process, d.N())
-	svcs := make([]core.Service, d.N())
-	for u := 0; u < d.N(); u++ {
-		procs[u] = core.NewLBAlgWithPlan(plan)
-		simProcs[u] = procs[u]
-		svcs[u] = procs[u]
-	}
 	senderIDs := make([]int, senders)
 	for i := range senderIDs {
 		senderIDs[i] = i
 	}
 	// The monitor judges the run as it goes; it only reads the trace it
 	// shares with the engine, so -trace still writes every event.
-	tr := &sim.Trace{}
-	mon, err := lbspec.NewMonitor(lbspec.MonitorConfig{
-		Dual: d, Trace: tr, TAck: p.TAckBound(), TProg: p.TProgBound(),
-		Inner: core.NewSaturatingEnv(svcs, senderIDs),
-	})
+	net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: linkSched, Seed: seed}, p,
+		func(svcs []core.Service) (sim.Environment, error) {
+			return core.NewSaturatingEnv(svcs, senderIDs), nil
+		}, true)
 	if err != nil {
 		return err
 	}
-	engine, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: linkSched, Env: mon, Trace: tr, Seed: seed})
-	if err != nil {
-		return err
-	}
+	tr, mon := net.Engine.Trace(), net.Mon
 	rounds := phases * p.PhaseLen()
-	engine.Run(rounds)
+	net.Engine.Run(rounds)
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {

@@ -17,6 +17,7 @@ import (
 	"lbcast/internal/sched"
 	"lbcast/internal/seedagree"
 	"lbcast/internal/sim"
+	"lbcast/internal/world"
 )
 
 const (
@@ -68,33 +69,38 @@ func main() {
 // firstHear runs one configuration until the receiver (node 0) hears a data
 // message and returns the round.
 func firstHear(d *dualgraph.Dual, algo string, s sim.LinkScheduler, seed uint64) (int, error) {
-	svcs := make([]core.Service, d.N())
-	procs := make([]sim.Process, d.N())
+	senders := make([]int, d.N()-1)
+	for i := range senders {
+		senders[i] = i + 1
+	}
+	cfg := sim.Config{Dual: d, Sched: s, Seed: seed*2654435761 + 7}
+	var e *sim.Engine
 	switch algo {
 	case "decay":
+		svcs := make([]core.Service, d.N())
+		cfg.Procs = make([]sim.Process, d.N())
 		for u := range svcs {
 			svcs[u] = baseline.NewDecay(baseline.DecayParams{Delta: d.DeltaPrime(), AckRounds: maxRounds + 1})
-			procs[u] = svcs[u]
+			cfg.Procs[u] = svcs[u]
+		}
+		cfg.Env = core.NewSaturatingEnv(svcs, senders)
+		var err error
+		if e, err = sim.New(cfg); err != nil {
+			return 0, err
 		}
 	default:
 		p, err := core.DeriveParams(d.Delta(), d.DeltaPrime(), 1, 0.2)
 		if err != nil {
 			return 0, err
 		}
-		plan := core.NewPhasePlan(p)
-		for u := range svcs {
-			svcs[u] = core.NewLBAlgWithPlan(plan)
-			procs[u] = svcs[u]
+		// Monitored, so the run records the hear events read below.
+		net, err := world.NewLBNetwork(cfg, p, func(svcs []core.Service) (sim.Environment, error) {
+			return core.NewSaturatingEnv(svcs, senders), nil
+		}, true)
+		if err != nil {
+			return 0, err
 		}
-	}
-	senders := make([]int, d.N()-1)
-	for i := range senders {
-		senders[i] = i + 1
-	}
-	env := core.NewSaturatingEnv(svcs, senders)
-	e, err := sim.New(sim.Config{Dual: d, Procs: procs, Sched: s, Env: env, Seed: seed*2654435761 + 7})
-	if err != nil {
-		return 0, err
+		e = net.Engine
 	}
 	seen := 0
 	for r := 0; r < maxRounds; r++ {

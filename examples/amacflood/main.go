@@ -16,6 +16,7 @@ import (
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
@@ -34,21 +35,16 @@ func main() {
 	fmt.Printf("grid %dx%d: Δ=%d Δ'=%d diameter=%d\n", side, side, d.Delta(), d.DeltaPrime(), diam)
 	fmt.Printf("abstract MAC guarantees: f_prog=%d f_ack=%d ε=%v\n\n", g.FProg, g.FAck, g.Eps)
 
-	layers := make([]amac.Layer, d.N())
-	procs := make([]sim.Process, d.N())
-	plan := core.NewPhasePlan(p)
-	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlgWithPlan(plan)
-		alg.RecordHears = false
-		layers[u] = amac.NewAdapter(alg, g)
-		procs[u] = alg
-	}
-	flood := amac.NewFlood(layers)
-	e, err := sim.New(sim.Config{Dual: d, Procs: procs,
-		Sched: sched.NewRandom(0.6, 3), Env: flood, Seed: 11})
+	var flood *amac.Flood
+	net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.6, 3), Seed: 11}, p,
+		func(svcs []core.Service) (sim.Environment, error) {
+			flood = amac.NewFlood(amac.NewAdapters(svcs, g))
+			return flood, nil
+		}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
+	e := net.Engine
 
 	key, err := flood.Start(0, "multi-hop payload")
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
@@ -31,30 +32,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	layers := make([]amac.Layer, n)
-	procs := make([]sim.Process, n)
-	plan := core.NewPhasePlan(p)
-	for u := 0; u < n; u++ {
-		alg := core.NewLBAlgWithPlan(plan)
-		alg.RecordHears = false
-		layers[u] = amac.NewAdapter(alg, amac.FromLBParams(p))
-		procs[u] = alg
-	}
-
 	initial := make([]any, n)
 	for u := range initial {
 		initial[u] = fmt.Sprintf("proposal-from-%d", u)
 	}
-	cons, err := amac.NewConsensus(layers, initial, 2)
+	var cons *amac.Consensus
+	net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, 9), Seed: 10}, p,
+		func(svcs []core.Service) (sim.Environment, error) {
+			var err error
+			cons, err = amac.NewConsensus(amac.NewAdapters(svcs, amac.FromLBParams(p)), initial, 2)
+			return cons, err
+		}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	e, err := sim.New(sim.Config{Dual: d, Procs: procs,
-		Sched: sched.NewRandom(0.5, 9), Env: cons, Seed: 10})
-	if err != nil {
-		log.Fatal(err)
-	}
+	e := net.Engine
 
 	fmt.Printf("%d nodes, each proposing its own value; 2 broadcast cycles per node\n", n)
 	fmt.Printf("layer guarantees: f_prog=%d, f_ack=%d, ε=%v\n\n", p.TProgBound(), p.TAckBound(), p.Eps1)

@@ -50,6 +50,15 @@ func NewAdapter(svc core.Service, g Guarantees) *Adapter {
 	return &Adapter{svc: svc, g: g}
 }
 
+// NewAdapters wraps every node's service with the same guarantees.
+func NewAdapters(svcs []core.Service, g Guarantees) []Layer {
+	layers := make([]Layer, len(svcs))
+	for u, svc := range svcs {
+		layers[u] = NewAdapter(svc, g)
+	}
+	return layers
+}
+
 // Bcast implements Layer.
 func (a *Adapter) Bcast(payload any) (sim.MsgID, error) { return a.svc.Bcast(payload) }
 

@@ -22,7 +22,6 @@ func buildFloodNet(t testing.TB, d *dualgraph.Dual, eps float64, seed uint64, s 
 	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
 		alg := core.NewLBAlgWithPlan(plan)
-		alg.RecordHears = false // floods only need recv events
 		layers[u] = NewAdapter(alg, FromLBParams(p))
 		simProcs[u] = alg
 	}

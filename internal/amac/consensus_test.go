@@ -23,7 +23,6 @@ func buildConsensus(t testing.TB, d *dualgraph.Dual, initial []any, cycles int, 
 	plan := core.NewPhasePlan(p)
 	for u := 0; u < d.N(); u++ {
 		alg := core.NewLBAlgWithPlan(plan)
-		alg.RecordHears = false
 		layers[u] = NewAdapter(alg, FromLBParams(p))
 		procs[u] = alg
 	}

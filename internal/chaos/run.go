@@ -128,9 +128,6 @@ type RunOptions struct {
 	// Driver/Workers select the engine driver (DriverSequential default).
 	Driver  sim.Driver
 	Workers int
-	// NoEarlyExit disables stopping at the first violating phase; the full
-	// window always runs.
-	NoEarlyExit bool
 }
 
 // Result is the verdict of one scenario run.
@@ -220,6 +217,9 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 	d, p, err := buildTopology(sc)
 	if err != nil {
 		return nil, err
+	}
+	if maxPhases := core.MaxRounds / p.PhaseLen(); sc.Phases > maxPhases {
+		return nil, fmt.Errorf("chaos: phases = %d above %d for %d-round phases", sc.Phases, maxPhases, p.PhaseLen())
 	}
 	rounds := sc.Phases * p.PhaseLen()
 
@@ -340,7 +340,7 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 				return nil, err
 			}
 		}
-		if !opt.NoEarlyExit && mon.TotalViolations() > 0 {
+		if mon.TotalViolations() > 0 {
 			break
 		}
 	}

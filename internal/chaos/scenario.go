@@ -58,6 +58,11 @@ type FaultSpec struct {
 	Round int    `json:"round,omitempty"`
 }
 
+// MaxN bounds a scenario's node count, far above any Generate makes (at
+// most 96 at every experiment size), so that a repro document cannot ask
+// Validate and Run for per-node state beyond what a laptop holds.
+const MaxN = 1 << 16
+
 // Scenario is one fully-determined stress configuration. The zero value is
 // invalid; build one with Generate or decode a repro document.
 type Scenario struct {
@@ -65,10 +70,12 @@ type Scenario struct {
 	Schema string `json:"schema"`
 	// Seed derives the topology, schedulers, and engine randomness.
 	Seed uint64 `json:"seed"`
-	// N is the node count of the constant-density geometric topology.
+	// N is the node count of the constant-density geometric topology, in
+	// [2, MaxN].
 	N int `json:"n"`
 	// Phases is the run length in protocol phases (rounds = Phases ×
-	// PhaseLen, which the runner derives from the topology).
+	// PhaseLen, which the runner derives from the topology; Run rejects a
+	// length beyond core.MaxRounds).
 	Phases int `json:"phases"`
 	// Eps is the protocol error bound ε₁.
 	Eps float64 `json:"eps"`
@@ -93,8 +100,8 @@ func (sc *Scenario) Validate() error {
 	if sc.Schema != SchemaV1 {
 		return fmt.Errorf("chaos: schema %q, want %q", sc.Schema, SchemaV1)
 	}
-	if sc.N < 2 {
-		return fmt.Errorf("chaos: n = %d must be ≥ 2", sc.N)
+	if sc.N < 2 || sc.N > MaxN {
+		return fmt.Errorf("chaos: n = %d outside [2, %d]", sc.N, MaxN)
 	}
 	if sc.Phases < 1 {
 		return fmt.Errorf("chaos: phases = %d must be ≥ 1", sc.Phases)

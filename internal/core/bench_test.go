@@ -24,7 +24,6 @@ func benchCluster(b *testing.B, n, senders int) []*LBAlg {
 	plan := NewPhasePlan(p)
 	for u := range procs {
 		procs[u] = NewLBAlgWithPlan(plan)
-		procs[u].RecordHears = false
 		procs[u].Init(&sim.NodeEnv{ID: u, Delta: n, DeltaPrime: n, R: 1,
 			Rng: xrand.NodeSource(1, u), Rec: nopRec{}})
 	}

@@ -125,11 +125,6 @@ type LBAlg struct {
 	// OnRecv is invoked on each recv(m)_u output: the first reception of a
 	// message. Optional.
 	OnRecv func(m Message, from int)
-	// RecordHears controls whether every channel-level data reception is
-	// recorded as an EvHear event (needed by the progress checker, which is
-	// defined over receptions rather than recv outputs). On by default;
-	// large sweeps that only need recv/ack events can disable it.
-	RecordHears bool
 }
 
 var _ Service = (*LBAlg)(nil)
@@ -146,8 +141,7 @@ func (l *LBAlg) SetOnRecv(fn func(Message, int)) { l.OnRecv = fn }
 func NewLBAlgWithPlan(plan *PhasePlan) *LBAlg {
 	return &LBAlg{plan: plan, state: StateReceiving,
 		memoPhase: 1, memoPos: -1,
-		curPreLen: plan.preambleLen(1), phaseLen: plan.phaseLen,
-		RecordHears: true}
+		curPreLen: plan.preambleLen(1), phaseLen: plan.phaseLen}
 }
 
 // Init implements sim.Process.
@@ -355,12 +349,11 @@ func (l *LBAlg) commitSeed() {
 	}
 }
 
-// deliver records the channel-level reception and generates the recv(m)_u
-// output on first reception.
+// deliver records the channel-level reception (the EvHear event the
+// progress checker reads: progress is defined over receptions, not recv
+// outputs) and generates the recv(m)_u output on first reception.
 func (l *LBAlg) deliver(t, from int, m Message) {
-	if l.RecordHears {
-		l.env.Rec.Record(sim.Event{Round: t, Node: l.env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
-	}
+	l.env.Rec.Record(sim.Event{Round: t, Node: l.env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
 	if l.seen == nil {
 		l.seen = make(map[sim.MsgID]struct{})
 	}

@@ -125,8 +125,8 @@ type NodeStateBank struct {
 	onRecv  []func(Message, int)
 
 	// record turns on the hear, recv, ack and bcast events, the ones LBAlg
-	// records with RecordHears set. Off by default, so that a bank's
-	// memory does not grow with the rounds it runs.
+	// records. Off by default, so that a bank's memory does not grow with
+	// the rounds it runs.
 	record bool
 
 	// handles is the contiguous backing of the per-node Service handles, so

@@ -338,7 +338,6 @@ func TestPlanEquivalence(t *testing.T) {
 			rngs := make([]*xrand.Source, n)
 			for u := 0; u < n; u++ {
 				news[u] = NewLBAlgWithPlan(plan)
-				news[u].RecordHears = false
 				rngs[u] = xrand.NodeSource(3, u)
 				news[u].Init(&sim.NodeEnv{ID: u, Delta: 8, DeltaPrime: 8, R: 1,
 					Rng: rngs[u], Rec: nopRec{}})

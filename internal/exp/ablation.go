@@ -8,6 +8,7 @@ import (
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
@@ -45,16 +46,15 @@ func runAblationSeedFreq(size Size, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
-			return core.NewSaturatingEnv(svcs, senderRange(3))
-		}, seed+uint64(k))
+		net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed), Seed: seed + uint64(k)},
+			p, saturate(senderRange(3)), true)
 		if err != nil {
 			return nil, err
 		}
 		rounds := phasesBudget * p.PhaseLen()
-		net.engine.Run(rounds)
-		hears := len(net.engine.Trace().ByKind(sim.EvHear))
-		rep := net.mon.Report()
+		net.Engine.Run(rounds)
+		hears := len(net.Engine.Trace().ByKind(sim.EvHear))
+		rep := net.Mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-ABL-FREQ k=%d: %w", k, err)
 		}
@@ -87,14 +87,13 @@ func runConstants(size Size, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
-			return core.NewSaturatingEnv(svcs, senderRange(3))
-		}, seed+uint64(c1*10))
+		net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed), Seed: seed + uint64(c1*10)},
+			p, saturate(senderRange(3)), true)
 		if err != nil {
 			return nil, err
 		}
-		net.engine.Run(phases * p.PhaseLen())
-		rep := net.mon.Report()
+		net.Engine.Run(phases * p.PhaseLen())
+		rep := net.Mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-CONST c1=%v: %w", c1, err)
 		}
@@ -116,14 +115,13 @@ func runConstants(size Size, seed uint64) (*Result, error) {
 		for i := range sends {
 			sends[i] = core.Send{Node: i % delta, Round: 1 + i*p.TAckBound(), Payload: i}
 		}
-		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
-			return core.NewSingleShotEnv(svcs, sends)
-		}, seed+uint64(cAck*100))
+		net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed), Seed: seed + uint64(cAck*100)},
+			p, singleShot(sends), true)
 		if err != nil {
 			return nil, err
 		}
-		net.engine.Run((msgs + 1) * p.TAckBound())
-		rep := net.mon.Report()
+		net.Engine.Run((msgs + 1) * p.TAckBound())
+		rep := net.Mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-CONST cAck=%v: %w", cAck, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"lbcast/internal/seedagree"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
@@ -43,13 +44,11 @@ func lbFirstHear(d *dualgraph.Dual, s sim.LinkScheduler, seed uint64, maxRounds 
 	if err != nil {
 		return 0, err
 	}
-	net, err := buildLBNetwork(d, p, s, func(svcs []core.Service) sim.Environment {
-		return core.NewSaturatingEnv(svcs, senderRange(d.N())[1:])
-	}, seed)
+	net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: s, Seed: seed}, p, saturate(senderRange(d.N())[1:]), true)
 	if err != nil {
 		return 0, err
 	}
-	return firstHearRound(net.engine, 0, maxRounds), nil
+	return firstHearRound(net.Engine, 0, maxRounds), nil
 }
 
 // runAdversarial reproduces the introduction's separation: under the
@@ -144,15 +143,14 @@ func runLowerBounds(size Size, seed uint64) (*Result, error) {
 		var first stats.Summary
 		var all stats.Summary
 		for trial := 0; trial < trials; trial++ {
-			net, err := buildLBNetwork(d, p, sched.Never{}, func(svcs []core.Service) sim.Environment {
-				return core.NewSaturatingEnv(svcs, senderRange(delta))
-			}, seed+uint64(trial)*101+uint64(delta))
+			net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.Never{}, Seed: seed + uint64(trial)*101 + uint64(delta)},
+				p, saturate(senderRange(delta)), true)
 			if err != nil {
 				return nil, err
 			}
 			receiver := delta // last node
 			maxRounds := 40 * p.PhaseLen()
-			heardAll, firstAt := heardAllRound(net.engine, receiver, delta, maxRounds)
+			heardAll, firstAt := heardAllRound(net.Engine, receiver, delta, maxRounds)
 			first.AddInt(firstAt)
 			all.AddInt(heardAll)
 		}
@@ -222,14 +220,16 @@ func runAdaptive(size Size, seed uint64) (*Result, error) {
 			}
 			s = a
 		}
-		// Node 1 runs LBAlg saturated toward target 0; decoys chatter.
-		procs := make([]sim.Process, d.N())
-		lb0, lb1 := core.NewLBAlgWithPlan(plan), core.NewLBAlgWithPlan(plan)
-		procs[0], procs[1] = lb0, lb1
+		// Node 1 runs LBAlg saturated toward target 0; decoys chatter. The
+		// two LBAlg nodes are the rows of a two-node state bank, stepped per
+		// node among the decoys.
+		bank := core.NewNodeStateBank(plan, 2)
+		bank.SetRecordEvents(true)
+		procs := append(bank.Procs(), make([]sim.Process, d.N()-2)...)
 		for u := 2; u < d.N(); u++ {
 			procs[u] = &baseline.Chatter{P: 0.5}
 		}
-		env := core.NewSaturatingEnv([]core.Service{lb0, lb1}, []int{1})
+		env := core.NewSaturatingEnv([]core.Service{bank.Node(0), bank.Node(1)}, []int{1})
 		e, err := sim.New(sim.Config{Dual: d, Procs: procs, Sched: s, Env: env, Seed: seed})
 		if err != nil {
 			return 0, err

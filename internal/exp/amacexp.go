@@ -9,6 +9,7 @@ import (
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
@@ -60,22 +61,15 @@ func runAmac(size Size, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan := core.NewPhasePlan(p)
 		var lat stats.Summary
 		completed := 0
 		for trial := 0; trial < trials; trial++ {
-			layers := make([]amac.Layer, d.N())
-			procs := make([]sim.Process, d.N())
-			for u := 0; u < d.N(); u++ {
-				alg := core.NewLBAlgWithPlan(plan)
-				alg.RecordHears = false
-				layers[u] = amac.NewAdapter(alg, amac.FromLBParams(p))
-				procs[u] = alg
-			}
-			flood := amac.NewFlood(layers)
-			e, err := sim.New(sim.Config{Dual: d, Procs: procs,
-				Sched: sched.NewRandom(0.7, seed+uint64(trial)),
-				Env:   flood, Seed: seed + uint64(trial)*41})
+			var flood *amac.Flood
+			net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.7, seed+uint64(trial)),
+				Seed: seed + uint64(trial)*41}, p, func(svcs []core.Service) (sim.Environment, error) {
+				flood = amac.NewFlood(amac.NewAdapters(svcs, amac.FromLBParams(p)))
+				return flood, nil
+			}, false)
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +79,7 @@ func runAmac(size Size, seed uint64) (*Result, error) {
 			}
 			budget := (diam + 3) * 6 * p.PhaseLen()
 			for r := 0; r < budget; r++ {
-				e.Step()
+				net.Engine.Step()
 				if _, done := flood.Complete(key); done {
 					break
 				}

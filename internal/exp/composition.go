@@ -9,32 +9,13 @@ import (
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
 func init() {
 	register(Experiment{ID: "E-MMB", Claim: "multi-message broadcast over the layer ([9,10] composition)", Run: runMMB})
 	register(Experiment{ID: "E-CONSENSUS", Claim: "consensus over the layer ([20] composition)", Run: runConsensusExp})
-}
-
-// newLayerNet builds LBAlg adapters over a dual graph, returning the layers
-// and the processes (engine construction is left to the caller so the
-// environment can be wired first).
-func newLayerNet(d *dualgraph.Dual, eps float64) ([]amac.Layer, []sim.Process, core.Params, error) {
-	p, err := core.DeriveParams(d.Delta(), d.DeltaPrime(), max(1, d.R), eps)
-	if err != nil {
-		return nil, nil, core.Params{}, err
-	}
-	plan := core.NewPhasePlan(p)
-	layers := make([]amac.Layer, d.N())
-	procs := make([]sim.Process, d.N())
-	for u := 0; u < d.N(); u++ {
-		alg := core.NewLBAlgWithPlan(plan)
-		alg.RecordHears = false
-		layers[u] = amac.NewAdapter(alg, amac.FromLBParams(p))
-		procs[u] = alg
-	}
-	return layers, procs, p, nil
 }
 
 // runMMB measures multi-message broadcast: k concurrent floods from
@@ -65,14 +46,16 @@ func runMMB(size Size, seed uint64) (*Result, error) {
 				return nil, err
 			}
 			diam, _ := d.Gp.Diameter()
-			layers, procs, p, err := newLayerNet(d, 0.25)
+			p, err := core.DeriveParams(d.Delta(), d.DeltaPrime(), max(1, d.R), 0.25)
 			if err != nil {
 				return nil, err
 			}
-			flood := amac.NewFlood(layers)
-			e, err := sim.New(sim.Config{Dual: d, Procs: procs,
-				Sched: sched.NewRandom(0.6, seed+uint64(trial)), Env: flood,
-				Seed: seed + uint64(trial)*17 + uint64(k)})
+			var flood *amac.Flood
+			net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.6, seed+uint64(trial)),
+				Seed: seed + uint64(trial)*17 + uint64(k)}, p, func(svcs []core.Service) (sim.Environment, error) {
+				flood = amac.NewFlood(amac.NewAdapters(svcs, amac.FromLBParams(p)))
+				return flood, nil
+			}, false)
 			if err != nil {
 				return nil, err
 			}
@@ -87,7 +70,7 @@ func runMMB(size Size, seed uint64) (*Result, error) {
 			budget := 2 * (diam + k) * p.TAckBound()
 			done := 0
 			for r := 0; r < budget && done < k; r++ {
-				e.Step()
+				net.Engine.Step()
 				done = 0
 				for _, key := range keys {
 					if _, ok := flood.Complete(key); ok {
@@ -136,30 +119,29 @@ func runConsensusExp(size Size, seed uint64) (*Result, error) {
 		}
 		agree, valid := 0, 0
 		var term stats.Summary
-		var bound int
+		p, err := core.DeriveParams(d.Delta(), d.DeltaPrime(), max(1, d.R), 0.2)
+		if err != nil {
+			return nil, err
+		}
+		bound := cycles * (p.TAckBound() + p.PhaseLen())
+		initial := make([]any, n)
+		for u := range initial {
+			initial[u] = u * 7
+		}
 		for trial := 0; trial < trials; trial++ {
-			layers, procs, p, err := newLayerNet(d, 0.2)
-			if err != nil {
-				return nil, err
-			}
-			bound = cycles * (p.TAckBound() + p.PhaseLen())
-			initial := make([]any, n)
-			for u := range initial {
-				initial[u] = u * 7
-			}
-			cons, err := amac.NewConsensus(layers, initial, cycles)
-			if err != nil {
-				return nil, err
-			}
-			e, err := sim.New(sim.Config{Dual: d, Procs: procs,
-				Sched: sched.NewRandom(0.5, seed+uint64(trial)), Env: cons,
-				Seed: seed + uint64(trial)*29 + uint64(n)})
+			var cons *amac.Consensus
+			net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed+uint64(trial)),
+				Seed: seed + uint64(trial)*29 + uint64(n)}, p, func(svcs []core.Service) (sim.Environment, error) {
+				var err error
+				cons, err = amac.NewConsensus(amac.NewAdapters(svcs, amac.FromLBParams(p)), initial, cycles)
+				return cons, err
+			}, false)
 			if err != nil {
 				return nil, err
 			}
 			budget := 2 * bound
 			for r := 0; r < budget; r++ {
-				e.Step()
+				net.Engine.Step()
 				if _, done := cons.Done(); done {
 					break
 				}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"lbcast/internal/core"
-	"lbcast/internal/dualgraph"
-	"lbcast/internal/lbspec"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
 )
@@ -77,43 +75,19 @@ func ByID(id string) (Experiment, bool) {
 
 // --- shared plumbing -------------------------------------------------------
 
-// lbNetwork is an assembled LBAlg deployment ready to run; mon judges it
-// online against the LB specification.
-type lbNetwork struct {
-	engine *sim.Engine
-	mon    *lbspec.Monitor
+// saturate builds the environment that keeps the given senders
+// broadcasting back to back.
+func saturate(senders []int) func([]core.Service) (sim.Environment, error) {
+	return func(svcs []core.Service) (sim.Environment, error) {
+		return core.NewSaturatingEnv(svcs, senders), nil
+	}
 }
 
-// buildLBNetwork wires LBAlg over a dual graph and attaches an lbspec
-// Monitor sharing the engine's trace; the monitor wraps the environment
-// envFn returns. envFn may be nil.
-func buildLBNetwork(d *dualgraph.Dual, p core.Params, s sim.LinkScheduler,
-	envFn func([]core.Service) sim.Environment, seed uint64) (*lbNetwork, error) {
-
-	plan := core.NewPhasePlan(p)
-	procs := make([]sim.Process, d.N())
-	svcs := make([]core.Service, d.N())
-	for u := range procs {
-		alg := core.NewLBAlgWithPlan(plan)
-		procs[u] = alg
-		svcs[u] = alg
+// singleShot builds the environment that issues the given broadcasts once.
+func singleShot(sends []core.Send) func([]core.Service) (sim.Environment, error) {
+	return func(svcs []core.Service) (sim.Environment, error) {
+		return core.NewSingleShotEnv(svcs, sends), nil
 	}
-	var env sim.Environment
-	if envFn != nil {
-		env = envFn(svcs)
-	}
-	tr := &sim.Trace{}
-	mon, err := lbspec.NewMonitor(lbspec.MonitorConfig{
-		Dual: d, Trace: tr, TAck: p.TAckBound(), TProg: p.TProgBound(), Inner: env,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e, err := sim.New(sim.Config{Dual: d, Procs: procs, Sched: s, Env: mon, Trace: tr, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return &lbNetwork{engine: e, mon: mon}, nil
 }
 
 // firstHearRound runs the engine until the given node hears any data

@@ -122,33 +122,3 @@ func TestLemma42BoundMonotone(t *testing.T) {
 		t.Error("Lemma 4.2 bound should shrink as r grows")
 	}
 }
-
-func TestBuildLBNetworkValidation(t *testing.T) {
-	d, err := dualgraph.Abstract(2, []dualgraph.Edge{{U: 0, V: 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.DeriveParams(2, 2, 1, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildLBNetwork(d, p, nil, nil, 1); err != nil {
-		t.Fatalf("nil scheduler and environment: %v", err)
-	}
-	// The monitor shares the engine's trace: node 0 saturating for one
-	// phase gives node 1 exactly one progress opportunity.
-	net, err := buildLBNetwork(d, p, nil, func(svcs []core.Service) sim.Environment {
-		return core.NewSaturatingEnv(svcs, []int{0})
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.engine.Run(p.PhaseLen())
-	rep := net.mon.Report()
-	if err := rep.Err(); err != nil {
-		t.Errorf("one saturated phase: %v", err)
-	}
-	if rep.ProgressOpportunities != 1 {
-		t.Errorf("progress opportunities = %d, want 1", rep.ProgressOpportunities)
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
@@ -53,14 +54,13 @@ func runLocality(size Size, seed uint64) (*Result, error) {
 		for u := 0; u < n; u += 10 {
 			senders = append(senders, u)
 		}
-		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
-			return core.NewSaturatingEnv(svcs, senders)
-		}, seed+uint64(n))
+		net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed), Seed: seed + uint64(n)},
+			p, saturate(senders), true)
 		if err != nil {
 			return nil, err
 		}
-		net.engine.Run(phases * p.PhaseLen())
-		rep := net.mon.Report()
+		net.Engine.Run(phases * p.PhaseLen())
+		rep := net.Mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-LOCAL n=%d: %w", n, err)
 		}

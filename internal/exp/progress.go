@@ -9,6 +9,7 @@ import (
 	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 	"lbcast/internal/stats"
+	"lbcast/internal/world"
 	"lbcast/internal/xrand"
 )
 
@@ -49,14 +50,13 @@ func runProgress(size Size, seed uint64) (*Result, error) {
 		if senders > delta-1 {
 			senders = delta - 1
 		}
-		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
-			return core.NewSaturatingEnv(svcs, senderRange(senders))
-		}, seed+uint64(delta))
+		net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed), Seed: seed + uint64(delta)},
+			p, saturate(senderRange(senders)), true)
 		if err != nil {
 			return nil, err
 		}
-		net.engine.Run(phases * p.PhaseLen())
-		rep := net.mon.Report()
+		net.Engine.Run(phases * p.PhaseLen())
+		rep := net.Mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-PROG Δ=%d: %w", delta, err)
 		}
@@ -104,14 +104,13 @@ func runAck(size Size, seed uint64) (*Result, error) {
 			// any send that lands while its node is still active.
 			sends[i] = core.Send{Node: i % delta, Round: 1 + i*p.TAckBound(), Payload: i}
 		}
-		net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
-			return core.NewSingleShotEnv(svcs, sends)
-		}, seed+uint64(delta)*13)
+		net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed), Seed: seed + uint64(delta)*13},
+			p, singleShot(sends), true)
 		if err != nil {
 			return nil, err
 		}
-		net.engine.Run((messages + 1) * p.TAckBound())
-		rep := net.mon.Report()
+		net.Engine.Run((messages + 1) * p.TAckBound())
+		rep := net.Mon.Report()
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("E-ACK Δ=%d: %w", delta, err)
 		}
@@ -149,17 +148,16 @@ func runRecvProb(size Size, seed uint64) (*Result, error) {
 	}
 	receiver := delta - 1
 	senders := senderRange(delta - 1)
-	net, err := buildLBNetwork(d, p, sched.NewRandom(0.5, seed), func(svcs []core.Service) sim.Environment {
-		return core.NewSaturatingEnv(svcs, senders)
-	}, seed)
+	net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: sched.NewRandom(0.5, seed), Seed: seed},
+		p, saturate(senders), true)
 	if err != nil {
 		return nil, err
 	}
-	net.engine.Run(phases * p.PhaseLen())
+	net.Engine.Run(phases * p.PhaseLen())
 
 	hears := 0
 	bySender := make(map[int]int)
-	for _, ev := range net.engine.Trace().ByKind(sim.EvHear) {
+	for _, ev := range net.Engine.Trace().ByKind(sim.EvHear) {
 		if ev.Node == receiver {
 			hears++
 			bySender[ev.From]++
@@ -242,15 +240,14 @@ func runDeterministic(size Size, seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		net, err := buildLBNetwork(d, p, w.sch, func(svcs []core.Service) sim.Environment {
-			return core.NewSaturatingEnv(svcs, senderRange(min(3, d.N())))
-		}, seed)
+		net, err := world.NewLBNetwork(sim.Config{Dual: d, Sched: w.sch, Seed: seed},
+			p, saturate(senderRange(min(3, d.N()))), true)
 		if err != nil {
 			return nil, err
 		}
-		net.engine.Run(phases * p.PhaseLen())
-		tbl.AddRow(w.name, net.engine.Round(), net.engine.Trace().Len(), net.mon.TotalViolations())
-		if err := net.mon.Report().Err(); err != nil {
+		net.Engine.Run(phases * p.PhaseLen())
+		tbl.AddRow(w.name, net.Engine.Round(), net.Engine.Trace().Len(), net.Mon.TotalViolations())
+		if err := net.Mon.Report().Err(); err != nil {
 			return nil, fmt.Errorf("E-DET %s: %w", w.name, err)
 		}
 	}

@@ -62,13 +62,11 @@ type MonitorConfig struct {
 	// checking is infeasible. Post-hoc consumers of the same trace will
 	// only see the unconsumed tail.
 	DiscardConsumed bool
-	// MaxViolations caps retained Violation records (the total count keeps
-	// counting past it). 0 means 4096.
-	MaxViolations int
-	// OnViolation, when set, is invoked synchronously for every violation,
-	// including ones past the retention cap.
-	OnViolation func(Violation)
 }
+
+// MaxViolations caps the Violation records a monitor retains; its total
+// count keeps counting past it.
+const MaxViolations = 4096
 
 // mspan is the monitor's pooled per-broadcast state.
 type mspan struct {
@@ -170,9 +168,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	}
 	if cfg.TAck <= 0 {
 		return nil, fmt.Errorf("lbspec: monitor needs a positive TAck, got %d", cfg.TAck)
-	}
-	if cfg.MaxViolations == 0 {
-		cfg.MaxViolations = 4096
 	}
 	n := cfg.Dual.N()
 	m := &Monitor{
@@ -540,15 +535,13 @@ func (m *Monitor) recycle(sp *mspan) {
 func (m *Monitor) violate(round, node int, invariant string, msg sim.MsgID, detail string) {
 	v := Violation{Round: round, Node: node, Invariant: invariant, Msg: msg, Detail: detail}
 	m.totalViol++
-	if len(m.violations) < m.cfg.MaxViolations {
+	if len(m.violations) < MaxViolations {
 		m.violations = append(m.violations, v)
-	}
-	if m.cfg.OnViolation != nil {
-		m.cfg.OnViolation(v)
 	}
 }
 
-// Violations returns the retained violation records in observation order.
+// Violations returns the retained violation records in observation order:
+// the first MaxViolations observed.
 func (m *Monitor) Violations() []Violation { return m.violations }
 
 // TotalViolations returns the number of violations observed, including any

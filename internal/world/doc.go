@@ -22,6 +22,12 @@
 //     E-LOAD run lbalg banked; E-CHURN restarts nodes, which a bank
 //     refuses, and calls NewService.
 //
+//   - NewLBNetwork (lbnetwork.go) is the one assembly of every LBAlg
+//     deployment whose nodes never restart: a state bank over one shared
+//     phase plan, stepped through sim.Config.Bank, monitored by an
+//     lbspec.Monitor when the run is judged. The experiments outside the
+//     matrices, lbsim's single run, lbviz and the examples build through it.
+//
 //   - Topology (world.go) is the common ground: one dual graph plus the
 //     derived Δ/Δ′ and the (seed, ε) every policy's parameters come from.
 //     NewSweepTopology builds the constant-density random-geometric family
