@@ -15,6 +15,7 @@
 // With -sweep, lbbench builds the public banked stack,
 // lbcast.NewRandomGeometric, at constant density for every listed n, runs
 // every 100th node in a closed bcast→ack loop, and prints the build time,
+// the heap bytes and objects the built network retains per node,
 // ns/round, allocs/round and peak RSS of a sequential row and, when
 // GOMAXPROCS > 1, a worker-pool row.
 //

@@ -157,8 +157,9 @@ Modes:
       list experiment IDs
   lbbench -sweep [-sweepn 1000,10000] [-seed N]
       scaling sweep of the banked lbcast.Network at constant density:
-      build time, ns/round, allocs/round and peak RSS per n, sequential
-      and (when GOMAXPROCS > 1) on the worker pool
+      build time, retained heap B/node and objects/node, ns/round,
+      allocs/round and peak RSS per n, sequential and (when
+      GOMAXPROCS > 1) on the worker pool
   lbbench -ab <git-ref>
       same-machine A/B of the working tree against <git-ref>: 10
       interleaved pairs of every BENCHMARK.json workload and the round

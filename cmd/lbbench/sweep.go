@@ -30,12 +30,14 @@ const (
 func runSweep(ns []int, seed uint64) (*stats.Table, error) {
 	workers := runtime.GOMAXPROCS(0)
 	tbl := &stats.Table{
-		Title:   "scaling sweep: lbcast.Network rounds by n × driver",
-		Columns: []string{"n", "driver", "workers", "build s", "rounds", "ns/round", "allocs/round", "peak RSS MB"},
+		Title: "scaling sweep: lbcast.Network rounds by n × driver",
+		Columns: []string{"n", "driver", "workers", "build s", "heap B/node", "objects/node",
+			"rounds", "ns/round", "allocs/round", "peak RSS MB"},
 		Notes: []string{
 			"lbcast.NewRandomGeometric at constant density (side max(4, √(n/4)), r = 1.5), random-½ scheduler, default ε",
 			fmt.Sprintf("every %dth node re-broadcasts the round it is acked (closed loop); a row runs max(2 phases, %d/n) rounds", sweepSenderEvery, sweepNodeRounds),
 			"build = the whole constructor (placement, grid index, pair scan, CSR, state bank, engine)",
+			"heap B/node and objects/node = the live heap the built network retains: forced-GC readings after the constructor minus before, over n",
 			"peak RSS is the process high-water mark when the row finished (monotone across rows)",
 		},
 	}
@@ -49,12 +51,16 @@ func runSweep(ns []int, seed uint64) (*stats.Table, error) {
 		}
 		side := math.Max(4, math.Sqrt(float64(n)/4))
 		for _, d := range drivers {
+			heap0 := forcedGCHeap()
 			start := time.Now()
 			nw, err := lbcast.NewRandomGeometric(n, side, side, 1.5, lbcast.WithSeed(seed), lbcast.WithDriver(d))
 			if err != nil {
 				return nil, err
 			}
 			build := time.Since(start)
+			heap1 := forcedGCHeap()
+			heapB := float64(int64(heap1.HeapAlloc)-int64(heap0.HeapAlloc)) / float64(n)
+			objects := float64(int64(heap1.HeapObjects)-int64(heap0.HeapObjects)) / float64(n)
 			rounds, allocs, elapsed, err := timeClosedLoop(nw)
 			nw.Close()
 			if err != nil {
@@ -64,7 +70,8 @@ func runSweep(ns []int, seed uint64) (*stats.Table, error) {
 			if d == lbcast.DriverWorkerPool {
 				name, w = "workerpool", fmt.Sprint(workers)
 			}
-			tbl.AddRow(n, name, w, fmt.Sprintf("%.3f", build.Seconds()), rounds,
+			tbl.AddRow(n, name, w, fmt.Sprintf("%.3f", build.Seconds()),
+				fmt.Sprintf("%.0f", heapB), fmt.Sprintf("%.4f", objects), rounds,
 				elapsed.Nanoseconds()/int64(rounds), allocs/uint64(rounds), fmt.Sprintf("%.0f", peakRSSMB()))
 		}
 	}
@@ -103,4 +110,15 @@ func timeClosedLoop(nw *lbcast.Network) (rounds int, allocs uint64, elapsed time
 		return 0, 0, 0, fmt.Errorf("sweep re-broadcast: %w", loopErr)
 	}
 	return rounds, after.Mallocs - before.Mallocs, elapsed, nil
+}
+
+// forcedGCHeap reads the heap statistics after forced collections, so they
+// count live objects only; the second collection frees what the first left
+// in sync.Pool victim caches.
+func forcedGCHeap() runtime.MemStats {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms
 }

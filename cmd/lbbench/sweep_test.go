@@ -7,9 +7,11 @@ import (
 )
 
 // TestSweepRows runs a small sweep: one sequential row per n, plus a
-// worker-pool row when GOMAXPROCS > 1, each timing at least one round.
+// worker-pool row when GOMAXPROCS > 1, each timing at least one round. The
+// banked network retains no heap object per node, so at n = 20,000 its
+// fixed number of objects reads below 0.01 per node.
 func TestSweepRows(t *testing.T) {
-	tbl, err := runSweep([]int{400}, 1)
+	tbl, err := runSweep([]int{20_000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +26,14 @@ func TestSweepRows(t *testing.T) {
 		if len(row) != len(tbl.Columns) {
 			t.Fatalf("row %v has %d cells for %d columns", row, len(row), len(tbl.Columns))
 		}
-		if ns, err := strconv.ParseInt(row[5], 10, 64); err != nil || ns <= 0 {
-			t.Errorf("row %v: ns/round %q", row, row[5])
+		if ns, err := strconv.ParseInt(row[7], 10, 64); err != nil || ns <= 0 {
+			t.Errorf("row %v: ns/round %q", row, row[7])
+		}
+		if b, err := strconv.ParseFloat(row[4], 64); err != nil || b <= 0 {
+			t.Errorf("row %v: heap B/node %q", row, row[4])
+		}
+		if o, err := strconv.ParseFloat(row[5], 64); err != nil || o >= 0.01 {
+			t.Errorf("row %v: objects/node %q, want < 0.01", row, row[5])
 		}
 	}
 	if _, err := runSweep([]int{1}, 1); err == nil {

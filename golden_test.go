@@ -129,14 +129,16 @@ func buildBanked(t *testing.T, run bankedRun, logged bool, build func(Option) (*
 		old := runtime.GOMAXPROCS(run.workers)
 		defer runtime.GOMAXPROCS(old)
 	}
-	nw, err := build(WithDriver(run.driver))
+	opt := WithDriver(run.driver)
+	if logged {
+		// The bank keeps the engine's recorders only if recording is on at Init.
+		opt = func(o *options) { WithDriver(run.driver)(o); o.recordEvents = true }
+	}
+	nw, err := build(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(nw.Close)
-	if logged {
-		nw.bank.SetRecordEvents(true)
-	}
 	return nw
 }
 

@@ -24,18 +24,27 @@ import (
 // heap, so a round's Transmit sweep takes one or two cache misses per node
 // before any protocol work happens, plus two interface dispatches. The bank
 // packs the per-round hot fields (flags, sending phases left, coin debt)
-// into parallel arrays and leaves the cold state (seed agreement instance,
-// committed seed and its cursor, coin buffers, dedupe tables, callbacks) in
-// separate columns touched only at phase boundaries, on delivery, or by
-// senders.
+// into parallel arrays and leaves the cold state (seed machine rows,
+// committed seed and its cursor, coin buffers, dedupe tables) in separate
+// columns touched only at phase boundaries, on delivery, or by senders.
+//
+// Why no per-node heap objects: a node's seed machine is a row of value
+// columns — its seedagree.Machine (status and leader phase), the
+// seedagree.Msg it advertises as a leader, and its private coin stream,
+// copied from the engine's at Init — stepped by the same seedagree.Machine
+// methods the per-node seedagree.Alg runs, and reset in place at every
+// preamble. A leader's frame is a pointer into the Msg column, which an
+// interface holds without allocating. The bank's recv and ack callbacks
+// take the node index, so a network registers two closures, not 2n; Init
+// keeps a node's event recorder only while events are recorded. A built
+// bank therefore holds its columns and nothing per node.
 //
 // Why sender-only state exists only for senders: most nodes only listen,
 // and listeners never read coins or committed-seed bits. So a node holds a
 // coin buffer from its first decode until its ack, and a table of the
 // sources it has heard from its first delivery. A commitment is a 40-byte
 // xrand.Seed value plus a per-node bit cursor, as in LBAlg; a seed's words
-// are regenerated only where a sender decodes. Each node's seed machine is
-// allocated once at Init and Reset in place at every preamble.
+// are regenerated only where a sender decodes.
 //
 // Why sparse rounds: every node of a bank runs on the same global round, so
 // one (phase, pos, pre) cursor computed from t replaces per-node position
@@ -52,24 +61,25 @@ import (
 //   - preamble transmit visits seed leaders every round (a leader draws its
 //     advertising coin, and is retired lazily on its next call) and every
 //     live (active or leader) seed machine at seed sub-phase starts (the
-//     election draw); on all other rounds seedagree.Alg.Transmit changes
-//     nothing;
+//     election draw); on all other rounds seedagree.Machine.Transmit
+//     changes nothing;
 //   - body transmit visits body senders only (coins valid, sending,
 //     pending); anyone else transmits nothing;
 //   - preamble receive visits touched nodes whose seed machine is active:
-//     seedagree.Alg.Receive changes nothing for a leader or an inactive
-//     machine except through Finalize, which only the dense last preamble
-//     round reaches;
+//     seedagree.Machine.Receive changes nothing for a leader or an inactive
+//     machine, and Finalize runs in commitSeed, which only the dense last
+//     preamble round reaches;
 //   - body receive visits touched nodes — only they can hear anything —
 //     plus, at the last body round, sending nodes, which spend one of their
 //     Tack phases there.
 
 // flag bits of NodeStateBank.flags. Three are LBAlg's booleans; the seed
-// machine's status is two bits, at most one of them set (neither means
-// Inactive, LBAlg.seedIdle); bankBodySender is a work bit derived from the
-// others and kept in sync at every edge, so a range scan needs one bit test
-// per node. bankSeedActive is bit 0, the bit a Touched byte sets, so
-// nextReceiver tests "touched and active" with one AND per eight nodes.
+// machine's status is mirrored in two bits, at most one of them set
+// (neither means Inactive, LBAlg.seedIdle); bankBodySender is a work bit
+// derived from the others and kept in sync at every edge, so a range scan
+// needs one bit test per node. bankSeedActive is bit 0, the bit a Touched
+// byte sets, so nextReceiver tests "touched and active" with one AND per
+// eight nodes.
 const (
 	bankSeedActive     = 1 << iota // the seed machine is Active
 	bankCoinsValid                 // LBAlg.coins.valid
@@ -77,6 +87,7 @@ const (
 	bankHasPending                 // LBAlg.pending != nil
 	bankSeedLeader                 // the seed machine is a Leader
 	bankBodySender                 // coins valid, sending and pending: body rounds may transmit
+	bankCommitted                  // committed holds this cycle's commitment, ⇔ LBAlg.committed.Len() > 0
 )
 
 const (
@@ -103,9 +114,20 @@ type NodeStateBank struct {
 	phasesLeft  []int32
 	coinsBehind []int32
 
+	// Seed machine rows (see the file comment): seeds[u] is node u's
+	// SeedAlg state, mirrored into the flags' seed bits at every change;
+	// msgs[u] is its (id u, initial seed) for the current run; rngs[u] is
+	// its private coin stream.
+	seeds []seedagree.Machine
+	msgs  []seedagree.Msg
+	rngs  []xrand.Source
+
 	// Sender-only state (see the file comment): coins[u] holds the last
-	// decode, valid iff flags[u]&bankCoinsValid; committed[u] is the decided
-	// seed (zero until a commit) and seedCur[u] this node's bit cursor in it.
+	// decode, valid iff flags[u]&bankCoinsValid; committed[u] is the seed
+	// node u's machine decided in its latest run, a commitment once
+	// flags[u]&bankCommitted, and seedCur[u] this node's bit cursor in it.
+	// The decision is copied at once, since a heard leader redraws its Msg
+	// at its next preamble.
 	coins     [][]uint8
 	committed []xrand.Seed
 	seedCur   []int32
@@ -117,17 +139,20 @@ type NodeStateBank struct {
 	// entries.
 	pending []Message
 	frame   []any
-	envs    []*sim.NodeEnv
-	seeds   []*seedagree.Alg
 	lastSeq []map[int32]int32
 	seq     []int32
-	onAck   []func(Message)
-	onRecv  []func(Message, int)
 
-	// record turns on the hear, recv, ack and bcast events, the ones LBAlg
-	// records. Off by default, so that a bank's memory does not grow with
-	// the rounds it runs.
-	record bool
+	// Outputs. onRecv and onAck are the bank's callbacks, which take the
+	// node; nodeRecv and nodeAck are the per-node ones BankNode's setters
+	// register, allocated at the first such call. recs[u] is node u's event
+	// recorder for the hear, recv, ack and bcast events, the ones LBAlg
+	// records; the column exists only while SetRecordEvents is on, so that
+	// a bank's memory does not grow with the rounds it runs.
+	onRecv   func(u int, m Message, from int)
+	onAck    func(u int, m Message)
+	nodeRecv []func(Message, int)
+	nodeAck  []func(Message)
+	recs     []sim.Recorder
 
 	// handles is the contiguous backing of the per-node Service handles, so
 	// Node(u) hands out stable pointers without per-node allocations.
@@ -144,15 +169,15 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 		plan: plan, p: plan.params, n: n,
 		flags:      make([]uint8, n),
 		phasesLeft: make([]int32, n), coinsBehind: make([]int32, n),
+		seeds: make([]seedagree.Machine, n), msgs: make([]seedagree.Msg, n), rngs: make([]xrand.Source, n),
 		coins: make([][]uint8, n), committed: make([]xrand.Seed, n), seedCur: make([]int32, n),
 		pending: make([]Message, n), frame: make([]any, n),
-		envs: make([]*sim.NodeEnv, n), seeds: make([]*seedagree.Alg, n),
 		lastSeq: make([]map[int32]int32, n), seq: make([]int32, n),
-		onAck: make([]func(Message), n), onRecv: make([]func(Message, int), n),
 		handles: make([]BankNode, n),
 	}
 	for u := 0; u < n; u++ {
 		bk.flags[u] = bankSeedActive // Init's fresh seed machine is Active
+		bk.msgs[u].Owner = u
 		bk.handles[u] = BankNode{bank: bk, u: int32(u)}
 	}
 	return bk
@@ -175,9 +200,25 @@ func (bk *NodeStateBank) Procs() []sim.Process {
 }
 
 // SetRecordEvents turns the recording of every node's hear, recv, ack and
-// bcast events on or off; it is off until set. Call it before the first
-// Bcast.
-func (bk *NodeStateBank) SetRecordEvents(on bool) { bk.record = on }
+// bcast events on or off; it is off until set. Call it before the engine
+// calls Init: Init keeps a node's recorder only while recording is on.
+func (bk *NodeStateBank) SetRecordEvents(on bool) {
+	if !on {
+		bk.recs = nil
+	} else if bk.recs == nil {
+		bk.recs = make([]sim.Recorder, bk.n)
+	}
+}
+
+// SetOnRecv registers the recv output callback of every node, called with
+// the node, the message and the transmitter heard. A node's own callback
+// (BankNode.SetOnRecv), if any, runs after it.
+func (bk *NodeStateBank) SetOnRecv(fn func(u int, m Message, from int)) { bk.onRecv = fn }
+
+// SetOnAck registers the ack output callback of every node, called with
+// the node and the message. A node's own callback (BankNode.SetOnAck), if
+// any, runs after it.
+func (bk *NodeStateBank) SetOnAck(fn func(u int, m Message)) { bk.onAck = fn }
 
 // cursor is round t's place in the phase schedule, shared by every node:
 // the 1-based phase, the 0-based position within it, and the phase's
@@ -332,10 +373,15 @@ func (bk *NodeStateBank) syncSeed(u int) {
 	bk.flags[u] = bk.flags[u]&^bankSeedLive | set
 }
 
-// initNode is BankNode.Init's body: LBAlg.Init ported to columns.
+// initNode is BankNode.Init's body: LBAlg.Init ported to columns. It
+// copies the stream and keeps nothing of env, so the engine's NodeEnv and
+// Source are garbage once Init returns.
 func (bk *NodeStateBank) initNode(u int, env *sim.NodeEnv) {
-	bk.envs[u] = env
-	bk.seeds[u] = seedagree.NewAlgWithPlan(bk.plan.Seed, env.ID, env.Rng)
+	bk.rngs[u] = *env.Rng
+	if bk.recs != nil {
+		bk.recs[u] = env.Rec
+	}
+	bk.seeds[u].Reset(bk.plan.Seed, &bk.msgs[u], &bk.rngs[u])
 }
 
 // transmit is LBAlg.Transmit ported to columns: node u's decision in the
@@ -349,9 +395,15 @@ func (bk *NodeStateBank) transmit(u int, c cursor) (any, bool) {
 		if bk.flags[u]&bankSeedLive == 0 {
 			return nil, false // decided, not advertising: a no-op round
 		}
-		payload, tx := bk.seeds[u].Transmit(c.pos + 1)
+		elected, advertise := bk.seeds[u].Transmit(bk.plan.Seed, &bk.rngs[u], c.pos+1)
+		if elected {
+			bk.committed[u] = bk.msgs[u].Seed
+		}
 		bk.syncSeed(u)
-		return payload, tx
+		if advertise {
+			return &bk.msgs[u], true
+		}
+		return nil, false
 	}
 	// A body round with scratch index pos − pre, exactly as LBAlg.Transmit.
 	if bk.flags[u]&bankBodySender == 0 {
@@ -375,11 +427,10 @@ func (bk *NodeStateBank) beginPhase(u, phase int) {
 		bk.phasesLeft[u] = int32(bk.p.Tack)
 	}
 	if bk.plan.RunsPreamble(phase) {
-		bk.seeds[u].Reset()
-		bk.setFlags(u, bankSeedActive, bankSeedLeader|bankCoinsValid)
-		bk.committed[u] = xrand.Seed{}
+		bk.seeds[u].Reset(bk.plan.Seed, &bk.msgs[u], &bk.rngs[u])
+		bk.setFlags(u, bankSeedActive, bankSeedLeader|bankCoinsValid|bankCommitted)
 		bk.coinsBehind[u] = 0
-	} else if bk.committed[u].Len() > 0 {
+	} else if bk.flags[u]&bankCommitted != 0 {
 		rounds := bk.plan.BodyRounds(phase)
 		if bk.flags[u]&bankSendingStarted != 0 {
 			if bk.coinsBehind[u] > 0 {
@@ -407,7 +458,7 @@ func (bk *NodeStateBank) decodeInto(u, rounds int) {
 
 // participate is LBAlg.participate over columns.
 func (bk *NodeStateBank) participate(u, b int) (any, bool) {
-	if bk.envs[u].Rng.Bits(b) != 0 {
+	if bk.rngs[u].Bits(b) != 0 {
 		return nil, false
 	}
 	return bk.frame[u], true
@@ -418,8 +469,10 @@ func (bk *NodeStateBank) participate(u, b int) (any, bool) {
 func (bk *NodeStateBank) receive(u int, c cursor, from int, payload any, ok bool) {
 	if c.pos < c.pre { // a preamble round
 		if bk.flags[u]&bankSeedActive != 0 { // leaders and decided machines ignore receptions
-			bk.seeds[u].Receive(c.pos+1, payload, ok)
-			bk.syncSeed(u)
+			if msg := bk.seeds[u].Receive(bk.plan.Seed, c.pos+1, payload, ok); msg != nil {
+				bk.committed[u] = msg.Seed
+				bk.syncSeed(u)
+			}
 		}
 		if c.pos == c.pre-1 {
 			bk.commitSeed(u)
@@ -443,12 +496,16 @@ func (bk *NodeStateBank) receive(u int, c cursor, from int, payload any, ok bool
 	}
 }
 
-// commitSeed is LBAlg.commitSeed over columns.
+// commitSeed is LBAlg.commitSeed over columns: the machine's decision,
+// already in committed[u] unless Finalize makes it now, becomes the
+// commitment.
 func (bk *NodeStateBank) commitSeed(u int) {
-	seed := bk.seeds[u]
-	seed.Finalize() // defensive; Receive at Ts already finalizes
-	bk.syncSeed(u)
-	bk.committed[u], bk.seedCur[u] = seed.Decision().Seed, 0
+	if bk.seeds[u].Finalize() {
+		bk.committed[u] = bk.msgs[u].Seed
+		bk.syncSeed(u)
+	}
+	bk.setFlags(u, bankCommitted, 0)
+	bk.seedCur[u] = 0
 	bk.coinsBehind[u] = 0
 	if bk.flags[u]&bankSendingStarted != 0 {
 		bk.decodeInto(u, bk.plan.tprog)
@@ -468,9 +525,8 @@ func (bk *NodeStateBank) commitSeed(u int) {
 // which holds because sim.Engine.ReplaceProc refuses banks; a restartable
 // bank needs incarnation-aware ids first.
 func (bk *NodeStateBank) deliver(u, t, from int, m Message) {
-	env := bk.envs[u]
-	if bk.record {
-		env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvHear, From: from, MsgID: m.ID})
+	if bk.recs != nil {
+		bk.recs[u].Record(sim.Event{Round: t, Node: u, Kind: sim.EvHear, From: from, MsgID: m.ID})
 	}
 	last := bk.lastSeq[u]
 	if last == nil {
@@ -482,11 +538,14 @@ func (bk *NodeStateBank) deliver(u, t, from int, m Message) {
 		return
 	}
 	last[src] = seq
-	if bk.record {
-		env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvRecv, From: from, MsgID: m.ID})
+	if bk.recs != nil {
+		bk.recs[u].Record(sim.Event{Round: t, Node: u, Kind: sim.EvRecv, From: from, MsgID: m.ID})
 	}
-	if fn := bk.onRecv[u]; fn != nil {
-		fn(m, from)
+	if bk.onRecv != nil {
+		bk.onRecv(u, m, from)
+	}
+	if bk.nodeRecv != nil && bk.nodeRecv[u] != nil {
+		bk.nodeRecv[u](m, from)
 	}
 }
 
@@ -498,29 +557,31 @@ func (bk *NodeStateBank) ack(u, t int) {
 	bk.frame[u] = nil
 	bk.coins[u] = nil
 	bk.setFlags(u, 0, bankHasPending|bankSendingStarted|bankCoinsValid)
-	if bk.record {
-		env := bk.envs[u]
-		env.Rec.Record(sim.Event{Round: t, Node: env.ID, Kind: sim.EvAck, MsgID: m.ID})
+	if bk.recs != nil {
+		bk.recs[u].Record(sim.Event{Round: t, Node: u, Kind: sim.EvAck, MsgID: m.ID})
 	}
-	if fn := bk.onAck[u]; fn != nil {
-		fn(m)
+	if bk.onAck != nil {
+		bk.onAck(u, m)
+	}
+	if bk.nodeAck != nil && bk.nodeAck[u] != nil {
+		bk.nodeAck[u](m)
 	}
 }
 
 // bcast is LBAlg.Bcast over columns.
 func (bk *NodeStateBank) bcast(u int, payload any) (sim.MsgID, error) {
 	if bk.flags[u]&bankHasPending != 0 {
-		return 0, fmt.Errorf("core: node %d already broadcasting %v", bk.envs[u].ID, bk.pending[u].ID)
+		return 0, fmt.Errorf("core: node %d already broadcasting %v", u, bk.pending[u].ID)
 	}
 	bk.seq[u]++
-	m := Message{ID: sim.NewMsgID(bk.envs[u].ID, int(bk.seq[u])), Payload: payload}
+	m := Message{ID: sim.NewMsgID(u, int(bk.seq[u])), Payload: payload}
 	bk.pending[u] = m
 	// Box the on-air frame once per broadcast, as LBAlg.Bcast does.
 	bk.frame[u] = DataMsg{Msg: m}
 	bk.setFlags(u, bankHasPending, bankSendingStarted)
-	if bk.record {
+	if bk.recs != nil {
 		// Round 0 is stamped with the current round by the trace drain.
-		bk.envs[u].Rec.Record(sim.Event{Node: bk.envs[u].ID, Kind: sim.EvBcast, MsgID: m.ID, Payload: payload})
+		bk.recs[u].Record(sim.Event{Node: u, Kind: sim.EvBcast, MsgID: m.ID, Payload: payload})
 	}
 	return m.ID, nil
 }
@@ -535,7 +596,8 @@ type BankNode struct {
 
 var _ Service = (*BankNode)(nil)
 
-// Init implements sim.Process.
+// Init implements sim.Process. The node's id is its index in the bank, as
+// the engine's env.ID is.
 func (h *BankNode) Init(env *sim.NodeEnv) { h.bank.initNode(int(h.u), env) }
 
 // Transmit implements sim.Process (the lockstep oracle calls it; the
@@ -564,8 +626,21 @@ func (h *BankNode) ActiveMessage() (Message, bool) {
 	return h.bank.pending[h.u], true
 }
 
-// SetOnAck implements Service.
-func (h *BankNode) SetOnAck(fn func(Message)) { h.bank.onAck[h.u] = fn }
+// SetOnAck implements Service. The bank's per-node callback column is
+// allocated at the first call; NodeStateBank.SetOnAck registers one
+// callback for every node instead.
+func (h *BankNode) SetOnAck(fn func(Message)) {
+	if h.bank.nodeAck == nil {
+		h.bank.nodeAck = make([]func(Message), h.bank.n)
+	}
+	h.bank.nodeAck[h.u] = fn
+}
 
-// SetOnRecv implements Service.
-func (h *BankNode) SetOnRecv(fn func(Message, int)) { h.bank.onRecv[h.u] = fn }
+// SetOnRecv implements Service, allocating the per-node column as SetOnAck
+// does; NodeStateBank.SetOnRecv registers one callback for every node.
+func (h *BankNode) SetOnRecv(fn func(Message, int)) {
+	if h.bank.nodeRecv == nil {
+		h.bank.nodeRecv = make([]func(Message, int), h.bank.n)
+	}
+	h.bank.nodeRecv[h.u] = fn
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // Status is a node's SeedAlg state.
-type Status int
+type Status uint8
 
 const (
 	// StatusActive nodes are still competing in leader elections.
@@ -205,26 +205,99 @@ func NewPlan(p Params) *Plan {
 // PhaseLen returns the rounds per election phase.
 func (pl *Plan) PhaseLen() int { return pl.phaseLen }
 
-// Alg is the per-node SeedAlg state machine, driven by local round numbers
-// 1..Params.Rounds(). It is deliberately engine-agnostic so LBAlg can embed
-// one instance per phase preamble; the Process wrapper adapts it to the
-// simulator for standalone runs.
-type Alg struct {
-	// Hot per-round fields first: every Transmit/Receive touches status
-	// (and leaders compare leaderPhase) before anything else.
+// Machine is one node's SeedAlg state between rounds, apart from its Msg
+// and its private stream: the status and, for a leader, the election phase
+// it advertises in. The rules of the algorithm are the methods below, which
+// read the shared Plan; the per-node Alg holds one Machine, and
+// core.NodeStateBank holds one per node in a column, so both run the same
+// code. A Machine decides at most once per run, when it leaves
+// StatusActive: as a leader (its own seed), on hearing a leader (the heard
+// seed) or at Finalize (its own seed, by default).
+type Machine struct {
 	status      Status
-	leaderPhase int
-	decided     bool
-	plan        *Plan
+	leaderPhase uint8 // at most Phases() = ⌈log₂ Δ⌉ ≤ 63
+}
 
-	p   Params
-	id  int
-	rng *xrand.Source
+// Status returns the machine's status.
+func (m *Machine) Status() Status { return m.status }
 
-	// msg is this run's (id, initial seed); frame is &msg, boxed once, so
-	// neither Reset nor advertising allocates.
-	msg   Msg
-	frame any
+// Reset rewinds the machine for a fresh run and draws its node's initial
+// seed from rng into msg in place; msg.Owner, the node's id, stays.
+func (m *Machine) Reset(pl *Plan, msg *Msg, rng *xrand.Source) {
+	msg.Seed = rng.DrawSeed(pl.p.Kappa)
+	*m = Machine{status: StatusActive}
+}
+
+// Transmit runs local round 1..Rounds()'s broadcast rule. Leader election
+// for phase h happens at the first round of the phase, before the
+// transmission decision, exactly as in the paper; elected reports that the
+// machine became a leader, deciding its own seed. advertise reports that it
+// puts its Msg on the air this round. The phase arithmetic and election
+// probabilities come from the Plan's tables instead of per-round div/mod
+// and Pow.
+func (m *Machine) Transmit(pl *Plan, rng *xrand.Source, local int) (elected, advertise bool) {
+	if local < 1 || local > pl.rounds {
+		return false, false
+	}
+	v := pl.pp[local]
+	phase, pos := uint8(v>>16), v&0xffff
+
+	// Lazily retire leaders whose advertising phase ended.
+	if m.status == StatusLeader && phase > m.leaderPhase {
+		m.status = StatusInactive
+	}
+
+	if pos == 0 && m.status == StatusActive && rng.Coin(pl.leaderProb[phase]) {
+		m.status, m.leaderPhase = StatusLeader, phase
+		elected = true
+	}
+
+	if m.status == StatusLeader && phase == m.leaderPhase {
+		advertise = rng.Coin(pl.bcastP)
+	}
+	return elected, advertise
+}
+
+// Receive processes the reception outcome of local round 1..Rounds(): an
+// Active machine that hears a leader's (j, s) commits to it and goes
+// inactive. It returns
+// the heard Msg when the machine decided on it, else nil; the caller copies
+// the seed out before the leader's next Reset redraws it.
+func (m *Machine) Receive(pl *Plan, local int, payload any, ok bool) *Msg {
+	if local < 1 || local > pl.rounds || !ok || m.status != StatusActive {
+		return nil
+	}
+	msg, isSeed := payload.(*Msg)
+	if !isSeed {
+		return nil
+	}
+	m.status = StatusInactive
+	return msg
+}
+
+// Finalize applies the end-of-run default: a still-active machine decides
+// on its own seed, which it reports. Safe to call more than once.
+func (m *Machine) Finalize() bool {
+	if m.status != StatusActive {
+		return false
+	}
+	m.status = StatusInactive
+	return true
+}
+
+// Alg is the per-node SeedAlg state machine, driven by local round numbers
+// 1..Params.Rounds(): a Machine with its own Msg, stream and decision
+// record. It is engine-agnostic, so LBAlg can embed one instance per phase
+// preamble; the Process wrapper adapts it to the simulator for standalone
+// runs.
+type Alg struct {
+	m    Machine
+	plan *Plan
+	rng  *xrand.Source
+
+	// msg is this run's (id, initial seed); a leader advertises &msg, which
+	// an interface holds without allocating, and Reset redraws it in place.
+	msg Msg
 
 	decision Decision
 }
@@ -241,8 +314,7 @@ func NewAlg(p Params, id int, rng *xrand.Source) *Alg {
 // schedule (see NewPlan). The plan is read-only to the Alg, so any number
 // of nodes may share one.
 func NewAlgWithPlan(plan *Plan, id int, rng *xrand.Source) *Alg {
-	a := &Alg{p: plan.p, plan: plan, id: id, rng: rng}
-	a.frame = &a.msg
+	a := &Alg{plan: plan, rng: rng, msg: Msg{Owner: id}}
 	a.Reset()
 	return a
 }
@@ -252,59 +324,34 @@ func NewAlgWithPlan(plan *Plan, id int, rng *xrand.Source) *Alg {
 // The draw replaces the previous seed in place; decisions already made hold
 // their seed by value, so nothing else observes it.
 func (a *Alg) Reset() {
-	a.msg = Msg{a.id, a.rng.DrawSeed(a.p.Kappa)}
-	a.status = StatusActive
-	a.leaderPhase = 0
-	a.decided = false
+	a.m.Reset(a.plan, &a.msg, a.rng)
 	a.decision = Decision{}
 }
 
 // InitialSeed returns this node's own generated seed for the current run.
 func (a *Alg) InitialSeed() xrand.Seed { return a.msg.Seed }
 
-// Status returns the node's current status.
-func (a *Alg) Status() Status { return a.status }
-
-// Decided reports whether a decision has been made this run.
-func (a *Alg) Decided() bool { return a.decided }
+// Decided reports whether a decision has been made this run: a machine
+// decides exactly when it leaves StatusActive.
+func (a *Alg) Decided() bool { return a.m.status != StatusActive }
 
 // Idle reports that the node is inactive: it has decided and is not
 // advertising, so Transmit and Receive are no-ops (drawing no private
 // randomness) for the rest of the run. LBAlg uses this to skip the calls.
-func (a *Alg) Idle() bool { return a.status == StatusInactive }
+func (a *Alg) Idle() bool { return a.m.status == StatusInactive }
 
 // Decision returns the decision; valid only once Decided is true.
 func (a *Alg) Decision() Decision { return a.decision }
 
 // Transmit implements the round's broadcast decision for local round
-// 1..Rounds(). Leader election for phase h happens at the first round of
-// the phase, before the transmission decision, exactly as in the paper.
-// The phase arithmetic and election probabilities come from the shared
-// Plan tables instead of per-round div/mod and Pow.
+// 1..Rounds() (see Machine.Transmit).
 func (a *Alg) Transmit(local int) (payload any, transmit bool) {
-	if local < 1 || local > a.plan.rounds {
-		return nil, false
+	elected, advertise := a.m.Transmit(a.plan, a.rng, local)
+	if elected {
+		a.decision = Decision{Owner: a.msg.Owner, Seed: a.msg.Seed, Round: local}
 	}
-	v := a.plan.pp[local]
-	phase, pos := int(v>>16), int(v&0xffff)
-
-	// Lazily retire leaders whose advertising phase ended.
-	if a.status == StatusLeader && phase > a.leaderPhase {
-		a.status = StatusInactive
-	}
-
-	if pos == 0 && a.status == StatusActive {
-		if a.rng.Coin(a.plan.leaderProb[phase]) {
-			a.status = StatusLeader
-			a.leaderPhase = phase
-			a.decide(Decision{Owner: a.id, Seed: a.msg.Seed, Round: local})
-		}
-	}
-
-	if a.status == StatusLeader && phase == a.leaderPhase {
-		if a.rng.Coin(a.plan.bcastP) {
-			return a.frame, true
-		}
+	if advertise {
+		return &a.msg, true
 	}
 	return nil, false
 }
@@ -313,11 +360,8 @@ func (a *Alg) Transmit(local int) (payload any, transmit bool) {
 // leader's (j, s) commit to it and go inactive; the final round triggers the
 // default decision for nodes that heard nothing and never led.
 func (a *Alg) Receive(local int, payload any, ok bool) {
-	if local >= 1 && local <= a.plan.rounds && ok && a.status == StatusActive {
-		if msg, isSeed := payload.(*Msg); isSeed {
-			a.status = StatusInactive
-			a.decide(Decision{Owner: msg.Owner, Seed: msg.Seed, Round: local})
-		}
+	if msg := a.m.Receive(a.plan, local, payload, ok); msg != nil {
+		a.decision = Decision{Owner: msg.Owner, Seed: msg.Seed, Round: local}
 	}
 	if local == a.plan.rounds {
 		a.Finalize()
@@ -327,16 +371,7 @@ func (a *Alg) Receive(local int, payload any, ok bool) {
 // Finalize applies the end-of-run default: a still-active node decides on
 // its own seed. Safe to call more than once.
 func (a *Alg) Finalize() {
-	if a.status == StatusActive {
-		a.status = StatusInactive
-		a.decide(Decision{Owner: a.id, Seed: a.msg.Seed, Round: a.p.Rounds(), Default: true})
+	if a.m.Finalize() {
+		a.decision = Decision{Owner: a.msg.Owner, Seed: a.msg.Seed, Round: a.plan.rounds, Default: true}
 	}
-}
-
-func (a *Alg) decide(d Decision) {
-	if a.decided {
-		return // well-formedness: exactly one decide per run
-	}
-	a.decided = true
-	a.decision = d
 }

@@ -1,11 +1,16 @@
 package seedagree
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"lbcast/internal/xrand"
 )
+
+// Status returns the node's current status.
+func (a *Alg) Status() Status { return a.m.status }
 
 func validParams(t testing.TB) Params {
 	t.Helper()
@@ -366,5 +371,143 @@ func TestAlgWithSharedPlanEquivalent(t *testing.T) {
 	da, db := a.Decision(), b.Decision()
 	if da.Owner != db.Owner || da.Default != db.Default || da.Seed != db.Seed {
 		t.Fatalf("decisions diverged: %+v vs %+v", da, db)
+	}
+}
+
+// TestAlgSize pins the per-node machine that LBAlg and the E-SEED processes
+// still allocate: a Machine, the plan and stream pointers, the Msg and the
+// decision record. Alg kept its own Params copy, a decided flag that
+// equals status ≠ Active, and word-wide status and leader phase at 208 B.
+func TestAlgSize(t *testing.T) {
+	if size := unsafe.Sizeof(Alg{}); size > 160 {
+		t.Errorf("seedagree.Alg is %d B, want ≤ 160", size)
+	}
+}
+
+// TestMachineRowsLockstep runs SeedAlg twice over identical executions:
+// once as per-node Alg machines, once as column rows — a Machine, a Msg and
+// a stream value per node in slices, stepped through the Machine methods
+// as core.NodeStateBank steps them, with the decided seed copied into a
+// column at each decision. Both sides draw from equal streams and hear
+// equal receptions: each listener hears one transmitter of the round (its
+// own side's frame), a foreign payload or nothing, and every sixth node
+// never hears a leader, so it decides by default. After every transmit
+// and every receive it compares each node's status, decision seed, initial
+// seed and stream state, and every transmission's payload by value. Runs
+// repeat from Reset, so leaders redraw the Msg a decided node heard, and
+// the execution must reach elections, commits on hearing and defaults.
+func TestMachineRowsLockstep(t *testing.T) {
+	for _, tc := range []struct {
+		eps          float64
+		kappa, delta int
+	}{
+		{0.25, 64, 8},
+		{0.1, 300, 16},
+	} {
+		t.Run(fmt.Sprintf("eps=%v/delta=%d", tc.eps, tc.delta), func(t *testing.T) {
+			const n, runs = 23, 4
+			p, err := NewParams(tc.eps, tc.kappa, tc.delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := NewPlan(p)
+			algs := make([]*Alg, n)
+			algRngs := make([]*xrand.Source, n)
+			rows := make([]Machine, n)
+			msgs := make([]Msg, n)
+			rngs := make([]xrand.Source, n)
+			decided := make([]xrand.Seed, n)
+			for u := range n {
+				algRngs[u] = xrand.NodeSource(5, u)
+				algs[u] = NewAlgWithPlan(plan, u, algRngs[u])
+				rngs[u] = *xrand.NodeSource(5, u)
+				msgs[u].Owner = u
+				rows[u].Reset(plan, &msgs[u], &rngs[u])
+			}
+			compare := func(run, local int, phase string) {
+				t.Helper()
+				for u := range n {
+					a := algs[u]
+					if got, want := rows[u].Status(), a.Status(); got != want {
+						t.Fatalf("run %d round %d %s node %d: row status %v, Alg %v", run, local, phase, u, got, want)
+					}
+					if a.Decided() && decided[u] != a.Decision().Seed {
+						t.Fatalf("run %d round %d %s node %d: row decided %v, Alg %v", run, local, phase, u, decided[u], a.Decision().Seed)
+					}
+					if msgs[u].Seed != a.InitialSeed() {
+						t.Fatalf("run %d round %d %s node %d: initial seeds diverged", run, local, phase, u)
+					}
+					if rngs[u] != *algRngs[u] {
+						t.Fatalf("run %d round %d %s node %d: streams diverged", run, local, phase, u)
+					}
+				}
+			}
+			channel := xrand.New(9)
+			var elected, heard, defaults int
+			algFrames, rowFrames := make([]any, n), make([]any, n)
+			var txs []int
+			for run := range runs {
+				if run > 0 {
+					for u := range n {
+						algs[u].Reset()
+						rows[u].Reset(plan, &msgs[u], &rngs[u])
+					}
+				}
+				compare(run, 0, "reset")
+				for local := 1; local <= p.Rounds(); local++ {
+					txs = txs[:0]
+					for u := range n {
+						algFrames[u], rowFrames[u] = nil, nil
+						wasActive := rows[u].Status() == StatusActive
+						payload, tx := algs[u].Transmit(local)
+						won, advertise := rows[u].Transmit(plan, &rngs[u], local)
+						if won {
+							decided[u] = msgs[u].Seed
+							elected++
+						}
+						if won != (wasActive && algs[u].Status() == StatusLeader) {
+							t.Fatalf("run %d round %d node %d: row elected %v, Alg status %v", run, local, u, won, algs[u].Status())
+						}
+						if tx != advertise {
+							t.Fatalf("run %d round %d node %d: Alg transmits %v, row %v", run, local, u, tx, advertise)
+						}
+						if tx {
+							if *payload.(*Msg) != msgs[u] {
+								t.Fatalf("run %d round %d node %d: payload %+v, row %+v", run, local, u, payload, msgs[u])
+							}
+							algFrames[u], rowFrames[u] = payload, &msgs[u]
+							txs = append(txs, u)
+						}
+					}
+					compare(run, local, "transmit")
+					for u := range n {
+						var algIn, rowIn any
+						ok := false
+						switch {
+						case algFrames[u] != nil || channel.Coin(0.3):
+						case len(txs) > 0 && u%6 != 5 && channel.Coin(0.8): // every 6th node hears no leader
+							from := txs[channel.Intn(len(txs))]
+							algIn, rowIn, ok = algFrames[from], rowFrames[from], true
+						default:
+							algIn, rowIn, ok = "not a seed message", "not a seed message", true
+						}
+						algs[u].Receive(local, algIn, ok)
+						if msg := rows[u].Receive(plan, local, rowIn, ok); msg != nil {
+							decided[u] = msg.Seed
+							heard++
+						}
+						if local == p.Rounds() && rows[u].Finalize() {
+							decided[u] = msgs[u].Seed
+							defaults++
+						}
+					}
+					compare(run, local, "receive")
+				}
+			}
+			if elected == 0 || heard == 0 || defaults == 0 {
+				t.Errorf("%d elections, %d commits on hearing, %d defaults: want each > 0", elected, heard, defaults)
+			}
+			t.Logf("%d elections, %d commits on hearing, %d defaults over %d runs", elected, heard, defaults, runs)
+		})
 	}
 }

@@ -29,14 +29,26 @@ type Seed struct {
 // DrawSeed draws a uniformly random n-bit seed. It advances r exactly as
 // reading ⌈n/64⌉ words with Uint64 does, so every later draw from r is the
 // same whether or not the words are ever generated. It panics if n < 0.
+//
+// The loop is Uint64's state transition on four local words, without the
+// output scrambler whose results it would discard, and stores the state
+// once.
 func (r *Source) DrawSeed(n int) Seed {
 	if n < 0 {
 		panic("xrand: DrawSeed called with negative length")
 	}
 	sd := Seed{s: r.s, n: n}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := (n + 63) / 64; i > 0; i-- {
-		r.Uint64()
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return sd
 }
 

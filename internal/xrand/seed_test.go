@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -121,4 +122,52 @@ func TestDrawSeedPanics(t *testing.T) {
 		}
 	}()
 	New(1).DrawSeed(-1)
+}
+
+// drawSeedRef is DrawSeed as it was first written: ⌈n/64⌉ Uint64 calls,
+// each storing the state and computing an output nobody reads.
+func drawSeedRef(r *Source, n int) Seed {
+	sd := Seed{s: r.s, n: n}
+	for i := (n + 63) / 64; i > 0; i-- {
+		r.Uint64()
+	}
+	return sd
+}
+
+// TestDrawSeedMatchesUint64Loop: DrawSeed's local-word transition leaves
+// the source in the state the Uint64 loop does, returns the same seed, and
+// so gives the same next draw, for every length 0…1,000 and for κ = 2,430.
+func TestDrawSeedMatchesUint64Loop(t *testing.T) {
+	lengths := make([]int, 0, 1002)
+	for n := 0; n <= 1000; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range append(lengths, 2430) {
+		got, want := NodeSource(uint64(n), n), NodeSource(uint64(n), n)
+		sd, ref := got.DrawSeed(n), drawSeedRef(want, n)
+		if sd != ref {
+			t.Fatalf("n=%d: seed %v, reference %v", n, sd, ref)
+		}
+		if *got != *want {
+			t.Fatalf("n=%d: state %x, reference %x", n, got.s, want.s)
+		}
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("n=%d: next draw %#x, reference %#x", n, a, b)
+		}
+	}
+}
+
+// BenchmarkDrawSeed draws seeds at the benchmark's scale-1e5 κ = 2,430,
+// at half of it, and at a long-phase κ = 6,790.
+func BenchmarkDrawSeed(b *testing.B) {
+	for _, kappa := range []int{1215, 2430, 6790} {
+		b.Run(fmt.Sprintf("kappa=%d", kappa), func(b *testing.B) {
+			r := New(1)
+			var sink Seed
+			for i := 0; i < b.N; i++ {
+				sink = r.DrawSeed(kappa)
+			}
+			_ = sink
+		})
+	}
 }

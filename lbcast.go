@@ -129,6 +129,9 @@ type options struct {
 	scheduler Scheduler
 	seedEvery int
 	driver    Driver
+	// recordEvents turns on the bank's event recording, which must be on
+	// before the engine's Init; only the package's golden tests set it.
+	recordEvents bool
 }
 
 func defaultOptions() options {
@@ -251,25 +254,24 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 	// read-only to the processes), and one state bank holds every node's
 	// protocol state in flat columns: the engine steps it through the batch
 	// range path (sim.ProcessBank), which the core lockstep oracle test pins
-	// bit-identical to per-node LBAlg processes.
+	// bit-identical to per-node LBAlg processes. Its two callbacks take the
+	// node, so no closure exists per node.
 	plan := core.NewPhasePlan(params)
 	nw.bank = core.NewNodeStateBank(plan, d.N())
-	for u := 0; u < d.N(); u++ {
-		node := u
-		nw.bank.Node(u).SetOnRecv(func(m core.Message, from int) {
-			if nw.onReceive != nil {
-				nw.onReceive(node, Delivery{ID: m.ID, From: from, Payload: m.Payload, Round: nw.engine.Round()})
-			}
-		})
-		nw.bank.Node(u).SetOnAck(func(m core.Message) {
-			nw.ackMu.Lock()
-			nw.ackedSeq[node] = int32(m.ID.Seq())
-			nw.ackMu.Unlock()
-			if nw.onAck != nil {
-				nw.onAck(node, m.ID)
-			}
-		})
-	}
+	nw.bank.SetRecordEvents(o.recordEvents)
+	nw.bank.SetOnRecv(func(node int, m core.Message, from int) {
+		if nw.onReceive != nil {
+			nw.onReceive(node, Delivery{ID: m.ID, From: from, Payload: m.Payload, Round: nw.engine.Round()})
+		}
+	})
+	nw.bank.SetOnAck(func(node int, m core.Message) {
+		nw.ackMu.Lock()
+		nw.ackedSeq[node] = int32(m.ID.Seq())
+		nw.ackMu.Unlock()
+		if nw.onAck != nil {
+			nw.onAck(node, m.ID)
+		}
+	})
 	engine, err := sim.New(sim.Config{Dual: d, Procs: nw.bank.Procs(), Bank: nw.bank,
 		Sched: o.scheduler.impl, Seed: o.seed, Driver: driver})
 	if err != nil {
