@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -245,8 +246,17 @@ func runAB(ref string) (int, error) {
 		return 2, err
 	}
 	defer removeWorktree(parent.dir)
-	fmt.Printf("A/B: parent %s (%s) against the working tree; %d pairs, seeds %d–%d, %d s per workload run\n\n",
-		ref, commit[:12], abPairs, abFirstSeed, abFirstSeed+abPairs-1, spec.RunSeconds)
+	head, err := gitOutput("rev-parse", "HEAD")
+	if err != nil {
+		return 2, err
+	}
+	status, err := gitOutput("status", "--porcelain", "--untracked-files=no")
+	if err != nil {
+		return 2, err
+	}
+	fmt.Print(provenance(ref, commit, head, status != "", readCPUModel()))
+	fmt.Printf("%d pairs, seeds %d–%d, %d s per workload run\n\n",
+		abPairs, abFirstSeed, abFirstSeed+abPairs-1, spec.RunSeconds)
 
 	for _, side := range []abSide{parent, change} {
 		if err := buildMicro(side); err != nil {
@@ -476,6 +486,43 @@ func parseGoBench(out []byte, name string) (nsPerOp, allocsPerOp float64, err er
 		return ns, allocs, nil
 	}
 	return 0, 0, fmt.Errorf("no result line for %s", name)
+}
+
+// provenance renders the lines that open an A/B report: the two revisions
+// compared, the toolchain and the machine that produced the numbers.
+func provenance(ref, parentCommit, head string, dirty bool, cpu string) string {
+	change := "working tree at " + short(head)
+	if dirty {
+		change += " with uncommitted changes"
+	}
+	return fmt.Sprintf("A/B: parent %s (%s) against the %s\nmachine: %s %s/%s, GOMAXPROCS %d of %d CPUs, %s\n",
+		ref, short(parentCommit), change, runtime.Version(), runtime.GOOS, runtime.GOARCH,
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), cpu)
+}
+
+// short abbreviates a commit hash to 12 digits.
+func short(commit string) string { return commit[:min(12, len(commit))] }
+
+// readCPUModel returns the host's CPU model as /proc/cpuinfo names it, or
+// "CPU model unknown" where that file is absent or names none.
+func readCPUModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "CPU model unknown"
+	}
+	return cpuModel(string(b))
+}
+
+// cpuModel returns the first "model name" of a /proc/cpuinfo text.
+func cpuModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			if v = strings.TrimSpace(v); v != "" {
+				return v
+			}
+		}
+	}
+	return "CPU model unknown"
 }
 
 // gitOutput runs git and returns its trimmed standard output.

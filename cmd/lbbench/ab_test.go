@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -120,5 +122,33 @@ func TestParseGoBench(t *testing.T) {
 	}
 	if _, _, err := parseGoBench(out, "BenchmarkSINRRound"); err == nil {
 		t.Error("parseGoBench found a benchmark the output lacks")
+	}
+}
+
+// TestABProvenance pins the header an A/B report opens with: both
+// revisions, whether the change side has uncommitted edits, the Go
+// version, GOMAXPROCS and the CPU model, which cpuModel takes from the
+// first "model name" line of /proc/cpuinfo.
+func TestABProvenance(t *testing.T) {
+	const parent, head = "c3f4577ab0038effe7286d70bf889a317e465807", "0123456789abcdef0123456789abcdef01234567"
+	got := provenance("HEAD~1", parent, head, true, "Example CPU @ 2.00GHz")
+	for _, want := range []string{
+		"parent HEAD~1 (c3f4577ab003)", "working tree at 0123456789ab with uncommitted changes",
+		runtime.Version(), fmt.Sprintf("GOMAXPROCS %d of %d CPUs", runtime.GOMAXPROCS(0), runtime.NumCPU()),
+		"Example CPU @ 2.00GHz",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("provenance lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(provenance("HEAD~1", parent, head, false, "x"), "uncommitted") {
+		t.Error("a clean working tree is reported as modified")
+	}
+	info := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) Processor\n\nprocessor\t: 1\nmodel name\t: other\n"
+	if m := cpuModel(info); m != "Intel(R) Xeon(R) Processor" {
+		t.Errorf("cpuModel = %q", m)
+	}
+	if m := cpuModel("processor\t: 0\n"); m != "CPU model unknown" {
+		t.Errorf("cpuModel without a model line = %q", m)
 	}
 }

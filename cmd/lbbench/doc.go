@@ -16,15 +16,16 @@
 // lbcast.NewRandomGeometric, at constant density for every listed n, runs
 // every 100th node in a closed bcast→ack loop, and prints the build time,
 // the heap bytes and objects the built network retains per node,
-// ns/round, allocs/round and peak RSS of a sequential row and, when
-// GOMAXPROCS > 1, a worker-pool row.
+// ns/round, split into preamble and body rounds, allocs/round and peak RSS
+// of a sequential row and, when GOMAXPROCS > 1, a worker-pool row.
 //
 // With -ab, lbbench measures the working tree against <git-ref> on this
 // machine. It checks the ref out into a git worktree under .bench_build/,
 // then runs 10 interleaved pairs (seeds 1001–1010, alternating which side
 // runs first) of every BENCHMARK.json workload through benchmark/run.sh
-// and of nine round micro-benchmarks from `go test -c` binaries. It prints
-// each metric's medians, the parent's quartile spread, the pairs the change
+// and of nine round micro-benchmarks from `go test -c` binaries. After a
+// header naming both revisions, the Go version, GOMAXPROCS and the CPU
+// model, it prints each metric's medians, the parent's quartile spread, the pairs the change
 // won and a verdict, and exits 1 when a metric regressed beyond its bound
 // or a change run reported a wrong output or a failed operation. Run it
 // from the repository root.

@@ -32,12 +32,13 @@ func runSweep(ns []int, seed uint64) (*stats.Table, error) {
 	tbl := &stats.Table{
 		Title: "scaling sweep: lbcast.Network rounds by n × driver",
 		Columns: []string{"n", "driver", "workers", "build s", "heap B/node", "objects/node",
-			"rounds", "ns/round", "allocs/round", "peak RSS MB"},
+			"rounds", "ns/round", "preamble ns/round", "body ns/round", "allocs/round", "peak RSS MB"},
 		Notes: []string{
 			"lbcast.NewRandomGeometric at constant density (side max(4, √(n/4)), r = 1.5), random-½ scheduler, default ε",
 			fmt.Sprintf("every %dth node re-broadcasts the round it is acked (closed loop); a row runs max(2 phases, %d/n) rounds", sweepSenderEvery, sweepNodeRounds),
 			"build = the whole constructor (placement, grid index, pair scan, CSR, state bank, engine)",
 			"heap B/node and objects/node = the live heap the built network retains: forced-GC readings after the constructor minus before, over n",
+			"preamble and body ns/round split the timed rounds by kind: a phase's first T_s rounds run the seed-agreement preamble, the rest its body",
 			"peak RSS is the process high-water mark when the row finished (monotone across rows)",
 		},
 	}
@@ -61,7 +62,7 @@ func runSweep(ns []int, seed uint64) (*stats.Table, error) {
 			heap1 := forcedGCHeap()
 			heapB := float64(int64(heap1.HeapAlloc)-int64(heap0.HeapAlloc)) / float64(n)
 			objects := float64(int64(heap1.HeapObjects)-int64(heap0.HeapObjects)) / float64(n)
-			rounds, allocs, elapsed, err := timeClosedLoop(nw)
+			lt, err := timeClosedLoop(nw)
 			nw.Close()
 			if err != nil {
 				return nil, err
@@ -71,17 +72,31 @@ func runSweep(ns []int, seed uint64) (*stats.Table, error) {
 				name, w = "workerpool", fmt.Sprint(workers)
 			}
 			tbl.AddRow(n, name, w, fmt.Sprintf("%.3f", build.Seconds()),
-				fmt.Sprintf("%.0f", heapB), fmt.Sprintf("%.4f", objects), rounds,
-				elapsed.Nanoseconds()/int64(rounds), allocs/uint64(rounds), fmt.Sprintf("%.0f", peakRSSMB()))
+				fmt.Sprintf("%.0f", heapB), fmt.Sprintf("%.4f", objects), lt.rounds,
+				lt.elapsed.Nanoseconds()/int64(lt.rounds), lt.preamble.Nanoseconds()/int64(lt.preambleRounds),
+				lt.body.Nanoseconds()/int64(lt.rounds-lt.preambleRounds), lt.allocs/uint64(lt.rounds),
+				fmt.Sprintf("%.0f", peakRSSMB()))
 		}
 	}
 	return tbl, nil
 }
 
+// loopTiming is what timeClosedLoop measured: the row's rounds, the
+// allocations and wall time over all of them, and the time spent in the
+// preambleRounds rounds that run the seed-agreement preamble and in the
+// body rounds. A row runs at least two phases, so it has rounds of both
+// kinds.
+type loopTiming struct {
+	rounds, preambleRounds int
+	allocs                 uint64
+	elapsed                time.Duration
+	preamble, body         time.Duration
+}
+
 // timeClosedLoop starts every sweepSenderEvery-th node broadcasting,
 // re-broadcasting from each ack as the round benchmarks' closed loop does,
-// and times the row's rounds.
-func timeClosedLoop(nw *lbcast.Network) (rounds int, allocs uint64, elapsed time.Duration, err error) {
+// and times the row's rounds, each round by its kind.
+func timeClosedLoop(nw *lbcast.Network) (loopTiming, error) {
 	var mu sync.Mutex // OnAck runs on worker goroutines under the pool
 	var loopErr error
 	nw.OnAck(func(node int, _ lbcast.MessageID) {
@@ -93,23 +108,35 @@ func timeClosedLoop(nw *lbcast.Network) (rounds int, allocs uint64, elapsed time
 	})
 	for u := 0; u < nw.Size(); u += sweepSenderEvery {
 		if _, err := nw.Broadcast(u, u); err != nil {
-			return 0, 0, 0, err
+			return loopTiming{}, err
 		}
 	}
-	n := nw.Size()
-	rounds = max(2*nw.Schedule().PhaseRounds, sweepNodeRounds/n)
+	sch := nw.Schedule()
+	lt := loopTiming{rounds: max(2*sch.PhaseRounds, sweepNodeRounds/nw.Size())}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	nw.Run(rounds)
-	elapsed = time.Since(start)
+	last := start
+	for r := 0; r < lt.rounds; r++ {
+		nw.Step()
+		now := time.Now()
+		if (nw.Round()-1)%sch.PhaseRounds < sch.PreambleRounds {
+			lt.preamble += now.Sub(last)
+			lt.preambleRounds++
+		} else {
+			lt.body += now.Sub(last)
+		}
+		last = now
+	}
+	lt.elapsed = time.Since(start)
 	runtime.ReadMemStats(&after)
+	lt.allocs = after.Mallocs - before.Mallocs
 	mu.Lock()
 	defer mu.Unlock()
 	if loopErr != nil {
-		return 0, 0, 0, fmt.Errorf("sweep re-broadcast: %w", loopErr)
+		return loopTiming{}, fmt.Errorf("sweep re-broadcast: %w", loopErr)
 	}
-	return rounds, after.Mallocs - before.Mallocs, elapsed, nil
+	return lt, nil
 }
 
 // forcedGCHeap reads the heap statistics after forced collections, so they

@@ -7,7 +7,8 @@ import (
 )
 
 // TestSweepRows runs a small sweep: one sequential row per n, plus a
-// worker-pool row when GOMAXPROCS > 1, each timing at least one round. The
+// worker-pool row when GOMAXPROCS > 1, each timing at least one round of
+// each kind, preamble and body, which the row reports apart. The
 // banked network retains no heap object per node, so at n = 20,000 its
 // fixed number of objects reads below 0.01 per node.
 func TestSweepRows(t *testing.T) {
@@ -26,8 +27,10 @@ func TestSweepRows(t *testing.T) {
 		if len(row) != len(tbl.Columns) {
 			t.Fatalf("row %v has %d cells for %d columns", row, len(row), len(tbl.Columns))
 		}
-		if ns, err := strconv.ParseInt(row[7], 10, 64); err != nil || ns <= 0 {
-			t.Errorf("row %v: ns/round %q", row, row[7])
+		for _, c := range []int{7, 8, 9} { // ns/round, then its preamble and body split
+			if ns, err := strconv.ParseInt(row[c], 10, 64); err != nil || ns <= 0 {
+				t.Errorf("row %v: %s %q", row, tbl.Columns[c], row[c])
+			}
 		}
 		if b, err := strconv.ParseFloat(row[4], 64); err != nil || b <= 0 {
 			t.Errorf("row %v: heap B/node %q", row, row[4])

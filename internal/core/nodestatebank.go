@@ -41,8 +41,8 @@ import (
 //
 // Why sender-only state exists only for senders: most nodes only listen,
 // and listeners never read coins or committed-seed bits. So a node holds a
-// coin buffer from its first decode until its ack, and a table of the
-// sources it has heard from its first delivery. A commitment is a 40-byte
+// coin buffer from its first decode until its ack, and a set of the sources
+// it has heard from its first delivery. A commitment is a 40-byte
 // xrand.Seed value plus a per-node bit cursor, as in LBAlg; a seed's words
 // are regenerated only where a sender decodes.
 //
@@ -50,36 +50,44 @@ import (
 // one (phase, pos, pre) cursor computed from t replaces per-node position
 // memos, and in most rounds most nodes have nothing to do — the paper's
 // service is "truly local". Work bits in the flags byte (seed machine
-// active, seed leader, body sender) plus the engine's touched column
-// (RoundView.Touched) tell a range call which nodes its round can change;
-// the range calls test eight flag bytes per load and visit only those, in
-// ascending node order. Every skipped call is a provable no-op of the
+// active, seed leader, body sender), the visit list and the engine's
+// Reached bits (RoundView.Reached: the nodes a transmission reached) tell a
+// range call which nodes its round can change, and it visits only those,
+// in ascending node order. Every skipped call is a provable no-op of the
 // per-node body:
 //
 //   - transmit at pos == 0 and receive at pos == pre−1 are dense: every
 //     node begins the phase (beginPhase) and commits its seed (commitSeed);
-//   - preamble transmit visits seed leaders every round (a leader draws its
-//     advertising coin, and is retired lazily on its next call) and every
-//     live (active or leader) seed machine at seed sub-phase starts (the
-//     election draw); on all other rounds seedagree.Machine.Transmit
+//   - preamble transmit visits every live (active or leader) seed machine
+//     at seed sub-phase starts (the election draw, and a leader of the last
+//     sub-phase retires), found by testing eight flag bytes per load, and
+//     the sub-phase's leaders on its other rounds (a leader draws its
+//     advertising coin); on all other rounds seedagree.Machine.Transmit
 //     changes nothing;
 //   - body transmit visits body senders only (coins valid, sending,
 //     pending); anyone else transmits nothing;
-//   - preamble receive visits touched nodes whose seed machine is active:
+//   - preamble receive visits reached nodes whose seed machine is active:
 //     seedagree.Machine.Receive changes nothing for a leader or an inactive
 //     machine, and Finalize runs in commitSeed, which only the dense last
 //     preamble round reaches;
-//   - body receive visits touched nodes — only they can hear anything —
+//   - body receive visits reached nodes — only they can hear anything —
 //     plus, at the last body round, sending nodes, which spend one of their
 //     Tack phases there.
+//
+// The leaders and body senders come off the visit list, which the passes
+// that can make a node one build: a leader is elected only at a seed
+// sub-phase start (pos == 0 included) and leads until the next, and
+// bankBodySender is set only by the dense passes (beginPhase, commitSeed),
+// while an ack, a new Bcast or a reseed only clears it. So the list a
+// building pass leaves holds every node that can be a leader, or a body
+// sender, until the next building pass, and a visit skips, as the per-node
+// body does, one that has stopped being one.
 
 // flag bits of NodeStateBank.flags. Three are LBAlg's booleans; the seed
 // machine's status is mirrored in two bits, at most one of them set
 // (neither means Inactive, LBAlg.seedIdle); bankBodySender is a work bit
-// derived from the others and kept in sync at every edge, so a range scan
-// needs one bit test per node. bankSeedActive is bit 0, the bit a Touched
-// byte sets, so nextReceiver tests "touched and active" with one AND per
-// eight nodes.
+// derived from the others and kept in sync at every edge, so a visit needs
+// one bit test per node.
 const (
 	bankSeedActive     = 1 << iota // the seed machine is Active
 	bankCoinsValid                 // LBAlg.coins.valid
@@ -132,14 +140,17 @@ type NodeStateBank struct {
 	committed []xrand.Seed
 	seedCur   []int32
 
+	// visits is the visit list (see the file comment): the current seed
+	// sub-phase's leaders in preamble rounds, the phase's body senders in
+	// body rounds.
+	visits visitList
+
 	// Cold columns: touched at phase boundaries, deliveries, and the
-	// Bcast/ack edges only. lastSeq[u] maps each source u has heard to the
-	// sequence number of its last message delivered at u (the dedupe, see
-	// deliver); it is allocated at u's first delivery and holds at most Δ′
-	// entries.
+	// Bcast/ack edges only. heard[u] is u's dedupe set (see deliver),
+	// allocated at u's first delivery.
 	pending []Message
 	frame   []any
-	lastSeq []map[int32]int32
+	heard   []*heardSet
 	seq     []int32
 
 	// Outputs. onRecv and onAck are the bank's callbacks, which take the
@@ -159,7 +170,10 @@ type NodeStateBank struct {
 	handles []BankNode
 }
 
-var _ sim.ProcessBank = (*NodeStateBank)(nil)
+var (
+	_ sim.ProcessBank = (*NodeStateBank)(nil)
+	_ sim.BankInit    = (*NodeStateBank)(nil)
+)
 
 // NewNodeStateBank creates the columnar state of n nodes over a shared
 // phase plan, each node initialised exactly as NewLBAlgWithPlan initialises
@@ -171,10 +185,12 @@ func NewNodeStateBank(plan *PhasePlan, n int) *NodeStateBank {
 		phasesLeft: make([]int32, n), coinsBehind: make([]int32, n),
 		seeds: make([]seedagree.Machine, n), msgs: make([]seedagree.Msg, n), rngs: make([]xrand.Source, n),
 		coins: make([][]uint8, n), committed: make([]xrand.Seed, n), seedCur: make([]int32, n),
+		visits:  make(visitList, n),
 		pending: make([]Message, n), frame: make([]any, n),
-		lastSeq: make([]map[int32]int32, n), seq: make([]int32, n),
+		heard: make([]*heardSet, n), seq: make([]int32, n),
 		handles: make([]BankNode, n),
 	}
+	bk.visits.seal(0, n) // empty until round 1's dense pass builds it
 	for u := 0; u < n; u++ {
 		bk.flags[u] = bankSeedActive // Init's fresh seed machine is Active
 		bk.msgs[u].Owner = u
@@ -201,7 +217,8 @@ func (bk *NodeStateBank) Procs() []sim.Process {
 
 // SetRecordEvents turns the recording of every node's hear, recv, ack and
 // bcast events on or off; it is off until set. Call it before the engine
-// calls Init: Init keeps a node's recorder only while recording is on.
+// initialises the nodes: Init keeps a node's recorder only while recording
+// is on.
 func (bk *NodeStateBank) SetRecordEvents(on bool) {
 	if !on {
 		bk.recs = nil
@@ -234,26 +251,43 @@ func (bk *NodeStateBank) cursorAt(t int) cursor {
 }
 
 // TransmitRange implements sim.ProcessBank. It visits only the nodes whose
-// work bits say round t's transmit can do something (see the file comment)
-// and writes Transmit and Payloads for transmitters only: the engine hands
-// the range's Transmit column over all zero.
+// work bits or the visit list say round t's transmit can do something (see
+// the file comment), and writes Transmit and Payloads for transmitters
+// only: the engine hands the range's Transmit column over all zero. The
+// dense pass at pos == 0 and the passes at seed sub-phase starts build the
+// range's part of the visit list.
 func (bk *NodeStateBank) TransmitRange(t, lo, hi int, v *sim.RoundView) {
 	c := bk.cursorAt(t)
-	if c.pos == 0 {
+	switch {
+	case c.pos == 0:
+		// The list keeps the first sub-phase's leaders, or the body senders
+		// of a phase without a preamble.
+		var want uint8 = bankBodySender
+		if c.pre > 0 {
+			want = bankSeedLeader
+		}
+		w := lo
 		for u := lo; u < hi; u++ {
 			bk.transmitView(u, c, v)
+			if bk.flags[u]&want != 0 {
+				w = bk.visits.put(w, u)
+			}
 		}
-		return
-	}
-	var mask uint8 = bankBodySender
-	if c.pos < c.pre {
-		mask = bankSeedLeader
-		if c.pos%bk.plan.Seed.PhaseLen() == 0 {
-			mask = bankSeedLive
+		bk.visits.seal(w, hi)
+	case c.pos < c.pre && c.pos%bk.plan.Seed.PhaseLen() == 0:
+		w := lo
+		for u := nextFlagged(bk.flags, bankSeedLive, lo, hi); u < hi; u = nextFlagged(bk.flags, bankSeedLive, u+1, hi) {
+			bk.transmitView(u, c, v)
+			if bk.flags[u]&bankSeedLeader != 0 {
+				w = bk.visits.put(w, u)
+			}
 		}
-	}
-	for u := nextFlagged(bk.flags, mask, lo, hi); u < hi; u = nextFlagged(bk.flags, mask, u+1, hi) {
-		bk.transmitView(u, c, v)
+		bk.visits.seal(w, hi)
+	default:
+		vl := bk.visits
+		for u, i := vl.next(vl.first(lo), hi); u < hi; u, i = vl.next(i, hi) {
+			bk.transmitView(u, c, v)
+		}
 	}
 }
 
@@ -271,38 +305,50 @@ func (bk *NodeStateBank) transmitView(u int, c cursor, v *sim.RoundView) {
 // ReceiveRange implements sim.ProcessBank, resolving each visited node's
 // outcome from the round view exactly as procBank.ReceiveRange does for
 // per-node processes. It visits every node at the last preamble round,
-// touched active seed machines at the other preamble rounds, and touched
-// nodes in body rounds, plus sending nodes at the last one.
+// where it builds the range's part of the visit list (the phase's body
+// senders), reached active seed machines at the other preamble rounds,
+// and reached nodes in body rounds, plus sending nodes at the last one.
 func (bk *NodeStateBank) ReceiveRange(t, lo, hi int, v *sim.RoundView) {
 	c := bk.cursorAt(t)
 	if c.pos == c.pre-1 {
+		w := lo
 		for u := lo; u < hi; u++ {
 			bk.receiveView(u, c, v)
+			if bk.flags[u]&bankBodySender != 0 {
+				w = bk.visits.put(w, u)
+			}
+		}
+		bk.visits.seal(w, hi)
+		return
+	}
+	if c.pos == bk.plan.phaseLen-1 {
+		// The last body round: reached nodes, and sending nodes, which
+		// spend one of their Tack phases here.
+		for u := lo; u < hi; u++ {
+			if v.Rx[u] != 0 || bk.flags[u]&bankSendingStarted != 0 {
+				bk.receiveView(u, c, v)
+			}
 		}
 		return
 	}
-	gate, mask := uint8(bankSeedActive), uint8(0) // body rounds: every touched node
+	var gate uint8 = bankSeedActive // body rounds: every reached node
 	if c.pos < c.pre {
-		gate = 0 // preamble rounds: touched active seed machines only
-	} else if c.pos == bk.plan.phaseLen-1 {
-		mask = bankSendingStarted // and sending nodes, which spend a Tack phase
+		gate = 0 // preamble rounds: reached active seed machines only
 	}
-	for u := nextReceiver(v.Touched, bk.flags, gate, mask, lo, hi); u < hi; u = nextReceiver(v.Touched, bk.flags, gate, mask, u+1, hi) {
+	for u := nextReceiver(v.Reached, bk.flags, gate, lo, hi); u < hi; u = nextReceiver(v.Reached, bk.flags, gate, u+1, hi) {
 		bk.receiveView(u, c, v)
 	}
 }
 
-// receiveView delivers node u's outcome of the round in v. Only a touched
-// node's Rx slot is read; down nodes do not run.
+// receiveView delivers node u's outcome of the round in v. Down nodes do
+// not run.
 func (bk *NodeStateBank) receiveView(u int, c cursor, v *sim.RoundView) {
 	if v.Down != nil && v.Down[u] {
 		return
 	}
-	if v.Touched[u] != 0 && v.Transmit[u] == 0 {
-		if s := &v.Rx[u]; s.Count == 1 {
-			bk.receive(u, c, int(s.From), v.Payloads[s.From], true)
-			return
-		}
+	if from, ok := v.Rx[u].From(); ok && v.Transmit[u] == 0 {
+		bk.receive(u, c, from, v.Payloads[from], true)
+		return
 	}
 	bk.receive(u, c, sim.NoTransmitter, nil, false)
 }
@@ -325,30 +371,76 @@ func nextFlagged(flags []uint8, mask uint8, from, hi int) int {
 	return hi
 }
 
-// nextReceiver returns the first node in [from, hi) that is touched and
-// has bankSeedActive set in its flags or in gate, or whose flags share a
-// bit with mask, or hi: a gate of bankSeedActive passes every touched node,
-// a gate of 0 only touched active seed machines. It tests eight nodes per
-// load, which works because a Touched byte is 0 or 1 and bankSeedActive is
-// bit 0.
-func nextReceiver(touched, flags []uint8, gate, mask uint8, from, hi int) int {
-	if gate == bankSeedActive && mask == 0 {
-		return nextFlagged(touched, 1, from, hi) // every touched node, and no flags to load
-	}
-	g, m := uint64(gate)*0x0101010101010101, uint64(mask)*0x0101010101010101
-	u := from
-	for ; u+8 <= hi; u += 8 {
-		f := binary.LittleEndian.Uint64(flags[u:])
-		if w := binary.LittleEndian.Uint64(touched[u:])&(f|g) | f&m; w != 0 {
-			return u + bits.TrailingZeros64(w)>>3
+// nextReceiver returns the first node in [from, hi) whose Reached bit is
+// set and that has bankSeedActive set in its flags or in gate, or hi: a
+// gate of bankSeedActive passes every reached node, a gate of 0 only
+// reached active seed machines. It skips 64 unreached nodes per word.
+func nextReceiver(reached []uint64, flags []uint8, gate uint8, from, hi int) int {
+	for u := from; u < hi; {
+		w := reached[u>>6] >> (u & 63)
+		if w == 0 {
+			u = u | 63 + 1
+			continue
 		}
-	}
-	for ; u < hi; u++ {
-		if touched[u]&(flags[u]|gate) != 0 || flags[u]&mask != 0 {
+		if u += bits.TrailingZeros64(w); u >= hi {
+			break
+		}
+		if (flags[u]|gate)&bankSeedActive != 0 {
 			return u
 		}
+		u++
 	}
 	return hi
+}
+
+// visitList is an ascending list of nodes that the range calls of one pass
+// build piece by piece and the range calls of later rounds read, whatever
+// the two passes' ranges are. A building range call [lo, hi) writes
+// entries lo … hi−1 only: its listed nodes u as 2u+1 in ascending order,
+// then the filler 2·hi up to hi. So no two range calls write one entry,
+// and the entries never decrease over the whole list: a reading range call
+// finds its first node by binary search, and a filler, which a reader
+// meets only where its range spans several building ranges, sends it to
+// the next piece.
+type visitList []uint32
+
+// put writes node u as entry w of a piece being built and returns w + 1.
+func (l visitList) put(w, u int) int {
+	l[w] = uint32(2*u + 1)
+	return w + 1
+}
+
+// seal ends the piece [lo, hi) whose listed nodes fill entries [lo, w).
+func (l visitList) seal(w, hi int) {
+	for f := uint32(2 * hi); w < hi; w++ {
+		l[w] = f
+	}
+}
+
+// first returns the index of the first entry for a node at or after lo.
+func (l visitList) first(lo int) int {
+	key, i, j := uint32(2*lo), 0, len(l)
+	for i < j {
+		if h := int(uint(i+j) >> 1); l[h] < key {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// next returns the first listed node below hi at or after entry i, and the
+// entry after it; u is hi when there is none.
+func (l visitList) next(i, hi int) (u, j int) {
+	for end := uint32(2 * hi); i < len(l) && l[i] < end; {
+		if e := l[i]; e&1 == 0 {
+			i = int(e >> 1) // a filler: the next piece starts at entry e/2
+		} else {
+			return int(e >> 1), i + 1
+		}
+	}
+	return hi, i
 }
 
 // setFlags sets and clears node u's flag bits and re-derives its
@@ -373,13 +465,17 @@ func (bk *NodeStateBank) syncSeed(u int) {
 	bk.flags[u] = bk.flags[u]&^bankSeedLive | set
 }
 
-// initNode is BankNode.Init's body: LBAlg.Init ported to columns. It
-// copies the stream and keeps nothing of env, so the engine's NodeEnv and
-// Source are garbage once Init returns.
-func (bk *NodeStateBank) initNode(u int, env *sim.NodeEnv) {
-	bk.rngs[u] = *env.Rng
+// RecordsEvents implements sim.BankInit: the bank records events once
+// SetRecordEvents(true) has run.
+func (bk *NodeStateBank) RecordsEvents() bool { return bk.recs != nil }
+
+// InitRow implements sim.BankInit, and is BankNode.Init's body: LBAlg.Init
+// ported to columns. The stream arrives by value, and the recorder is kept
+// only while events are recorded.
+func (bk *NodeStateBank) InitRow(u int, rng xrand.Source, rec sim.Recorder) {
+	bk.rngs[u] = rng
 	if bk.recs != nil {
-		bk.recs[u] = env.Rec
+		bk.recs[u] = rec
 	}
 	bk.seeds[u].Reset(bk.plan.Seed, &bk.msgs[u], &bk.rngs[u])
 }
@@ -528,16 +624,15 @@ func (bk *NodeStateBank) deliver(u, t, from int, m Message) {
 	if bk.recs != nil {
 		bk.recs[u].Record(sim.Event{Round: t, Node: u, Kind: sim.EvHear, From: from, MsgID: m.ID})
 	}
-	last := bk.lastSeq[u]
-	if last == nil {
-		last = make(map[int32]int32)
-		bk.lastSeq[u] = last
+	h := bk.heard[u]
+	if h == nil {
+		h = &heardSet{}
+		h.srcs = h.buf[:0]
+		bk.heard[u] = h
 	}
-	src, seq := int32(m.ID.Src()), int32(m.ID.Seq())
-	if seq <= last[src] {
+	if !h.advance(int32(m.ID.Src()), int32(m.ID.Seq())) {
 		return
 	}
-	last[src] = seq
 	if bk.recs != nil {
 		bk.recs[u].Record(sim.Event{Round: t, Node: u, Kind: sim.EvRecv, From: from, MsgID: m.ID})
 	}
@@ -547,6 +642,39 @@ func (bk *NodeStateBank) deliver(u, t, from int, m Message) {
 	if bk.nodeRecv != nil && bk.nodeRecv[u] != nil {
 		bk.nodeRecv[u](m, from)
 	}
+}
+
+// heardInline is the number of sources a heardSet holds without a second
+// allocation; it fills the set's 64-byte size class.
+const heardInline = 5
+
+// heardSet is one node's dedupe state: the sequence number of the last
+// message delivered from each source the node has heard, in first-heard
+// order. A node hears at most Δ′ − 1 sources, and few in practice, so the
+// set is searched linearly, and its first heardInline entries live in the
+// set itself.
+type heardSet struct {
+	srcs []srcSeq
+	buf  [heardInline]srcSeq
+}
+
+// srcSeq is one heardSet entry.
+type srcSeq struct{ src, seq int32 }
+
+// advance reports whether seq is above src's last delivered sequence
+// number (0 for a source not heard before), and if so records it.
+func (h *heardSet) advance(src, seq int32) bool {
+	for i := range h.srcs {
+		if e := &h.srcs[i]; e.src == src {
+			if seq <= e.seq {
+				return false
+			}
+			e.seq = seq
+			return true
+		}
+	}
+	h.srcs = append(h.srcs, srcSeq{src, seq})
+	return true
 }
 
 // ack is LBAlg.ack over columns, and drops node u's coin buffer: body
@@ -597,8 +725,9 @@ type BankNode struct {
 var _ Service = (*BankNode)(nil)
 
 // Init implements sim.Process. The node's id is its index in the bank, as
-// the engine's env.ID is.
-func (h *BankNode) Init(env *sim.NodeEnv) { h.bank.initNode(int(h.u), env) }
+// the engine's env.ID is; the stream is copied and nothing else of env is
+// kept but its recorder, while events are recorded.
+func (h *BankNode) Init(env *sim.NodeEnv) { h.bank.InitRow(int(h.u), *env.Rng, env.Rec) }
 
 // Transmit implements sim.Process (the lockstep oracle calls it; the
 // engine goes through TransmitRange). It runs the same body as a range

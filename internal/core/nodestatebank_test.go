@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
+	"lbcast/internal/dualgraph"
+	"lbcast/internal/sched"
 	"lbcast/internal/seedagree"
 	"lbcast/internal/sim"
 	"lbcast/internal/xrand"
@@ -58,9 +61,11 @@ func newLockstepSide(name string, nodes []Service) *lockstepSide {
 // a round starts, and Touched marks every reached node —
 // clean receptions, collisions (Count ≥ 2), transmitters' own stamped slots
 // and down nodes — while silent listeners' Rx slots and non-transmitters'
-// payloads hold poison that a bank must never read. The range side runs in
-// three ranges whose boundaries fall inside 8-node words, so the word scans
-// meet ragged heads and tails. Runs cover the paper's k = 1 schedule and
+// payloads hold poison that a bank must never read. The range side runs
+// each phase over one of three partitions of [0, n), whose boundaries fall
+// inside 8-node words and whose choice changes from round to round and
+// between a round's two phases, so the visit list is read over other
+// ranges than the ones that built it. Runs cover the paper's k = 1 schedule and
 // the Section 4.2 k = 3 variant whose mid-cycle sender arrivals exercise
 // the deferred decode and cursor-debt settlement.
 //
@@ -83,7 +88,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 27
-			ranges := [][2]int{{0, 5}, {5, 22}, {22, n}}
+			partitions := [][][2]int{{{0, 5}, {5, 22}, {22, n}}, {{0, 13}, {13, n}}, {{0, n}}}
 			p, err := DeriveParams(8, 8, 1, 0.25, WithSeedEveryKPhases(tc.seedEvery))
 			if err != nil {
 				t.Fatal(err)
@@ -107,13 +112,8 @@ func TestNodeStateBankLockstep(t *testing.T) {
 			}
 			ref := sides[2]
 
-			view := sim.RoundView{
-				Payloads: make([]any, n),
-				Transmit: make([]uint8, n),
-				Touched:  make([]uint8, n),
-				Rx:       make([]sim.RxSlot, n),
-				Down:     make([]bool, n),
-			}
+			view := newRoundView(n)
+			view.Down = make([]bool, n)
 			type poison struct{}
 			pPayloads := [][]any{nil, make([]any, n), make([]any, n)}
 			pTransmit := [][]bool{nil, make([]bool, n), make([]bool, n)}
@@ -166,7 +166,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 				for u := range view.Payloads {
 					view.Payloads[u] = poison{}
 				}
-				for _, r := range ranges {
+				for _, r := range partitions[tr%len(partitions)] {
 					bank.TransmitRange(tr, r[0], r[1], &view)
 				}
 				for i := 1; i < 3; i++ {
@@ -202,32 +202,27 @@ func TestNodeStateBankLockstep(t *testing.T) {
 					}
 				}
 
-				// Channel: a silent listener keeps a poisoned slot that looks
-				// like a clean reception; a reached node is touched with a clean
-				// reception of one transmitter or a collision. Transmitters and
-				// down nodes are reached too — ReceiveRange must filter them.
+				// Channel: a silent listener's slot stays 0; a reached node's
+				// slot holds a clean reception of one transmitter or a
+				// collision. Transmitters and down nodes are reached too —
+				// ReceiveRange must filter them.
 				for u := 0; u < n; u++ {
 					heard[u] = -1
-					poisonFrom := u
-					if len(txs) > 0 {
-						poisonFrom = txs[0] // a real frame, heard only if misread
-					}
-					view.Rx[u] = sim.RxSlot{Stamp: int32(tr), Count: 1, From: int32(poisonFrom)}
 					if len(txs) == 0 || loss.Coin(0.2) {
 						continue
 					}
-					view.Touched[u] = 1
 					if loss.Coin(0.3) {
-						view.Rx[u].Count = int32(2 + loss.Intn(3))
+						view.Rx[u] = sim.RxCollision
 						continue
 					}
 					from := txs[loss.Intn(len(txs))]
-					view.Rx[u].From = int32(from)
+					view.Rx[u] = sim.Heard(int32(from))
 					if view.Transmit[u] == 0 && !view.Down[u] {
 						heard[u] = from
 					}
 				}
-				for _, r := range ranges {
+				markReached(&view)
+				for _, r := range partitions[(tr/2)%len(partitions)] {
 					bank.ReceiveRange(tr, r[0], r[1], &view)
 				}
 				if sharingSenders(t, bank, tr) {
@@ -245,8 +240,7 @@ func TestNodeStateBankLockstep(t *testing.T) {
 						}
 					}
 				}
-				clear(view.Touched)
-				clear(view.Transmit)
+				clearRound(&view)
 			}
 
 			acks := 0
@@ -285,9 +279,43 @@ func TestNodeStateBankLockstep(t *testing.T) {
 			if shared == 0 {
 				t.Error("no two sending nodes ever decoded one seed; the shared commitment went untested")
 			}
+			most := 0
+			for _, h := range bank.heard {
+				if h != nil {
+					most = max(most, len(h.srcs))
+				}
+			}
+			if most <= heardInline {
+				t.Errorf("no node heard more than %d sources; the dedupe set's overflow went untested", heardInline)
+			}
 			t.Logf("%d of %d rounds had two or more sending nodes on one seed", shared, rounds)
 		})
 	}
+}
+
+// newRoundView returns an all-zero round view over n nodes, as the engine
+// hands one to a bank's first TransmitRange.
+func newRoundView(n int) sim.RoundView {
+	return sim.RoundView{Payloads: make([]any, n), Transmit: make([]uint8, n),
+		Rx: make([]sim.RxSlot, n), Reached: make([]uint64, (n+63)/64)}
+}
+
+// markReached sets v's Reached bits from its slots, as the engine does
+// before the receive phase.
+func markReached(v *sim.RoundView) {
+	for u, s := range v.Rx {
+		if s != 0 {
+			v.Reached[u>>6] |= 1 << (u & 63)
+		}
+	}
+}
+
+// clearRound zeroes what the engine clears after a round's statistics: the
+// slots, the Reached bits and the Transmit column.
+func clearRound(v *sim.RoundView) {
+	clear(v.Rx)
+	clear(v.Reached)
+	clear(v.Transmit)
 }
 
 // sharingSenders checks the bank's sender-only state after round tr: a
@@ -362,8 +390,7 @@ func TestNodeStateBankFootprint(t *testing.T) {
 			envs[u] = sim.NodeEnv{ID: u, Delta: 8, DeltaPrime: 8, R: 1,
 				Rng: xrand.NodeSource(1, u), Rec: nopRec{}}
 		}
-		view := sim.RoundView{Payloads: make([]any, n), Transmit: make([]uint8, n),
-			Touched: make([]uint8, n), Rx: make([]sim.RxSlot, n)}
+		view := newRoundView(n)
 		var before, built, inited, reseeded runtime.MemStats
 		runtime.ReadMemStats(&before)
 		bk := NewNodeStateBank(plan, n)
@@ -443,8 +470,8 @@ func TestNodeStateBankMissedCommit(t *testing.T) {
 			}
 		}
 	}
-	view := sim.RoundView{Payloads: make([]any, n), Transmit: make([]uint8, n),
-		Touched: make([]uint8, n), Rx: make([]sim.RxSlot, n), Down: make([]bool, n)}
+	view := newRoundView(n)
+	view.Down = make([]bool, n)
 	payloads := make([]any, n)
 	commit := p.Ts // phase 1's last preamble round
 	decided := false
@@ -471,12 +498,16 @@ func TestNodeStateBankMissedCommit(t *testing.T) {
 		}
 		// A clique channel: a lone transmitter reaches every other node.
 		for u := range n {
-			view.Rx[u] = sim.RxSlot{Stamp: int32(tr), Count: int32(len(txs))}
-			if len(txs) > 0 {
-				view.Touched[u], view.Rx[u].From = 1, int32(txs[0])
+			switch {
+			case len(txs) == 1:
+				view.Rx[u] = sim.Heard(int32(txs[0]))
+			case len(txs) > 1:
+				view.Rx[u] = sim.RxCollision
 			}
 		}
+		markReached(&view)
 		bank.ReceiveRange(tr, 0, n, &view)
+		clearRound(&view)
 		for u := range n {
 			switch {
 			case view.Down[u]:
@@ -489,10 +520,92 @@ func TestNodeStateBankMissedCommit(t *testing.T) {
 				t.Fatalf("round %d node %d: bank coins valid %v, oracle %v", tr, u, got, want)
 			}
 		}
-		clear(view.Touched)
-		clear(view.Transmit)
 	}
 	if !decided {
 		t.Fatal("node 0 had not decided when it went down; the missed commit is untested")
 	}
+}
+
+// TestNodeStateBankWorkerPool runs one banked execution on the sequential
+// driver and the worker pool at 2, 3 and 7 workers and requires the same
+// trace, event for event, and the same channel statistics. n = 1,000 is
+// not a multiple of 64, so no range boundary falls on a word of the
+// Reached bits, and every tenth node is a saturated sender. The test also
+// checks that the visit list's leaders and body senders straddle the
+// ranges of every worker count: at each checked round, every range holds
+// a listed node, so each range call's binary search and every piece's
+// filler are exercised.
+func TestNodeStateBankWorkerPool(t *testing.T) {
+	const n = 1000
+	d, err := dualgraph.RandomGeometric(n, 16, 16, 1.5, dualgraph.GreyUnreliable, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DeriveParams(d.Delta(), d.DeltaPrime(), d.R, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewPhasePlan(p)
+	var senders []int
+	for u := 0; u < n; u += 10 {
+		senders = append(senders, u)
+	}
+	run := func(driver sim.Driver, workers int) *sim.Trace {
+		bank := NewNodeStateBank(plan, n)
+		bank.SetRecordEvents(true)
+		svcs := make([]Service, n)
+		for u := range svcs {
+			svcs[u] = bank.Node(u)
+		}
+		e, err := sim.New(sim.Config{Dual: d, Bank: bank, Sched: sched.Random{P: 0.5, Seed: 3},
+			Env: NewSaturatingEnv(svcs, senders), Seed: 17, Driver: driver, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for r := 1; r <= 2*p.PhaseLen(); r++ {
+			e.Step()
+			pos := (r - 1) % p.PhaseLen()
+			if pos != 1 && pos != p.Ts+1 {
+				continue // one preamble round with leaders, one body round with senders
+			}
+			listed := listedNodes(bank)
+			for _, w := range []int{2, 3, 7} {
+				chunk := (n + w - 1) / w
+				for lo := 0; lo < n; lo += chunk {
+					hi := min(lo+chunk, n)
+					i, _ := slices.BinarySearch(listed, lo)
+					if i == len(listed) || listed[i] >= hi {
+						t.Fatalf("round %d: no listed node in [%d, %d) of %d workers; the straddle is untested", r, lo, hi, w)
+					}
+				}
+			}
+		}
+		return e.Trace()
+	}
+	ref := run(sim.DriverSequential, 0)
+	if ref.Len() == 0 || ref.Deliveries == 0 {
+		t.Fatal("the reference run recorded nothing; the comparison is vacuous")
+	}
+	refEvs := slices.Collect(ref.Events())
+	for _, w := range []int{2, 3, 7} {
+		got := run(sim.DriverWorkerPool, w)
+		if got.Transmissions != ref.Transmissions || got.Deliveries != ref.Deliveries || got.Collisions != ref.Collisions {
+			t.Errorf("%d workers: channel statistics %d/%d/%d, sequential %d/%d/%d", w,
+				got.Transmissions, got.Deliveries, got.Collisions, ref.Transmissions, ref.Deliveries, ref.Collisions)
+		}
+		if evs := slices.Collect(got.Events()); !slices.Equal(evs, refEvs) {
+			t.Errorf("%d workers: %d events differ from the sequential run's %d", w, len(evs), len(refEvs))
+		}
+	}
+}
+
+// listedNodes decodes the bank's visit list.
+func listedNodes(bk *NodeStateBank) []int {
+	var out []int
+	vl := bk.visits
+	for u, i := vl.next(vl.first(0), bk.n); u < bk.n; u, i = vl.next(i, bk.n) {
+		out = append(out, u)
+	}
+	return out
 }

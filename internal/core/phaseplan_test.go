@@ -195,7 +195,7 @@ type refLB struct {
 func newRefLB(p Params, id int, rng *xrand.Source) *refLB {
 	return &refLB{p: p, phaseLen: p.PhaseLen(), id: id, rng: rng,
 		state: StateReceiving, seen: make(map[sim.MsgID]struct{}),
-		seed: seedagree.NewAlg(p.SeedParams, id, rng)}
+		seed: seedagree.NewAlgWithPlan(seedagree.NewPlan(p.SeedParams), id, rng)}
 }
 
 func (l *refLB) Bcast(payload any) (sim.MsgID, error) {

@@ -23,8 +23,9 @@ func init() {
 func runSeedInstance(d *dualgraph.Dual, p seedagree.Params, s sim.LinkScheduler, seed uint64) ([]*seedagree.Process, error) {
 	procs := make([]*seedagree.Process, d.N())
 	simProcs := make([]sim.Process, d.N())
+	plan := seedagree.NewPlan(p)
 	for u := range procs {
-		procs[u] = seedagree.NewProcess(p)
+		procs[u] = seedagree.NewProcess(plan)
 		simProcs[u] = procs[u]
 	}
 	e, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: s, Seed: seed})

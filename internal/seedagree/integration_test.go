@@ -2,6 +2,7 @@ package seedagree
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"lbcast/internal/dualgraph"
@@ -16,8 +17,9 @@ func runSeedAgreement(t testing.TB, d *dualgraph.Dual, p Params, s sim.LinkSched
 	t.Helper()
 	procs := make([]*Process, d.N())
 	simProcs := make([]sim.Process, d.N())
+	plan := NewPlan(p)
 	for u := range procs {
-		procs[u] = NewProcess(p)
+		procs[u] = NewProcess(plan)
 		simProcs[u] = procs[u]
 	}
 	e, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Sched: s, Seed: seed})
@@ -161,8 +163,9 @@ func TestDecideEventsRecorded(t *testing.T) {
 	}
 	procs := make([]*Process, d.N())
 	simProcs := make([]sim.Process, d.N())
+	plan := NewPlan(p)
 	for u := range procs {
-		procs[u] = NewProcess(p)
+		procs[u] = NewProcess(plan)
 		simProcs[u] = procs[u]
 	}
 	e, err := sim.New(sim.Config{Dual: d, Procs: simProcs, Seed: 6})
@@ -298,3 +301,42 @@ func BenchmarkSeedAgreementCluster(b *testing.B) {
 		runSeedAgreement(b, d, p, sched.Never{}, uint64(i))
 	}
 }
+
+// TestProcessFootprint bounds what an initialised standalone process
+// retains. Every process of an E-SEED run shares one Plan, so a process
+// keeps its Alg, its NodeEnv and its stream, ≈ 280 B; a private plan per
+// process, its ⌈Rounds⌉-entry position table and election probabilities,
+// put it at ≈ 1,136 B at ε₁ = 0.1, Δ = 16.
+func TestProcessFootprint(t *testing.T) {
+	const n = 10_000
+	p, err := NewParams(0.1, 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewPlan(p)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	procs := make([]*Process, n)
+	for u := range procs {
+		procs[u] = NewProcess(plan)
+		procs[u].Init(&sim.NodeEnv{ID: u, Delta: 16, DeltaPrime: 16, R: 1,
+			Rng: xrand.NodeSource(1, u), Rec: nopRecorder{}})
+	}
+	perProc := float64(heap()-before) / n
+	runtime.KeepAlive(procs)
+	t.Logf("%.0f B retained per initialised process", perProc)
+	if perProc >= 400 {
+		t.Errorf("an initialised process retains %.0f B, want < 400 (one shared plan per run)", perProc)
+	}
+}
+
+// nopRecorder discards events.
+type nopRecorder struct{}
+
+func (nopRecorder) Record(sim.Event) {}

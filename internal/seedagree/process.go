@@ -6,7 +6,7 @@ import "lbcast/internal/sim"
 // (the E-SEED experiments drive it directly). After Params.Rounds() rounds
 // the process idles forever; the decision is then available via Decision.
 type Process struct {
-	params Params
+	plan   *Plan
 	alg    *Alg
 	env    *sim.NodeEnv
 	logged bool
@@ -14,16 +14,16 @@ type Process struct {
 
 var _ sim.Process = (*Process)(nil)
 
-// NewProcess returns a standalone SeedAlg process; Init derives its
-// private schedule plan.
-func NewProcess(p Params) *Process {
-	return &Process{params: p}
+// NewProcess returns a standalone SeedAlg process over a schedule plan
+// that every process of a run shares.
+func NewProcess(plan *Plan) *Process {
+	return &Process{plan: plan}
 }
 
 // Init implements sim.Process.
 func (sp *Process) Init(env *sim.NodeEnv) {
 	sp.env = env
-	sp.alg = NewAlg(sp.params, env.ID, env.Rng)
+	sp.alg = NewAlgWithPlan(sp.plan, env.ID, env.Rng)
 }
 
 // Transmit implements sim.Process.

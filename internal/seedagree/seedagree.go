@@ -166,7 +166,7 @@ func Log2Ceil(n int) int {
 // quantity the per-round state machine needs, resolved once with the float
 // math (Pow, Log2, Ceil) that is too costly for once-per-round calls. All
 // nodes of a run share the same Params, so one Plan serves every Alg —
-// build it once with NewPlan and hand it to NewAlgWithPlan.
+// build it once with NewPlan and hand it to NewAlgWithPlan or NewProcess.
 type Plan struct {
 	p        Params
 	phaseLen int
@@ -302,17 +302,10 @@ type Alg struct {
 	decision Decision
 }
 
-// NewAlg creates the state machine for node id with its private randomness,
-// choosing the initial seed uniformly from {0,1}^κ. It derives a private
-// Plan; batch callers that build one Alg per node should compute the plan
-// once and use NewAlgWithPlan.
-func NewAlg(p Params, id int, rng *xrand.Source) *Alg {
-	return NewAlgWithPlan(NewPlan(p), id, rng)
-}
-
-// NewAlgWithPlan creates the state machine over a shared precomputed
-// schedule (see NewPlan). The plan is read-only to the Alg, so any number
-// of nodes may share one.
+// NewAlgWithPlan creates the state machine for node id with its private
+// randomness, choosing the initial seed uniformly from {0,1}^κ, over a
+// shared precomputed schedule (see NewPlan). The plan is read-only to the
+// Alg, so any number of nodes may share one.
 func NewAlgWithPlan(plan *Plan, id int, rng *xrand.Source) *Alg {
 	a := &Alg{plan: plan, rng: rng, msg: Msg{Owner: id}}
 	a.Reset()

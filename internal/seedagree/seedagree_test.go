@@ -121,7 +121,7 @@ func TestRoundsMatchTheorem(t *testing.T) {
 
 func TestAlgInitialState(t *testing.T) {
 	p := validParams(t)
-	a := NewAlg(p, 3, xrand.New(1))
+	a := NewAlgWithPlan(NewPlan(p), 3, xrand.New(1))
 	if a.Status() != StatusActive {
 		t.Errorf("initial status = %v", a.Status())
 	}
@@ -135,7 +135,7 @@ func TestAlgInitialState(t *testing.T) {
 
 func TestAlgReset(t *testing.T) {
 	p := validParams(t)
-	a := NewAlg(p, 3, xrand.New(2))
+	a := NewAlgWithPlan(NewPlan(p), 3, xrand.New(2))
 	s1 := a.InitialSeed()
 	// Run to completion in isolation: node decides (possibly by default).
 	for local := 1; local <= p.Rounds(); local++ {
@@ -159,7 +159,7 @@ func TestAlgIsolatedDecidesOwnSeed(t *testing.T) {
 	// elects itself leader at some phase, or it defaults at the end.
 	p := validParams(t)
 	for trial := 0; trial < 50; trial++ {
-		a := NewAlg(p, 7, xrand.New(uint64(trial)))
+		a := NewAlgWithPlan(NewPlan(p), 7, xrand.New(uint64(trial)))
 		for local := 1; local <= p.Rounds(); local++ {
 			a.Transmit(local)
 			a.Receive(local, nil, false)
@@ -181,7 +181,7 @@ func TestAlgCommitsToHeardLeader(t *testing.T) {
 	p := validParams(t)
 	// Force no self-election by seeding so first election coins miss:
 	// instead, inject a message in round 2 and verify commitment.
-	a := NewAlg(p, 1, xrand.New(3))
+	a := NewAlgWithPlan(NewPlan(p), 1, xrand.New(3))
 	if _, tx := a.Transmit(1); tx {
 		t.Skip("node elected itself leader in phase 1 (probability 1/Δ); reseed")
 	}
@@ -214,7 +214,7 @@ func TestAlgLeaderAdvertises(t *testing.T) {
 	// Δ=2: one phase with election probability ½; find a seed electing
 	// itself at phase 1.
 	for s := uint64(0); s < 100; s++ {
-		a := NewAlg(p, 5, xrand.New(s))
+		a := NewAlgWithPlan(NewPlan(p), 5, xrand.New(s))
 		payload, tx := a.Transmit(1)
 		if a.Status() != StatusLeader {
 			continue
@@ -250,7 +250,7 @@ func TestAlgLeaderAdvertises(t *testing.T) {
 
 func TestAlgIgnoresForeignPayloads(t *testing.T) {
 	p := validParams(t)
-	a := NewAlg(p, 1, xrand.New(4))
+	a := NewAlgWithPlan(NewPlan(p), 1, xrand.New(4))
 	if _, tx := a.Transmit(1); tx {
 		t.Skip("self-elected; reseed")
 	}
@@ -262,7 +262,7 @@ func TestAlgIgnoresForeignPayloads(t *testing.T) {
 
 func TestAlgOutOfRangeRounds(t *testing.T) {
 	p := validParams(t)
-	a := NewAlg(p, 1, xrand.New(5))
+	a := NewAlgWithPlan(NewPlan(p), 1, xrand.New(5))
 	if _, tx := a.Transmit(0); tx {
 		t.Error("transmitted at round 0")
 	}
@@ -273,7 +273,7 @@ func TestAlgOutOfRangeRounds(t *testing.T) {
 
 func TestAlgFinalizeIdempotent(t *testing.T) {
 	p := validParams(t)
-	a := NewAlg(p, 9, xrand.New(6))
+	a := NewAlgWithPlan(NewPlan(p), 9, xrand.New(6))
 	a.Finalize()
 	d1 := a.Decision()
 	a.Finalize()
@@ -291,7 +291,7 @@ func TestLeaderElectionProbabilityEmpirical(t *testing.T) {
 	const trials = 20000
 	elected := 0
 	for i := 0; i < trials; i++ {
-		a := NewAlg(p, 0, xrand.New(uint64(i)))
+		a := NewAlgWithPlan(NewPlan(p), 0, xrand.New(uint64(i)))
 		a.Transmit(1)
 		if a.Status() == StatusLeader {
 			elected++
@@ -349,7 +349,7 @@ func TestAlgWithSharedPlanEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := NewPlan(p)
-	a := NewAlg(p, 1, xrand.New(42))
+	a := NewAlgWithPlan(NewPlan(p), 1, xrand.New(42))
 	b := NewAlgWithPlan(plan, 1, xrand.New(42))
 	for local := 1; local <= p.Rounds(); local++ {
 		pa, ta := a.Transmit(local)

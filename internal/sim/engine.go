@@ -36,10 +36,11 @@ type Config struct {
 	Procs []Process
 	// Bank, when non-nil, executes the transmit and receive phases in
 	// contiguous node ranges (see ProcessBank). Procs must still hold the
-	// per-node handles of the same protocol state: Init runs through them.
-	// When nil, the engine steps Procs through the same range calls
-	// (procBank). Incompatible with ReplaceProc (a bank owns all nodes'
-	// state; see lifecycle.go).
+	// per-node handles of the same protocol state, Init runs through them,
+	// unless the bank implements BankInit: then Procs may be nil. When
+	// nil, the engine steps Procs through the same range calls (procBank).
+	// Incompatible with ReplaceProc (a bank owns all nodes' state; see
+	// lifecycle.go).
 	Bank ProcessBank
 	// Sched may be nil: no unreliable edges are ever included.
 	Sched LinkScheduler
@@ -85,14 +86,23 @@ const (
 // the deterministic shard merge keeps traces byte-identical either way.
 const parallelScatterMinTx = 32
 
+// scatterBlock is the number of transmitters whose row bounds the scatter
+// reads before it walks their rows (see scatterInto).
+const scatterBlock = 64
+
+// rowBounds is one transmitter's reliable and unreliable row bounds,
+// [g0, g1) in the G CSR and [u0, u1) in the unreliable one.
+type rowBounds struct{ g0, g1, u0, u1 int32 }
+
 // scatterShard is one worker's private reception state for the parallel
-// scatter: interleaved reception slots over all nodes, plus the list of
-// nodes this worker touched this round (so the merge visits only Σ-degree
-// many entries, never all n).
+// scatter: reception slots over all nodes, all zero between rounds, plus
+// the list of nodes this worker reached this round (so the merge visits
+// only Σ-degree many entries, never all n) and its row-bounds scratch.
 type scatterShard struct {
 	rx      []RxSlot
 	touched []int32
 	incBuf  []bool
+	rows    []rowBounds
 }
 
 // Engine executes rounds of a configuration.
@@ -108,6 +118,7 @@ type Engine struct {
 	env    Environment
 	wrk    int
 	trace  *Trace
+	n      int
 
 	round int // last executed round; rounds are 1-indexed as in the paper
 
@@ -137,7 +148,9 @@ type Engine struct {
 	included []bool   // unreliable edge inclusion mask (incMask rounds only)
 	txList   []int32  // this round's transmitters, ascending
 	rx       []RxSlot // per-node reception state written by the scatter
-	recs     []nodeRecorder
+	// recs holds one event recorder per node; nil for a BankInit bank that
+	// records nothing.
+	recs []nodeRecorder
 
 	// view is the RoundView handed to the bank; its slice headers alias the
 	// round scratch above, and Down is refreshed each Step (it may appear
@@ -146,11 +159,13 @@ type Engine struct {
 
 	maxUDeg int                   // max unreliable degree, sizes IncludedFor scratch
 	incBuf  []bool                // sequential-path IncludedFor scratch
+	rows    []rowBounds           // sequential-path row-bounds scratch, allocated at the first scatter
 	recvOut []int32               // ReceptionModel per-node outcome scratch
 	sharded ShardedReceptionModel // non-nil when recv supports range resolution
 
-	// touched lists the nodes reached by this round's scatter (stamp moved
-	// to the current round), so stats run over O(Σ deg) entries, not all n.
+	// touched lists the nodes reached by this round's scatter or reception
+	// model (slot nonzero), so stats and the slot reset run over O(Σ deg)
+	// entries, not all n.
 	touched []int32
 
 	// shards holds the per-worker scatter state, allocated lazily on the
@@ -178,7 +193,8 @@ type Engine struct {
 
 	// dirty is the set of nodes with buffered recorder events since the
 	// last drain: dirtyIdx[:dirtyLen] holds their indices in arbitrary
-	// order (recorders push concurrently), sorted at drain time.
+	// order (recorders push concurrently), sorted at drain time. Like recs,
+	// dirtyIdx is nil when nothing can record.
 	dirtyIdx []int32
 	dirtyLen atomic.Int32
 }
@@ -189,7 +205,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Dual == nil {
 		return nil, fmt.Errorf("sim: Config.Dual is nil")
 	}
-	if len(cfg.Procs) != cfg.Dual.N() {
+	bi, _ := cfg.Bank.(BankInit)
+	if len(cfg.Procs) != cfg.Dual.N() && !(bi != nil && cfg.Procs == nil) {
 		return nil, fmt.Errorf("sim: %d processes for %d vertices", len(cfg.Procs), cfg.Dual.N())
 	}
 	if cfg.Reception != nil && cfg.Sched != nil {
@@ -225,16 +242,16 @@ func New(cfg Config) (*Engine, error) {
 		env:      cfg.Env,
 		wrk:      workers,
 		trace:    trace,
+		n:        n,
 		gCSR:     cfg.Dual.ReliableCSR(),
 		uCSR:     cfg.Dual.UnreliableCSR(),
 		payloads: make([]any, n),
 		transmit: make([]uint8, n),
 		txList:   make([]int32, 0, n),
 		rx:       make([]RxSlot, n),
-		recs:     make([]nodeRecorder, n),
 	}
 	e.view = RoundView{Payloads: e.payloads, Transmit: e.transmit, Rx: e.rx,
-		Touched: make([]uint8, n)}
+		Reached: make([]uint64, (n+63)/64)}
 	e.seed = cfg.Seed
 	if f, ok := bank.(RoundFlusher); ok {
 		e.flush = f
@@ -265,10 +282,15 @@ func New(cfg Config) (*Engine, error) {
 	if e.sparse == nil || e.batch != nil {
 		e.included = make([]bool, len(cfg.Dual.UnreliableEdges()))
 	}
-	e.dirtyIdx = make([]int32, n)
-	for u := 0; u < n; u++ {
-		e.recs[u].eng = e
-		e.recs[u].node = int32(u)
+	// A per-node process or a recording bank may record events; a bank
+	// that initialises its own rows and records nothing never does.
+	if bi == nil || bi.RecordsEvents() {
+		e.recs = make([]nodeRecorder, n)
+		e.dirtyIdx = make([]int32, n)
+		for u := 0; u < n; u++ {
+			e.recs[u].eng = e
+			e.recs[u].node = int32(u)
+		}
 	}
 	e.poolBankFn = func(w int) {
 		lo := w * e.poolChunk
@@ -290,24 +312,34 @@ func New(cfg Config) (*Engine, error) {
 		}
 		sh := e.shards[w]
 		e.scatterInto(e.round, e.scatterMode, e.txList[lo:hi],
-			sh.rx, &sh.touched, sh.incBuf)
+			sh.rx, &sh.touched, sh.incBuf, sh.rows)
 	}
 	e.poolResolveFn = func(w int) {
 		lo := w * e.resolveChunk
-		hi := min(lo+e.resolveChunk, len(e.procs))
+		hi := min(lo+e.resolveChunk, n)
 		if lo < hi {
 			e.sharded.ResolveRange(e.round, e.txList, e.recvOut, lo, hi)
 		}
 	}
 	delta, deltaPrime := cfg.Dual.Delta(), cfg.Dual.DeltaPrime()
 	e.delta, e.deltaP = delta, deltaPrime
+	root := xrand.New(cfg.Seed)
 	for u := 0; u < n; u++ {
+		if bi != nil {
+			var rec Recorder
+			if e.recs != nil {
+				rec = &e.recs[u]
+			}
+			bi.InitRow(u, root.NodeStream(u), rec)
+			continue
+		}
+		rng := root.NodeStream(u)
 		env := &NodeEnv{
 			ID:         u,
 			Delta:      delta,
 			DeltaPrime: deltaPrime,
 			R:          cfg.Dual.R,
-			Rng:        xrand.NodeSource(cfg.Seed, u),
+			Rng:        &rng,
 			Rec:        &e.recs[u],
 		}
 		if pb != nil {
@@ -422,10 +454,12 @@ func (e *Engine) Step() {
 // It expects the per-node reception state (rx slots, touched)
 // for round t to be fully resolved.
 func (e *Engine) finishRound(t int) {
-	// The bank reads the touched list as a per-node column (RoundView.Touched),
-	// so a receive range visits reached nodes without reading every slot.
+	// The bank finds the reached nodes of its ranges in the Reached bits,
+	// which fit in the first-level cache at n = 10⁵, so setting them costs
+	// far less than the slot reads a range scan would take instead.
+	reached := e.view.Reached
 	for _, u := range e.touched {
-		e.view.Touched[u] = 1
+		reached[u>>6] |= 1 << (u & 63)
 	}
 
 	// Delivery mutates process state; each node resolves its own reception
@@ -433,20 +467,22 @@ func (e *Engine) finishRound(t int) {
 	// procBank.ReceiveRange), so no separate O(n) pass runs.
 	e.rangePhase(false)
 
-	// Stats fall out of the scatter counts over the touched-node list: a
-	// listener with one transmitting topology neighbor received, one with
-	// two or more lost the round to interference. Only nodes the scatter
-	// reached are visited, so this costs O(Σ deg over transmitters). The
-	// same pass clears the touched column, and the transmitters' Transmit
-	// and Payloads entries, for the next round.
+	// Stats fall out of the reception slots over the touched-node list: a
+	// listener that heard one transmitter received, one whose slot collided
+	// lost the round to interference. Only nodes the scatter reached are
+	// visited, so this costs O(Σ deg over transmitters). The same pass
+	// resets every reached slot, transmitters' and down nodes' included,
+	// and its Reached word, and the loop after it clears the transmitters'
+	// Transmit and Payloads entries, for the next round.
 	txBefore, delBefore, colBefore := e.trace.Transmissions, e.trace.Deliveries, e.trace.Collisions
 	e.trace.Transmissions += len(e.txList)
 	for _, u := range e.touched {
-		e.view.Touched[u] = 0
+		s := e.rx[u]
+		e.rx[u], reached[u>>6] = 0, 0
 		if e.transmit[u] != 0 || (e.down != nil && e.down[u]) {
 			continue
 		}
-		if e.rx[u].Count == 1 {
+		if s > 0 {
 			e.trace.Deliveries++
 		} else {
 			e.trace.Collisions++
@@ -504,84 +540,92 @@ func appendTransmitters(txs []int32, transmit []uint8) []int32 {
 	return txs
 }
 
-// scatter walks the round's transmitters (txList, built in Step) and bumps
-// the reception count of every node they reach through the round topology,
-// recording the (unique, if count stays 1) transmitter in the slot. Round
-// stamps make the count arrays self-clearing: a node whose stamp is stale
-// has count zero. Under the worker-pool driver with enough transmitters the
-// scatter is sharded across workers and merged deterministically.
+// scatter walks the round's transmitters (txList, built in Step) and
+// records in every node they reach through the round topology which
+// transmitter reached it, or that two or more did. Under the worker-pool
+// driver with enough transmitters the scatter is sharded across workers and
+// merged deterministically.
 func (e *Engine) scatter(t int, mode inclusionMode) {
 	e.touched = e.touched[:0]
 	if e.wrk > 1 && len(e.txList) >= parallelScatterMinTx {
 		e.scatterParallel(t, mode)
 		return
 	}
-	e.scatterInto(t, mode, e.txList, e.rx, &e.touched, e.incBuf)
+	if e.rows == nil {
+		e.rows = make([]rowBounds, scatterBlock)
+	}
+	e.scatterInto(t, mode, e.txList, e.rx, &e.touched, e.incBuf, e.rows)
 }
 
-// scatterInto walks the given transmitters and accumulates receptions into
-// the supplied reception slots. When touched is non-nil, every node whose
-// slot transitions to the current round is appended to it (the parallel
-// shards use this to keep the merge proportional to work done). incBuf is
-// the IncludedFor scratch for incSparse rounds.
+// scatterInto walks the given transmitters and accumulates their receptions
+// into the supplied slots, which start the round at 0: a node's first
+// reach writes Heard(v) and appends the node to *touched, any later one
+// RxCollision. incBuf is the IncludedFor scratch for incSparse rounds, and
+// rows holds scatterBlock row bounds: the scatter reads the bounds of a
+// block of transmitters before it walks their rows, so the cache misses of
+// those reads overlap instead of each waiting behind the previous
+// transmitter's row walk.
 func (e *Engine) scatterInto(t int, mode inclusionMode, txs []int32,
-	rx []RxSlot, touched *[]int32, incBuf []bool) {
+	rx []RxSlot, touched *[]int32, incBuf []bool, rows []rowBounds) {
 
-	t32 := int32(t)
 	gOff, gTgt := e.gCSR.Off, e.gCSR.Targets
 	uOff, uPeers, uEdges := e.uCSR.Off, e.uCSR.Peers, e.uCSR.Edges
-	bump := func(u, v int32) {
-		s := &rx[u]
-		if s.Stamp != t32 {
-			s.Stamp, s.Count, s.From = t32, 1, v
-			if touched != nil {
-				*touched = append(*touched, u)
-			}
+	reached := *touched
+	bump := func(u int32, s RxSlot) {
+		if rx[u] == 0 {
+			rx[u] = s
+			reached = append(reached, u)
 		} else {
-			s.Count++
+			rx[u] = RxCollision
 		}
 	}
-	for _, v := range txs {
-		for i := gOff[v]; i < gOff[v+1]; i++ {
-			bump(gTgt[i], v)
+	for len(txs) > 0 {
+		blk := txs[:min(len(txs), len(rows))]
+		txs = txs[len(blk):]
+		for i, v := range blk {
+			rows[i] = rowBounds{gOff[v], gOff[v+1], uOff[v], uOff[v+1]}
 		}
-		if mode == incNone {
-			continue
-		}
-		lo, hi := uOff[v], uOff[v+1]
-		if lo == hi {
-			continue
-		}
-		switch mode {
-		case incAll:
-			for i := lo; i < hi; i++ {
-				bump(uPeers[i], v)
+		for i, v := range blk {
+			r, s := rows[i], Heard(v)
+			for _, u := range gTgt[r.g0:r.g1] {
+				bump(u, s)
 			}
-		case incMask:
-			for i := lo; i < hi; i++ {
-				if e.included[uEdges[i]] {
-					bump(uPeers[i], v)
+			if mode == incNone || r.u0 == r.u1 {
+				continue
+			}
+			switch mode {
+			case incAll:
+				for _, u := range uPeers[r.u0:r.u1] {
+					bump(u, s)
 				}
-			}
-		case incSparse:
-			buf := incBuf[:hi-lo]
-			e.sparse.IncludedFor(t, uEdges[lo:hi], buf)
-			for i := lo; i < hi; i++ {
-				if buf[i-lo] {
-					bump(uPeers[i], v)
+			case incMask:
+				for i := r.u0; i < r.u1; i++ {
+					if e.included[uEdges[i]] {
+						bump(uPeers[i], s)
+					}
+				}
+			case incSparse:
+				buf := incBuf[:r.u1-r.u0]
+				e.sparse.IncludedFor(t, uEdges[r.u0:r.u1], buf)
+				for i, u := range uPeers[r.u0:r.u1] {
+					if buf[i] {
+						bump(u, s)
+					}
 				}
 			}
 		}
 	}
+	*touched = reached
 }
 
 // scatterParallel shards the transmitter list across the persistent worker
 // pool. Each worker scatters its contiguous txList range into a private
-// shard; the shards are then merged into the engine's reception arrays in
+// shard; the shards are then merged into the engine's reception slots in
 // worker order. Because shard w's transmitters all precede shard w+1's in
-// txList order, "first worker to touch u wins From, counts add" reproduces
-// the sequential left-to-right scatter exactly, so traces stay
-// byte-identical.
+// txList order, "the first worker to reach u gives its slot, a second
+// reach collides" reproduces the sequential left-to-right scatter exactly,
+// so traces stay byte-identical. The merge resets every shard slot it
+// reads, so the shards start the next round all zero.
 func (e *Engine) scatterParallel(t int, mode inclusionMode) {
 	workers := e.wrk
 	if workers > len(e.txList) {
@@ -597,46 +641,44 @@ func (e *Engine) scatterParallel(t int, mode inclusionMode) {
 	e.ensurePool()
 	e.pool.run(active, e.poolScatterFn)
 
-	t32 := int32(t)
 	for w := 0; w < active; w++ {
 		sh := e.shards[w]
 		for _, u := range sh.touched {
-			s, shs := &e.rx[u], &sh.rx[u]
-			if s.Stamp != t32 {
-				s.Stamp, s.Count, s.From = t32, shs.Count, shs.From
+			s := sh.rx[u]
+			sh.rx[u] = 0
+			if e.rx[u] == 0 {
+				e.rx[u] = s
 				e.touched = append(e.touched, u)
 			} else {
-				s.Count += shs.Count
+				e.rx[u] = RxCollision
 			}
 		}
 	}
 }
 
 // resolveModel asks the reception model for the round's per-node outcomes
-// and translates them into the engine's scatter-count representation, so
-// delivery and the trace statistics run unchanged: a clean reception becomes
-// count 1 with the transmitter in From, a Blocked outcome becomes count 2
-// (indistinguishable from a dual-graph collision downstream), and silence
-// leaves the node untouched.
+// and translates them into the engine's reception slots, so delivery and
+// the trace statistics run unchanged: a clean reception becomes
+// Heard(transmitter), a Blocked outcome RxCollision (indistinguishable from
+// a dual-graph collision downstream), and silence leaves the slot 0.
 func (e *Engine) resolveModel(t int) {
 	e.touched = e.touched[:0]
 	if e.sharded != nil && e.wrk > 1 &&
-		len(e.procs) >= parallelResolveMinListeners && e.sharded.PrepareRound(t, e.txList) {
+		e.n >= parallelResolveMinListeners && e.sharded.PrepareRound(t, e.txList) {
 		e.resolveSharded()
 	} else {
 		e.recv.Resolve(t, e.txList, e.recvOut)
 	}
-	t32 := int32(t)
 	for u, v := range e.recvOut {
 		if e.transmit[u] != 0 || (e.down != nil && e.down[u]) {
 			continue
 		}
 		switch {
 		case v >= 0:
-			e.rx[u] = RxSlot{Stamp: t32, Count: 1, From: v}
+			e.rx[u] = Heard(v)
 			e.touched = append(e.touched, int32(u))
 		case v == Blocked:
-			e.rx[u] = RxSlot{Stamp: t32, Count: 2}
+			e.rx[u] = RxCollision
 			e.touched = append(e.touched, int32(u))
 		}
 	}
@@ -644,11 +686,12 @@ func (e *Engine) resolveModel(t int) {
 
 // ensureShards lazily grows the per-worker scatter shards to the given count.
 func (e *Engine) ensureShards(workers int) {
-	n := len(e.procs)
+	n := e.n
 	for len(e.shards) < workers {
 		e.shards = append(e.shards, &scatterShard{
 			rx:     make([]RxSlot, n),
 			incBuf: make([]bool, e.maxUDeg),
+			rows:   make([]rowBounds, scatterBlock),
 		})
 	}
 }
@@ -657,7 +700,7 @@ func (e *Engine) ensureShards(workers int) {
 // through the bank: one full-range call at one worker, otherwise one
 // contiguous range per worker on the persistent pool.
 func (e *Engine) rangePhase(tx bool) {
-	n := len(e.procs)
+	n := e.n
 	workers := min(e.wrk, n)
 	if workers <= 1 {
 		if tx {

@@ -45,7 +45,7 @@ type ShardedReceptionModel interface {
 // recvOut, so no merge is needed; determinism follows from ResolveRange's
 // partition-independence contract.
 func (e *Engine) resolveSharded() {
-	n := len(e.procs)
+	n := e.n
 	workers := min(e.wrk, n)
 	e.resolveChunk = (n + workers - 1) / workers
 	active := (n + e.resolveChunk - 1) / e.resolveChunk
@@ -64,7 +64,7 @@ func (e *Engine) SetDown(u int, down bool) {
 		if !down {
 			return
 		}
-		e.down = make([]bool, len(e.procs))
+		e.down = make([]bool, e.n)
 	}
 	e.down[u] = down
 	if down {
@@ -91,7 +91,7 @@ func (e *Engine) ReplaceProc(u int, p Process) {
 		panic("sim: ReplaceProc is not supported with Config.Bank")
 	}
 	if e.incarn == nil {
-		e.incarn = make([]uint32, len(e.procs))
+		e.incarn = make([]uint32, e.n)
 	}
 	e.incarn[u]++
 	e.procs[u] = p
@@ -124,7 +124,7 @@ func (e *Engine) RefreshTopology() {
 	e.uCSR = e.dual.UnreliableCSR()
 	e.delta, e.deltaP = e.dual.Delta(), e.dual.DeltaPrime()
 	e.maxUDeg = 0
-	for u := range e.procs {
+	for u := range e.n {
 		if d := int(e.uCSR.Off[u+1] - e.uCSR.Off[u]); d > e.maxUDeg {
 			e.maxUDeg = d
 		}

@@ -18,8 +18,9 @@ type LBNetwork struct {
 
 // NewLBNetwork builds every LBAlg deployment whose nodes never restart
 // (ReplaceProc refuses banks): a core.NodeStateBank over one PhasePlan of
-// p, stepped through sim.Config.Bank. cfg carries the dual graph, physical
-// layer, seed, driver and trace; NewLBNetwork sets Procs, Bank and Env.
+// p, stepped through sim.Config.Bank, which initialises its own rows. cfg
+// carries the dual graph, physical layer, seed, driver and trace;
+// NewLBNetwork sets Bank and Env, and clears Procs.
 // env, when non-nil, builds the environment over the nodes' services and
 // its error is returned. A monitored run records the bank's hear, recv,
 // ack and bcast events and wraps the environment in an lbspec.Monitor on
@@ -30,9 +31,9 @@ func NewLBNetwork(cfg sim.Config, p core.Params, env func([]core.Service) (sim.E
 	}
 	net := &LBNetwork{Bank: core.NewNodeStateBank(core.NewPhasePlan(p), cfg.Dual.N())}
 	net.Bank.SetRecordEvents(monitored)
-	cfg.Procs, cfg.Bank, cfg.Env = net.Bank.Procs(), net.Bank, nil
+	cfg.Procs, cfg.Bank, cfg.Env = nil, net.Bank, nil
 	if env != nil {
-		svcs := make([]core.Service, len(cfg.Procs))
+		svcs := make([]core.Service, net.Bank.Len())
 		for u := range svcs {
 			svcs[u] = net.Bank.Node(u)
 		}

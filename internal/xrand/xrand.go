@@ -39,6 +39,12 @@ func New(seed uint64) *Source {
 // derivation does not advance the parent stream. This is how per-node
 // streams are produced from a single experiment seed.
 func (r *Source) Split(id uint64) *Source {
+	src := r.split(id)
+	return &src
+}
+
+// split is Split by value.
+func (r *Source) split(id uint64) Source {
 	// Mix the parent state with the id through SplitMix64 so that
 	// (parent, id) pairs map to well-separated seeds.
 	sm := r.s[0] ^ bits.RotateLeft64(r.s[2], 17) ^ (id * 0xd1342543de82ef95)
@@ -49,7 +55,7 @@ func (r *Source) Split(id uint64) *Source {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
+	return src
 }
 
 // Uint64 returns the next 64 random bits (xoshiro256**).
@@ -119,5 +125,12 @@ func (r *Source) Bits(k int) uint64 {
 // seed and node index. All simulator components use this single derivation
 // so that a configuration plus a seed fully determines an execution.
 func NodeSource(seed uint64, node int) *Source {
-	return New(seed).Split(0x4e4f4445 ^ uint64(node)*0x9e3779b97f4a7c15 + uint64(node))
+	src := New(seed).NodeStream(node)
+	return &src
+}
+
+// NodeStream returns, by value, the stream NodeSource(seed, node) returns
+// when r is New(seed); r does not advance, so one root serves every node.
+func (r *Source) NodeStream(node int) Source {
+	return r.split(0x4e4f4445 ^ uint64(node)*0x9e3779b97f4a7c15 + uint64(node))
 }

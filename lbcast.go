@@ -72,6 +72,11 @@ type Schedule struct {
 	TProg, TAck int
 	// PhaseRounds is the full phase length (seed agreement + body).
 	PhaseRounds int
+	// PreambleRounds is T_s, the seed-agreement preamble that opens a
+	// phase: its first PreambleRounds rounds. Under
+	// WithSeedAgreementEvery(k) only phases 1, k+1, 2k+1, … open with one;
+	// the others are body rounds throughout.
+	PreambleRounds int
 }
 
 // Scheduler selects the unreliable-link adversary for a network. A
@@ -272,7 +277,9 @@ func assemble(d *dualgraph.Dual, o options) (*Network, error) {
 			nw.onAck(node, m.ID)
 		}
 	})
-	engine, err := sim.New(sim.Config{Dual: d, Procs: nw.bank.Procs(), Bank: nw.bank,
+	// The bank initialises its own rows (sim.BankInit), so no per-node
+	// handle slice is built.
+	engine, err := sim.New(sim.Config{Dual: d, Bank: nw.bank,
 		Sched: o.scheduler.impl, Seed: o.seed, Driver: driver})
 	if err != nil {
 		return nil, err
@@ -293,12 +300,13 @@ func (nw *Network) Size() int { return nw.dual.N() }
 // Schedule returns the derived timing bounds.
 func (nw *Network) Schedule() Schedule {
 	return Schedule{
-		Epsilon:     nw.params.Eps1,
-		Delta:       nw.params.Delta,
-		DeltaPrime:  nw.params.DeltaPrime,
-		TProg:       nw.params.TProgBound(),
-		TAck:        nw.params.TAckBound(),
-		PhaseRounds: nw.params.PhaseLen(),
+		Epsilon:        nw.params.Eps1,
+		Delta:          nw.params.Delta,
+		DeltaPrime:     nw.params.DeltaPrime,
+		TProg:          nw.params.TProgBound(),
+		TAck:           nw.params.TAckBound(),
+		PhaseRounds:    nw.params.PhaseLen(),
+		PreambleRounds: nw.params.Ts,
 	}
 }
 
