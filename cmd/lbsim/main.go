@@ -20,10 +20,21 @@ import (
 	"lbcast/internal/xrand"
 )
 
+// maxNodes caps -n, so that a typing slip is an error rather than an
+// allocation the machine cannot hold; maxClique caps the clique size of
+// the clique topologies, cluster (n) and twotier (⌈n/3⌉ per clique, with
+// every pair of neighbouring cliques linked too), whose edges grow as its
+// square: a twotier run at -n 3072 -r 3 -phases 1 peaks near 100 MB.
+const (
+	maxNodes        = 1 << 20
+	maxClique       = 1 << 10
+	twoTierClusters = 3
+)
+
 func main() {
 	var (
 		topo      = flag.String("topo", "cluster", "topology: cluster|geometric|twotier|line|grid")
-		n         = flag.Int("n", 16, "node count (side² for grid; clusters×size for twotier)")
+		n         = flag.Int("n", 16, fmt.Sprintf("node count, 1 to %d (side² for grid; %d cliques of ⌈n/%d⌉ for twotier); at most %d per clique on the clique topologies cluster and twotier", maxNodes, twoTierClusters, twoTierClusters, maxClique))
 		r         = flag.Float64("r", 1.5, "geographic parameter r, finite and ≥ 1 (topologies geometric, line and grid; twotier uses max(r, 1.5); cluster ignores it)")
 		eps       = flag.Float64("eps", 0.1, "error bound ε₁ ∈ (0, ½]")
 		schedN    = flag.String("sched", "random", "link scheduler: never|always|random|periodic|antidecay")
@@ -275,6 +286,9 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 	if !(r >= 1) || math.IsInf(r, 1) {
 		return fmt.Errorf("-r %v: want a finite r ≥ 1", r)
 	}
+	if lim := nLimit(topo); n < 1 || n > lim {
+		return fmt.Errorf("-n %d outside [1, %d] for -topo %s", n, lim, topo)
+	}
 	rng := xrand.New(seed)
 	var (
 		d   *dualgraph.Dual
@@ -287,7 +301,7 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 		side := 1 + float64(n)/12
 		d, err = dualgraph.RandomGeometric(n, side, side, r, dualgraph.GreyUnreliable, rng)
 	case "twotier":
-		k := 3
+		k := twoTierClusters
 		d, err = dualgraph.TwoTierClusters(k, (n+k-1)/k, maxf(r, 1.5), rng)
 	case "line":
 		d, err = dualgraph.Line(n, 1, r, rng)
@@ -393,6 +407,17 @@ func run(topo string, n int, r, eps float64, schedName string, schedP float64, p
 		return err
 	}
 	return rep.Err()
+}
+
+// nLimit returns the largest -n the topology accepts.
+func nLimit(topo string) int {
+	switch topo {
+	case "cluster":
+		return maxClique
+	case "twotier":
+		return twoTierClusters * maxClique
+	}
+	return maxNodes
 }
 
 func maxf(a, b float64) float64 {

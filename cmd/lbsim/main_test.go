@@ -162,6 +162,24 @@ func TestRFlagValidatedForEveryTopology(t *testing.T) {
 	}
 }
 
+// TestNFlagValidatedForEveryTopology pins that -n is checked before any
+// topology is built: a count below 1 is an error naming the flag on every
+// topology, and so is one past the topology's limit (the clique size on
+// cluster and twotier), which would otherwise build a network the machine
+// cannot hold.
+func TestNFlagValidatedForEveryTopology(t *testing.T) {
+	for _, topo := range []string{"cluster", "geometric", "twotier", "line", "grid"} {
+		for _, n := range []int{-3, 0, nLimit(topo) + 1} {
+			t.Run(fmt.Sprintf("-topo %s -n %d", topo, n), func(t *testing.T) {
+				err := run(topo, n, 1.5, 0.1, "random", 0.5, 1, 3, 1, "")
+				if err == nil || !strings.Contains(err.Error(), "-n ") {
+					t.Fatalf("run returned %v, want the -n error", err)
+				}
+			})
+		}
+	}
+}
+
 // TestDefaultRunAcks runs the single-configuration report with the flag
 // defaults: -phases 0 must run long enough for the saturated senders'
 // broadcasts to ack, so the report counts completed broadcasts.

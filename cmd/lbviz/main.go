@@ -72,7 +72,7 @@ func run(out io.Writer, n int, w, h, r float64, seed uint64, phases int) error {
 		}
 	}
 	fmt.Fprintf(out, "dual graph: n=%d Δ=%d Δ'=%d unreliable edges=%d r=%v\n",
-		d.N(), d.Delta(), d.DeltaPrime(), len(d.UnreliableEdges()), r)
+		d.N(), d.Delta(), d.DeltaPrime(), d.UnreliableEdgeCount(), r)
 	fmt.Fprintf(out, "each cell is one ½×½ grid region; digit = node count (•=0, *≥10)\n\n")
 	for row := len(grid) - 1; row >= 0; row-- {
 		var b strings.Builder

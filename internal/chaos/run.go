@@ -277,7 +277,9 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 	if sc.Plan != nil && !sc.Plan.Empty() {
 		var fade *churn.FadeScheduler
 		if len(sc.Plan.Fades) > 0 {
-			fade = churn.NewFadeScheduler(linkSched, d, sc.Plan.Fades)
+			if fade, err = churn.NewFadeScheduler(linkSched, d, sc.Plan.Fades); err != nil {
+				return nil, err
+			}
 			linkSched = fade
 		}
 		inj, err = churn.NewInjector(churn.InjectorConfig{

@@ -38,7 +38,10 @@ func BenchmarkChurnRound(b *testing.B) {
 	for u := range procs {
 		procs[u] = &relayProc{base: 0.08}
 	}
-	fade := NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	fade, err := NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	if err != nil {
+		b.Fatal(err)
+	}
 	inj, err := NewInjector(InjectorConfig{
 		Plan: plan, Dual: d, Index: geo.BuildGridIndex(d.Emb),
 		Policy: dualgraph.GreyUnreliable,

@@ -129,6 +129,8 @@ func TestPlanValidateRejects(t *testing.T) {
 // pairs are unreliable: during the epoch every unreliable edge touching a
 // faded region is excluded under all four query paths, and outside the
 // epoch the wrapper is transparent — bit-identical to the base scheduler.
+// After a leave and a join renumber the edges, Rebind's mask follows the
+// same definition on the patched dual.
 func TestFadeSchedulerMasks(t *testing.T) {
 	// Line spacing 0.8, r = 1.7: adjacent pairs (0.8) reliable, skip-one
 	// pairs (1.6) unreliable grey-zone links.
@@ -136,34 +138,39 @@ func TestFadeSchedulerMasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := d.UnreliableEdges()
-	if len(edges) == 0 {
-		t.Fatal("fixture has no unreliable edges")
-	}
 	// Fade the region containing node 3 during rounds [10, 20).
 	faded := geo.RegionOf(d.Emb[3])
 	inner := sched.NewRandom(0.7, 5)
-	f := NewFadeScheduler(inner, d, []Fade{{Start: 10, End: 20, Regions: []geo.RegionID{faded}}})
-
-	touches := func(e dualgraph.Edge) bool {
-		return geo.RegionOf(d.Emb[e.U]) == faded || geo.RegionOf(d.Emb[e.V]) == faded
-	}
-	anyTouches := false
-	for _, e := range edges {
-		anyTouches = anyTouches || touches(e)
-	}
-	if !anyTouches {
-		t.Fatal("no unreliable edge touches the faded region; fixture broken")
+	f, err := NewFadeScheduler(inner, d, []Fade{{Start: 10, End: 20, Regions: []geo.RegionID{faded}}})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	mask := make([]bool, len(edges))
-	ids := make([]int32, len(edges))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	out := make([]bool, len(edges))
-	for round := 1; round <= 30; round++ {
-		f.Advance(round)
+	// check compares every query path with the definition at round t: an
+	// unreliable edge, taken from G′ ∖ G in (U, V) order (its index order),
+	// is faded iff an endpoint lies in the faded region.
+	check := func(round int) {
+		t.Helper()
+		var edges []dualgraph.Edge
+		anyTouches := false
+		touches := func(e dualgraph.Edge) bool {
+			return geo.RegionOf(d.Emb[e.U]) == faded || geo.RegionOf(d.Emb[e.V]) == faded
+		}
+		for _, e := range d.Gp.Edges() {
+			if !d.G.HasEdge(int(e.U), int(e.V)) {
+				edges = append(edges, e)
+				anyTouches = anyTouches || touches(e)
+			}
+		}
+		if !anyTouches {
+			t.Fatal("no unreliable edge touches the faded region; fixture broken")
+		}
+		mask := make([]bool, len(edges))
+		ids := make([]int32, len(edges))
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		out := make([]bool, len(edges))
 		inEpoch := round >= 10 && round < 20
 		f.IncludedBatch(round, mask)
 		f.IncludedFor(round, ids, out)
@@ -173,10 +180,10 @@ func TestFadeSchedulerMasks(t *testing.T) {
 				want = false
 			}
 			if got := f.Included(round, i); got != want {
-				t.Fatalf("round %d edge %d: Included=%v want %v", round, i, got, want)
+				t.Fatalf("round %d edge %d %v: Included=%v want %v", round, i, e, got, want)
 			}
 			if mask[i] != want || out[i] != want {
-				t.Fatalf("round %d edge %d: batch=%v sparse=%v want %v", round, i, mask[i], out[i], want)
+				t.Fatalf("round %d edge %d %v: batch=%v sparse=%v want %v", round, i, e, mask[i], out[i], want)
 			}
 		}
 		if v, ok := f.Uniform(round); ok {
@@ -186,5 +193,28 @@ func TestFadeSchedulerMasks(t *testing.T) {
 				}
 			}
 		}
+	}
+	for round := 1; round <= 30; round++ {
+		f.Advance(round)
+		check(round)
+	}
+
+	// Inside the epoch, node 5 leaves, dropping {3,5} and {5,7} and
+	// renumbering {4,6}; it rejoins at x = 2.45, in the faded region, with
+	// an unreliable link to node 1, whose own region is not faded. The
+	// active fade set does not change, so only Rebind refreshes the mask.
+	moved := geo.Point{X: 2.45}
+	f.Advance(15)
+	for _, p := range []*geo.Point{nil, &moved} {
+		if err := d.PatchNode(5, p, nil, dualgraph.GreyUnreliable); err != nil {
+			t.Fatal(err)
+		}
+		f.Rebind()
+		check(15)
+	}
+	f.Advance(25)
+	check(25)
+	if !d.Gp.HasEdge(1, 5) || d.G.HasEdge(1, 5) || geo.RegionOf(d.Emb[5]) != faded {
+		t.Fatal("the rejoined node 5 has no faded unreliable edge to node 1; fixture broken")
 	}
 }

@@ -1,8 +1,11 @@
 package churn
 
 import (
+	"fmt"
+
 	"lbcast/internal/dualgraph"
 	"lbcast/internal/geo"
+	"lbcast/internal/sched"
 	"lbcast/internal/sim"
 )
 
@@ -24,12 +27,10 @@ import (
 // The schedule stays oblivious whenever the base scheduler is: faded
 // rounds and regions are fixed by the plan before the execution starts.
 type FadeScheduler struct {
-	inner  sim.LinkScheduler
-	batch  sim.BatchLinkScheduler  // non-nil when inner supports batch fills
-	sparse sim.SparseLinkScheduler // non-nil when inner supports subset queries
-	aware  sim.TransmitterAware    // non-nil when inner is adaptive
-	dual   *dualgraph.Dual
-	fades  []Fade
+	inner completeScheduler
+	aware sim.TransmitterAware // non-nil when inner is adaptive
+	dual  *dualgraph.Dual
+	fades []Fade
 
 	faded    []bool // per unreliable edge index; valid for the current active set
 	anyFaded bool
@@ -37,16 +38,29 @@ type FadeScheduler struct {
 	scratch  []int
 }
 
-// NewFadeScheduler wraps the base scheduler (nil means sched.Never
-// semantics: no unreliable edge included) with the plan's fade epochs over
-// the given dual graph. The wrapper starts with no active fade; the
-// injector advances it each round.
-func NewFadeScheduler(inner sim.LinkScheduler, d *dualgraph.Dual, fades []Fade) *FadeScheduler {
-	f := &FadeScheduler{inner: inner, dual: d, fades: append([]Fade(nil), fades...)}
-	f.batch, _ = inner.(sim.BatchLinkScheduler)
-	f.sparse, _ = inner.(sim.SparseLinkScheduler)
+// completeScheduler is the base scheduler surface FadeScheduler calls,
+// the one sim.New requires of every link scheduler.
+type completeScheduler interface {
+	sim.BatchLinkScheduler
+	sim.SparseLinkScheduler
+}
+
+// NewFadeScheduler wraps the base scheduler (nil means sched.Never: no
+// unreliable edge included) with the plan's fade epochs over the given
+// dual graph. The base must be complete, as sim.New requires of the
+// wrapper. The wrapper starts with no active fade; the injector advances
+// it each round.
+func NewFadeScheduler(inner sim.LinkScheduler, d *dualgraph.Dual, fades []Fade) (*FadeScheduler, error) {
+	if inner == nil {
+		inner = sched.Never{}
+	}
+	c, ok := inner.(completeScheduler)
+	if !ok {
+		return nil, fmt.Errorf("churn: fade base scheduler %T lacks IncludedBatch, Uniform or IncludedFor", inner)
+	}
+	f := &FadeScheduler{inner: c, dual: d, fades: append([]Fade(nil), fades...)}
 	f.aware, _ = inner.(sim.TransmitterAware)
-	return f
+	return f, nil
 }
 
 // Advance recomputes the active fade set for round t and, if it changed,
@@ -66,24 +80,24 @@ func (f *FadeScheduler) Advance(t int) {
 	f.rebuild()
 }
 
-// Rebind rebuilds the faded mask against the current unreliable edge list.
-// Must be called after every dual-graph patch: PatchNode renumbers the
-// edge indices the mask is keyed by.
+// Rebind rebuilds the faded mask against the current unreliable edge
+// numbering. Must be called after every dual-graph patch: PatchNode
+// renumbers the edge indices the mask is keyed by.
 func (f *FadeScheduler) Rebind() { f.rebuild() }
 
 // rebuild recomputes faded[] for the current active set over the current
-// edge list.
+// unreliable incidence. An edge is faded iff an endpoint's region is, so
+// each node in a faded region marks the edges of its incidence row: one
+// region lookup per node with unreliable edges.
 func (f *FadeScheduler) rebuild() {
-	edges := f.dual.UnreliableEdges()
-	if cap(f.faded) < len(edges) {
-		f.faded = make([]bool, len(edges))
+	m := f.dual.UnreliableEdgeCount()
+	if cap(f.faded) < m {
+		f.faded = make([]bool, m)
 	}
-	f.faded = f.faded[:len(edges)]
+	f.faded = f.faded[:m]
+	clear(f.faded)
 	f.anyFaded = false
 	if len(f.active) == 0 {
-		for i := range f.faded {
-			f.faded[i] = false
-		}
 		return
 	}
 	regions := make(map[geo.RegionID]struct{})
@@ -92,12 +106,18 @@ func (f *FadeScheduler) rebuild() {
 			regions[r] = struct{}{}
 		}
 	}
-	emb := f.dual.Emb
-	for i, e := range edges {
-		_, fu := regions[geo.RegionOf(emb[e.U])]
-		_, fv := regions[geo.RegionOf(emb[e.V])]
-		f.faded[i] = fu || fv
-		f.anyFaded = f.anyFaded || f.faded[i]
+	uc := f.dual.UnreliableCSR()
+	for w := range len(uc.Off) - 1 {
+		a, b := uc.Off[w], uc.Off[w+1]
+		if a == b {
+			continue
+		}
+		if _, ok := regions[geo.RegionOf(f.dual.Emb[w])]; ok {
+			for _, e := range uc.Edges[a:b] {
+				f.faded[e] = true
+			}
+			f.anyFaded = true
+		}
 	}
 }
 
@@ -108,27 +128,12 @@ func (f *FadeScheduler) isFaded(e int) bool {
 
 // Included implements sim.LinkScheduler.
 func (f *FadeScheduler) Included(t, edge int) bool {
-	if f.isFaded(edge) {
-		return false
-	}
-	return f.inner != nil && f.inner.Included(t, edge)
+	return !f.isFaded(edge) && f.inner.Included(t, edge)
 }
 
 // IncludedBatch implements sim.BatchLinkScheduler.
 func (f *FadeScheduler) IncludedBatch(t int, mask []bool) {
-	switch {
-	case f.inner == nil:
-		for i := range mask {
-			mask[i] = false
-		}
-		return
-	case f.batch != nil:
-		f.batch.IncludedBatch(t, mask)
-	default:
-		for i := range mask {
-			mask[i] = f.inner.Included(t, i)
-		}
-	}
+	f.inner.IncludedBatch(t, mask)
 	if f.anyFaded {
 		for i := range mask {
 			if i < len(f.faded) && f.faded[i] {
@@ -141,15 +146,9 @@ func (f *FadeScheduler) IncludedBatch(t int, mask []bool) {
 // Uniform implements sim.SparseLinkScheduler: a round with active fading is
 // edge-dependent unless the base round is all-excluded anyway.
 func (f *FadeScheduler) Uniform(t int) (bool, bool) {
-	if f.inner == nil {
-		return false, true
-	}
-	var v, ok bool
-	if f.sparse != nil {
-		v, ok = f.sparse.Uniform(t)
-	}
+	v, ok := f.inner.Uniform(t)
 	if !f.anyFaded {
-		return v, ok && f.sparse != nil
+		return v, ok
 	}
 	if ok && !v {
 		return false, true
@@ -160,19 +159,7 @@ func (f *FadeScheduler) Uniform(t int) (bool, bool) {
 // IncludedFor implements sim.SparseLinkScheduler. Safe for concurrent calls
 // with distinct out buffers, as the engine's parallel scatter requires.
 func (f *FadeScheduler) IncludedFor(t int, edges []int32, out []bool) {
-	if f.inner == nil {
-		for i := range edges {
-			out[i] = false
-		}
-		return
-	}
-	if f.sparse != nil {
-		f.sparse.IncludedFor(t, edges, out)
-	} else {
-		for i, e := range edges {
-			out[i] = f.inner.Included(t, int(e))
-		}
-	}
+	f.inner.IncludedFor(t, edges, out)
 	if f.anyFaded {
 		for i, e := range edges {
 			if f.isFaded(int(e)) {
@@ -204,7 +191,6 @@ func intsEqual(a, b []int) bool {
 }
 
 var (
-	_ sim.BatchLinkScheduler  = (*FadeScheduler)(nil)
-	_ sim.SparseLinkScheduler = (*FadeScheduler)(nil)
-	_ sim.TransmitterAware    = (*FadeScheduler)(nil)
+	_ completeScheduler    = (*FadeScheduler)(nil)
+	_ sim.TransmitterAware = (*FadeScheduler)(nil)
 )

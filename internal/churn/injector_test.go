@@ -81,7 +81,10 @@ func buildChurn(t *testing.T, plan *Plan, seed uint64, driver sim.Driver, worker
 	if withIndex {
 		idx = geo.BuildGridIndex(d.Emb)
 	}
-	fade := NewFadeScheduler(sched.NewRandom(0.5, 11), d, plan.Fades)
+	fade, err := NewFadeScheduler(sched.NewRandom(0.5, 11), d, plan.Fades)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj, err := NewInjector(InjectorConfig{
 		Plan: plan, Dual: d, Index: idx, Policy: dualgraph.GreyUnreliable,
 		Restart: func(u int) sim.Process {

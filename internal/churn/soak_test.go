@@ -98,7 +98,10 @@ func soakRun(t testing.TB, driver sim.Driver, workers int) soakFingerprint {
 	for u := range procs {
 		procs[u] = &relayProc{base: 0.08}
 	}
-	fade := NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	fade, err := NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj, err := NewInjector(InjectorConfig{
 		Plan: plan, Dual: d, Index: geo.BuildGridIndex(d.Emb),
 		Policy: dualgraph.GreyUnreliable,
@@ -177,7 +180,10 @@ func soakRunMonitored(t testing.TB, driver sim.Driver, workers int) (soakFingerp
 	if err != nil {
 		t.Fatal(err)
 	}
-	fade := NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	fade, err := NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj, err := NewInjector(InjectorConfig{
 		Plan: plan, Dual: d, Index: geo.BuildGridIndex(d.Emb),
 		Policy: dualgraph.GreyUnreliable,

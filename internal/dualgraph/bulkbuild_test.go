@@ -124,8 +124,12 @@ func nonNil(s []int32) []int32 {
 
 // dualHash is an FNV-64a digest of everything a dual exposes to the engine
 // and the schedulers: G's and G′'s adjacency rows, the unreliable edge list
-// in its order, and both CSR forms. Every row and array is prefixed with its
-// length, so a digest pins the boundaries as well as the values.
+// in its order, G's rows laid out as offsets and targets, and the
+// unreliable incidence. Every row and array is prefixed with its length, so
+// a digest pins the boundaries as well as the values. The edge list and
+// G's offsets and targets are derived from the rows, in the bytes and the
+// order of the edge list and reliable CSR copy the dual once kept, so the
+// pinned digests predate their removal.
 func dualHash(d *Dual) uint64 {
 	h := fnv.New64a()
 	var buf [4]byte
@@ -145,12 +149,18 @@ func dualHash(d *Dual) uint64 {
 			row(g.Neighbors(u))
 		}
 	}
-	put(int32(len(d.UnreliableEdges())))
-	for _, e := range d.UnreliableEdges() {
+	ue := unreliableEdges(d)
+	put(int32(len(ue)))
+	for _, e := range ue {
 		put(e.U, e.V)
 	}
-	gc, uc := d.ReliableCSR(), d.UnreliableCSR()
-	for _, s := range [][]int32{gc.Off, gc.Targets, uc.Off, uc.Peers, uc.Edges} {
+	gOff, gTgt := make([]int32, 1, d.N()+1), []int32{}
+	for u := range d.N() {
+		gTgt = append(gTgt, d.G.Neighbors(u)...)
+		gOff = append(gOff, int32(len(gTgt)))
+	}
+	uc := d.UnreliableCSR()
+	for _, s := range [][]int32{gOff, gTgt, uc.Off, uc.Peers, uc.Edges} {
 		row(s)
 	}
 	return h.Sum64()

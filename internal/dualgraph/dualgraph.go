@@ -254,9 +254,6 @@ type Dual struct {
 	// R is the r parameter of the r-geographic property, ≥ 1.
 	R float64
 
-	unreliable []Edge // E′ \ E, ordered
-
-	gCSR CSR
 	uCSR UnreliableCSR
 
 	// present[v] is false for vertices detached by PatchNode (crashed-and-
@@ -272,19 +269,12 @@ type Dual struct {
 	uNew []int32
 }
 
-// CSR is a flattened adjacency in compressed-sparse-row form: the neighbors
-// of node u are Targets[Off[u]:Off[u+1]], sorted ascending. The round
-// engine's transmitter-scatter kernel walks it as contiguous memory instead
-// of chasing per-node slice headers.
-type CSR struct {
-	Off     []int32
-	Targets []int32
-}
-
-// UnreliableCSR is the flattened unreliable incidence: for node u, the
-// incident unreliable edges have peers Peers[Off[u]:Off[u+1]] and edge
-// indices (into Dual.UnreliableEdges) Edges[Off[u]:Off[u+1]], in increasing
-// edge-index order.
+// UnreliableCSR is the flattened unreliable incidence E′ ∖ E: for node u,
+// the incident unreliable edges have peers Peers[Off[u]:Off[u+1]],
+// ascending, and edge indices Edges[Off[u]:Off[u+1]], in increasing
+// edge-index order. The edges are numbered 0, 1, … in (U, V) order, so an
+// edge's index is that of its forward arc, the one in the row of its lower
+// endpoint. These indices are the edge identifiers of the link schedule.
 type UnreliableCSR struct {
 	Off   []int32
 	Peers []int32
@@ -408,60 +398,40 @@ func (d *Dual) index() {
 }
 
 // flatten completes a dual whose unreliable rows are in d.uCSR (Off and
-// Peers): number assigns them the canonical edge list and the incidence's
-// edge indices, and flattenReliable copies G's rows into the reliable CSR.
-// These are the structures the round engine consults when applying a link
-// schedule and scattering transmissions. PatchNode keeps them current with
-// the same two passes, rewriting the backing arrays in place whenever
-// capacity allows, so callers that copy the CSR slice headers (the round
+// Peers): number assigns the incidence's edge indices. The round engine
+// consults the incidence when it applies a link schedule and scatters
+// transmissions, and G's own rows for the reliable arcs. PatchNode keeps
+// both current in place, rewriting the incidence's backing arrays whenever
+// capacity allows, so callers that copy its slice headers (the round
 // engine does, at construction) must re-read them after any patch.
 func (d *Dual) flatten() {
-	n := d.G.N()
 	d.uCSR.Edges = make([]int32, len(d.uCSR.Peers))
-	d.unreliable = make([]Edge, 0, len(d.uCSR.Peers)/2)
-	d.number(make([]int32, n))
-	d.gCSR.Off = make([]int32, n+1)
-	d.gCSR.Targets = make([]int32, 0, 2*d.G.EdgeCount())
-	d.flattenReliable()
+	d.number(make([]int32, d.G.N()))
 }
 
 // number numbers the unreliable rows in one pass in node order. A forward
-// peer p > w of row w takes the next canonical index and appends (w, p) to
-// the edge list; a backward peer p < w takes next[p]++, where next[p] was
-// set to the list's length when row p was reached. So the edges are
-// numbered in (U, V) order and every row's indices ascend. Rows ascend, so
-// each splits into its backward and its forward peers, and the pass walks
-// the two runs without a branch per arc. next is scratch of one entry per
-// vertex.
+// peer p > w of row w takes the next canonical index from a counter; a
+// backward peer p < w takes next[p]++, where next[p] was set to the
+// counter when row p was reached. So the edges are numbered in (U, V)
+// order and every row's indices ascend. Rows ascend, so each splits into
+// its backward and its forward peers, and the pass walks the two runs
+// without a branch per arc. next is scratch of one entry per vertex.
 func (d *Dual) number(next []int32) {
 	uc := d.uCSR
-	list := d.unreliable[:0]
+	k := int32(0)
 	for w := range len(uc.Off) - 1 {
 		i, end := uc.Off[w], uc.Off[w+1]
-		next[w] = int32(len(list))
+		next[w] = k
 		for ; i < end && uc.Peers[i] < int32(w); i++ {
 			p := uc.Peers[i]
 			uc.Edges[i] = next[p]
 			next[p]++
 		}
 		for ; i < end; i++ {
-			uc.Edges[i] = int32(len(list))
-			list = append(list, Edge{U: int32(w), V: uc.Peers[i]})
+			uc.Edges[i] = k
+			k++
 		}
 	}
-	d.unreliable = list
-}
-
-// flattenReliable copies G's rows into the reliable CSR, reusing its
-// capacity. The CSR stays a copy because PatchNode edits G's rows in place.
-func (d *Dual) flattenReliable() {
-	t := d.gCSR.Targets[:0]
-	for u, row := range d.G.adj {
-		d.gCSR.Off[u] = int32(len(t))
-		t = append(t, row...)
-	}
-	d.gCSR.Off[len(d.G.adj)] = int32(len(t))
-	d.gCSR.Targets = t
 }
 
 // N returns the number of vertices.
@@ -473,14 +443,9 @@ func (d *Dual) Delta() int { return d.G.MaxDegreePlusOne() }
 // DeltaPrime returns Δ′: the maximum over u of |N_G′(u) ∪ {u}|.
 func (d *Dual) DeltaPrime() int { return d.Gp.MaxDegreePlusOne() }
 
-// UnreliableEdges returns E′ \ E in a fixed order. The round engine and the
-// link schedulers use indices into this slice as the edge identifiers of the
-// link schedule. The returned slice must not be modified.
-func (d *Dual) UnreliableEdges() []Edge { return d.unreliable }
-
-// ReliableCSR returns the flattened G adjacency. The returned slices must
-// not be modified.
-func (d *Dual) ReliableCSR() CSR { return d.gCSR }
+// UnreliableEdgeCount returns |E′ ∖ E|, the number of edge indices the
+// link schedule answers for.
+func (d *Dual) UnreliableEdgeCount() int { return len(d.uCSR.Peers) / 2 }
 
 // UnreliableCSR returns the flattened unreliable incidence. The returned
 // slices must not be modified.

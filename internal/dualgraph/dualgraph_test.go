@@ -1,6 +1,7 @@
 package dualgraph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -162,9 +163,9 @@ func TestUnreliableIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ue := d.UnreliableEdges()
+	ue := unreliableEdges(d)
 	if len(ue) != 2 {
-		t.Fatalf("UnreliableEdges = %v, want 2 edges", ue)
+		t.Fatalf("unreliable edges = %v, want 2 edges", ue)
 	}
 	for _, e := range ue {
 		if d.G.HasEdge(int(e.U), int(e.V)) {
@@ -205,8 +206,8 @@ func TestRandomGeometricInvariants(t *testing.T) {
 			t.Fatalf("policy %d: N = %d", policy, d.N())
 		}
 		if policy == GreyNone || policy == GreyReliable {
-			if len(d.UnreliableEdges()) != 0 {
-				t.Errorf("policy %d: expected no unreliable edges, got %d", policy, len(d.UnreliableEdges()))
+			if got := d.UnreliableEdgeCount(); got != 0 {
+				t.Errorf("policy %d: expected no unreliable edges, got %d", policy, got)
 			}
 		}
 		// Δ ≤ Δ′ always.
@@ -243,8 +244,8 @@ func TestSingleHopCluster(t *testing.T) {
 	if d.Delta() != 20 {
 		t.Errorf("Δ = %d, want 20 (clique)", d.Delta())
 	}
-	if len(d.UnreliableEdges()) != 0 {
-		t.Errorf("single-hop cluster with r=1 has %d unreliable edges", len(d.UnreliableEdges()))
+	if got := d.UnreliableEdgeCount(); got != 0 {
+		t.Errorf("single-hop cluster with r=1 has %d unreliable edges", got)
 	}
 }
 
@@ -262,7 +263,7 @@ func TestTwoTierClusters(t *testing.T) {
 		t.Errorf("Δ = %d, want ≥ 6", d.Delta())
 	}
 	// There must be unreliable inter-cluster edges and no reliable ones.
-	if len(d.UnreliableEdges()) == 0 {
+	if d.UnreliableEdgeCount() == 0 {
 		t.Error("no unreliable inter-cluster edges")
 	}
 	for _, e := range d.G.Edges() {
@@ -270,7 +271,7 @@ func TestTwoTierClusters(t *testing.T) {
 			t.Errorf("reliable edge %v crosses clusters", e)
 		}
 	}
-	for _, e := range d.UnreliableEdges() {
+	for _, e := range unreliableEdges(d) {
 		if int(e.U)/6 == int(e.V)/6 {
 			t.Errorf("unreliable edge %v inside a cluster", e)
 		}
@@ -318,7 +319,7 @@ func TestGridLattice(t *testing.T) {
 		t.Error("lattice G disconnected at spacing 1")
 	}
 	// Diagonal pairs at distance √2 ∈ (1, 1.5] must be unreliable.
-	if len(d.UnreliableEdges()) == 0 {
+	if d.UnreliableEdgeCount() == 0 {
 		t.Error("lattice has no unreliable diagonals")
 	}
 }
@@ -347,7 +348,7 @@ func TestStarWithDecoys(t *testing.T) {
 	if !d.G.HasEdge(0, 1) {
 		t.Error("receiver–sender reliable edge missing")
 	}
-	if got := len(d.UnreliableEdges()); got != 5 {
+	if got := d.UnreliableEdgeCount(); got != 5 {
 		t.Errorf("unreliable edges = %d, want 5", got)
 	}
 	for i := 2; i < 7; i++ {
@@ -420,28 +421,19 @@ func BenchmarkRandomGeometric(b *testing.B) {
 	}
 }
 
-// TestCSRConsistency checks that the flattened CSR forms agree exactly with
-// the slice-of-slices adjacency and incidence they mirror.
+// TestCSRConsistency checks that the unreliable incidence agrees exactly
+// with G′ ∖ G: every row lists its node's unreliable peers, and the edges
+// are numbered in (U, V) order, each row's indices ascending.
 func TestCSRConsistency(t *testing.T) {
 	rng := xrand.New(9)
 	d, err := RandomGeometric(300, 8, 8, 1.8, GreyUnreliable, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := d.ReliableCSR()
-	if len(g.Off) != d.N()+1 {
-		t.Fatalf("reliable CSR has %d offsets for %d vertices", len(g.Off), d.N())
-	}
-	for u := 0; u < d.N(); u++ {
-		nbrs := d.G.Neighbors(u)
-		flat := g.Targets[g.Off[u]:g.Off[u+1]]
-		if len(flat) != len(nbrs) {
-			t.Fatalf("node %d: CSR degree %d, adjacency %d", u, len(flat), len(nbrs))
-		}
-		for i, v := range nbrs {
-			if flat[i] != v {
-				t.Fatalf("node %d: CSR target %d = %d, want %d", u, i, flat[i], v)
-			}
+	var want []Edge
+	for _, e := range d.Gp.Edges() {
+		if !d.G.HasEdge(int(e.U), int(e.V)) {
+			want = append(want, e)
 		}
 	}
 	uc := d.UnreliableCSR()
@@ -449,23 +441,27 @@ func TestCSRConsistency(t *testing.T) {
 		t.Fatalf("unreliable CSR shape: %d offsets, %d peers, %d edges",
 			len(uc.Off), len(uc.Peers), len(uc.Edges))
 	}
-	if len(uc.Peers) != 2*len(d.UnreliableEdges()) {
-		t.Fatalf("unreliable CSR has %d arcs for %d edges", len(uc.Peers), len(d.UnreliableEdges()))
+	if len(uc.Peers) != 2*len(want) || d.UnreliableEdgeCount() != len(want) {
+		t.Fatalf("unreliable CSR has %d arcs and counts %d edges for %d edges of G′ ∖ G",
+			len(uc.Peers), d.UnreliableEdgeCount(), len(want))
+	}
+	if ue := unreliableEdges(d); !slices.Equal(ue, want) {
+		t.Fatalf("forward arcs by edge index %v, want G′ ∖ G in (U, V) order %v", ue, want)
 	}
 	for u := 0; u < d.N(); u++ {
 		for i := uc.Off[u]; i < uc.Off[u+1]; i++ {
 			if i > uc.Off[u] && uc.Edges[i] <= uc.Edges[i-1] {
 				t.Fatalf("node %d: CSR edge indices %d, %d not increasing", u, uc.Edges[i-1], uc.Edges[i])
 			}
-			e := d.UnreliableEdges()[uc.Edges[i]]
-			want := e.V
+			e := want[uc.Edges[i]]
+			peer := e.V
 			if e.V == int32(u) {
-				want = e.U
+				peer = e.U
 			} else if e.U != int32(u) {
 				t.Fatalf("node %d: arc edge %v does not touch it", u, e)
 			}
-			if uc.Peers[i] != want {
-				t.Fatalf("node %d arc %d: peer %d, want %d (edge %v)", u, i, uc.Peers[i], want, e)
+			if uc.Peers[i] != peer {
+				t.Fatalf("node %d arc %d: peer %d, want %d (edge %v)", u, i, uc.Peers[i], peer, e)
 			}
 		}
 	}
@@ -478,12 +474,27 @@ func TestCSREmptyAndSingleton(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, uc := d.ReliableCSR(), d.UnreliableCSR()
-		if len(g.Off) != n+1 || len(uc.Off) != n+1 {
-			t.Errorf("n=%d: offsets %d/%d", n, len(g.Off), len(uc.Off))
+		uc := d.UnreliableCSR()
+		if len(uc.Off) != n+1 {
+			t.Errorf("n=%d: %d offsets", n, len(uc.Off))
 		}
-		if len(g.Targets) != 0 || len(uc.Peers) != 0 {
-			t.Errorf("n=%d: nonempty targets", n)
+		if len(uc.Peers) != 0 || d.UnreliableEdgeCount() != 0 {
+			t.Errorf("n=%d: nonempty incidence", n)
 		}
 	}
+}
+
+// unreliableEdges lists E′ ∖ E by edge index, read off the incidence: an
+// edge is its forward arc, row w with peer p > w, at index Edges[i].
+func unreliableEdges(d *Dual) []Edge {
+	uc := d.UnreliableCSR()
+	out := make([]Edge, d.UnreliableEdgeCount())
+	for w := range len(uc.Off) - 1 {
+		for i := uc.Off[w]; i < uc.Off[w+1]; i++ {
+			if p := uc.Peers[i]; p > int32(w) {
+				out[uc.Edges[i]] = Edge{U: int32(w), V: p}
+			}
+		}
+	}
+	return out
 }

@@ -10,19 +10,18 @@
 //
 // Cost model: the adjacency-list splices are O(deg) sorted-slice edits.
 // The unreliable incidence is then spliced in place (spliceOut, spliceIn)
-// with one block move per row the patch touches, so O(deg) copy calls;
+// with one block move per row the patch touches, so O(deg) copy calls, and
 // number, the pass construction numbers the incidence with, renumbers the
-// edges, and flattenReliable re-copies G's rows into the reliable CSR.
-// These are sequential int32 passes — no geometry, no per-edge search, no
-// allocation in the steady state — which is what separates a patch by well
-// over an order of magnitude from a full rebuild (geometric pair scan +
-// graph construction + numbering); BenchmarkIndexPatch measures the patch
-// and TestIndexPatchSpeedup enforces the 10× floor. Unreliable edge indices
-// stay in the same canonical (U, V)-lexicographic order, so after a patch
-// they remain valid scheduler identifiers — but indices of surviving edges
-// may shift, so stateful consumers (engine inclusion masks, adaptive
-// schedulers, fade masks) must re-sync; sim.Engine.RefreshTopology and
-// sched.Adaptive.Rebind are those hooks.
+// edges. These are sequential int32 passes — no geometry, no per-edge
+// search, no allocation in the steady state — which is what separates a
+// patch by well over an order of magnitude from a full rebuild (geometric
+// pair scan + graph construction + numbering); BenchmarkIndexPatch measures
+// the patch and TestIndexPatchSpeedup enforces the 10× floor. Unreliable
+// edge indices stay in the same canonical (U, V)-lexicographic order, so
+// after a patch they remain valid scheduler identifiers — but indices of
+// surviving edges may shift, so stateful consumers (engine inclusion
+// masks, adaptive schedulers, fade masks) must re-sync;
+// sim.Engine.RefreshTopology and sched.Adaptive.Rebind are those hooks.
 
 package dualgraph
 
@@ -53,9 +52,10 @@ func (d *Dual) Present(v int) bool { return d.present == nil || d.present[v] }
 // neighbor discovery to the radius-r stencil. With idx == nil attach falls
 // back to a linear scan over all present vertices.
 //
-// Either way the unreliable incidence is spliced in place and renumbered,
-// and the reliable CSR re-copied. Consumers holding flattened views must
-// re-sync afterwards: both passes rewrite the CSR backing arrays in place.
+// Either way G's and G′'s rows are edited in place, and the unreliable
+// incidence is spliced in place and renumbered. Consumers holding the
+// incidence's slice headers must re-sync afterwards: the splices rewrite
+// its backing arrays in place and may reallocate them.
 func (d *Dual) PatchNode(v int, p *geo.Point, idx *geo.GridIndex, policy GreyPolicy) error {
 	if v < 0 || v >= d.G.N() {
 		return fmt.Errorf("dualgraph: PatchNode vertex %d out of range [0,%d)", v, d.G.N())
@@ -123,12 +123,11 @@ func (d *Dual) PatchNode(v int, p *geo.Point, idx *geo.GridIndex, policy GreyPol
 		d.spliceIn(v, d.uNew)
 		d.number(d.nextScratch())
 	}
-	d.flattenReliable()
 	return nil
 }
 
 // detachNode splices v's adjacency out of both graphs and v's unreliable
-// rows out of the incidence, and re-derives the flattened forms.
+// rows out of the incidence, and renumbers the incidence.
 func (d *Dual) detachNode(v int) {
 	if d.present == nil {
 		d.present = make([]bool, d.G.N())
@@ -148,7 +147,6 @@ func (d *Dual) detachNode(v int) {
 		d.spliceOut(v, d.uNew)
 		d.number(d.nextScratch())
 	}
-	d.flattenReliable()
 }
 
 // spliceOut drops vertex v from the unreliable rows in place: v's own row,

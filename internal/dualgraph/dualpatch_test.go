@@ -38,8 +38,8 @@ func oracleDual(emb []geo.Point, present []bool, r float64) *Dual {
 }
 
 // checkDualEquiv compares a patched dual structurally against the oracle
-// rebuild: adjacency lists, the canonical unreliable edge list, and both
-// flattened CSR forms must be identical, and Validate must accept the
+// rebuild: adjacency lists, the canonical unreliable edge list, and the
+// unreliable incidence must be identical, and Validate must accept the
 // patched dual.
 func checkDualEquiv(t *testing.T, d *Dual, present []bool) {
 	t.Helper()
@@ -58,12 +58,8 @@ func checkDualEquiv(t *testing.T, d *Dual, present []bool) {
 			t.Fatalf("Present(%d) = %v, want %v", u, d.Present(u), present[u])
 		}
 	}
-	if !slices.Equal(d.UnreliableEdges(), want.UnreliableEdges()) {
-		t.Fatalf("unreliable edges diverge:\n got %v\nwant %v", d.UnreliableEdges(), want.UnreliableEdges())
-	}
-	gc, wgc := d.ReliableCSR(), want.ReliableCSR()
-	if !slices.Equal(gc.Off, wgc.Off) || !slices.Equal(gc.Targets, wgc.Targets) {
-		t.Fatalf("reliable CSR diverges from rebuild")
+	if got, w := unreliableEdges(d), unreliableEdges(want); !slices.Equal(got, w) {
+		t.Fatalf("unreliable edges diverge:\n got %v\nwant %v", got, w)
 	}
 	uc, wuc := d.UnreliableCSR(), want.UnreliableCSR()
 	if !slices.Equal(uc.Off, wuc.Off) || !slices.Equal(uc.Peers, wuc.Peers) || !slices.Equal(uc.Edges, wuc.Edges) {
@@ -150,8 +146,8 @@ func TestPatchNodeRandomChurn(t *testing.T) {
 }
 
 // TestPatchNodeRoundTrip pins that detaching a vertex and re-attaching it at
-// its original position restores the exact original structure, including the
-// flattened CSR contents and unreliable edge numbering.
+// its original position restores the exact original structure: G's rows
+// and the unreliable edge numbering.
 func TestPatchNodeRoundTrip(t *testing.T) {
 	rng := xrand.New(5)
 	d, err := RandomGeometric(80, 3, 3, 1.5, GreyUnreliable, rng)
@@ -159,10 +155,11 @@ func TestPatchNodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := geo.BuildGridIndex(d.Emb)
-	wantG := d.ReliableCSR()
-	wantGOff := append([]int32(nil), wantG.Off...)
-	wantGTargets := append([]int32(nil), wantG.Targets...)
-	wantU := append([]Edge(nil), d.UnreliableEdges()...)
+	wantG := make([][]int32, d.N())
+	for u := range wantG {
+		wantG[u] = slices.Clone(d.G.Neighbors(u))
+	}
+	wantU := unreliableEdges(d)
 
 	for v := 0; v < 80; v += 7 {
 		p := d.Emb[v]
@@ -173,11 +170,12 @@ func TestPatchNodeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gc := d.ReliableCSR()
-	if !slices.Equal(gc.Off, wantGOff) || !slices.Equal(gc.Targets, wantGTargets) {
-		t.Fatalf("round-trip patching changed the reliable CSR")
+	for u, row := range wantG {
+		if !slices.Equal(d.G.Neighbors(u), row) {
+			t.Fatalf("round-trip patching changed G's row %d: %v, want %v", u, d.G.Neighbors(u), row)
+		}
 	}
-	if !slices.Equal(d.UnreliableEdges(), wantU) {
+	if !slices.Equal(unreliableEdges(d), wantU) {
 		t.Fatalf("round-trip patching changed the unreliable edge list")
 	}
 }

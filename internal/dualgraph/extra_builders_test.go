@@ -24,7 +24,7 @@ func TestRandomClusterTree(t *testing.T) {
 	// The inter-cluster (unreliable) topology must form a connected tree
 	// over clusters: exactly clusters-1 distinct cluster pairs.
 	pairs := map[[2]int]bool{}
-	for _, e := range d.UnreliableEdges() {
+	for _, e := range unreliableEdges(d) {
 		cu, cv := int(e.U)/4, int(e.V)/4
 		if cu == cv {
 			t.Errorf("unreliable edge %v inside a cluster", e)

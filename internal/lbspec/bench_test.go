@@ -61,7 +61,10 @@ func monitoredBenchEngine(b *testing.B, monitored bool) *sim.Engine {
 		}
 		inner = mon
 	}
-	fade := churn.NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	fade, err := churn.NewFadeScheduler(sched.NewRandom(0.5, 3), d, plan.Fades)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := churn.InjectorConfig{
 		Plan: plan, Dual: d, Index: geo.BuildGridIndex(d.Emb),
 		Policy: dualgraph.GreyUnreliable,

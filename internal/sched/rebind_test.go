@@ -39,7 +39,7 @@ func TestAdaptiveRebindAfterPatch(t *testing.T) {
 	if err := d.PatchNode(2, nil, nil, dualgraph.GreyUnreliable); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.UnreliableEdges()); got != 1 {
+	if got := d.UnreliableEdgeCount(); got != 1 {
 		t.Fatalf("patched dual has %d unreliable edges, want 1", got)
 	}
 
@@ -68,7 +68,7 @@ func TestAdaptiveRebindAfterPatch(t *testing.T) {
 	for round := 4; round < 8; round++ {
 		a.ObserveTransmitters(round, tx)
 		fresh.ObserveTransmitters(round, tx)
-		for e := 0; e < len(d.UnreliableEdges()); e++ {
+		for e := 0; e < d.UnreliableEdgeCount(); e++ {
 			if a.Included(round, e) != fresh.Included(round, e) {
 				t.Fatalf("round %d edge %d: rebound %v, fresh %v",
 					round, e, a.Included(round, e), fresh.Included(round, e))

@@ -179,11 +179,15 @@ func TestAdaptiveCollidesSoleReliableTransmitter(t *testing.T) {
 	a.ObserveTransmitters(1, tx)
 	included := 0
 	var chosenPeer int32 = -1
-	for i := range d.UnreliableEdges() {
+	for i := range d.UnreliableEdgeCount() {
 		if a.Included(1, i) {
 			included++
-			e := d.UnreliableEdges()[i]
-			chosenPeer = e.U + e.V // one endpoint is 0
+		}
+	}
+	uc := d.UnreliableCSR()
+	for k := uc.Off[0]; k < uc.Off[1]; k++ {
+		if a.Included(1, int(uc.Edges[k])) {
+			chosenPeer = uc.Peers[k]
 		}
 	}
 	if included != 1 {
@@ -215,7 +219,7 @@ func TestAdaptiveSilentWhenNoDeliveryThreat(t *testing.T) {
 			tx := make([]uint8, d.N())
 			tc.tx(tx)
 			a.ObserveTransmitters(2, tx)
-			for i := range d.UnreliableEdges() {
+			for i := range d.UnreliableEdgeCount() {
 				if a.Included(2, i) {
 					t.Fatalf("adversary included edge %d with no delivery to block", i)
 				}
@@ -235,7 +239,7 @@ func TestAdaptiveNoTransmittingDecoy(t *testing.T) {
 	tx := make([]uint8, d.N())
 	tx[1] = 1
 	a.ObserveTransmitters(5, tx)
-	for i := range d.UnreliableEdges() {
+	for i := range d.UnreliableEdgeCount() {
 		if a.Included(5, i) {
 			t.Fatal("adversary included an edge with a silent peer")
 		}
@@ -252,7 +256,7 @@ func TestAdaptiveStaleRound(t *testing.T) {
 	tx[1], tx[2] = 1, 1
 	a.ObserveTransmitters(3, tx)
 	// Queries for other rounds must not leak the stale decision.
-	for i := range d.UnreliableEdges() {
+	for i := range d.UnreliableEdgeCount() {
 		if a.Included(4, i) {
 			t.Fatal("adversary answered for a round it did not observe")
 		}
@@ -299,7 +303,7 @@ func TestIncludedBatchMatchesIncluded(t *testing.T) {
 		{"antidecay", AntiDecay{CycleLen: 6, Offset: 2}, nil},
 		{"adaptive", adaptive, func(round int) { adaptive.ObserveTransmitters(round, tx) }},
 	}
-	nEdges := len(d.UnreliableEdges())
+	nEdges := d.UnreliableEdgeCount()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mask := make([]bool, nEdges)
@@ -347,7 +351,7 @@ func TestAdaptiveDeterministicChoice(t *testing.T) {
 		}
 		a.ObserveTransmitters(1, tx)
 		chosen := -1
-		for i := range d.UnreliableEdges() {
+		for i := range d.UnreliableEdgeCount() {
 			if a.Included(1, i) {
 				if chosen != -1 {
 					t.Fatal("more than one edge included")

@@ -99,7 +99,7 @@ func TestDriverTraceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.UnreliableEdges()) == 0 || d.G.EdgeCount() == 0 {
+	if d.UnreliableEdgeCount() == 0 || d.G.EdgeCount() == 0 {
 		t.Fatal("fixture graph is trivial")
 	}
 

@@ -42,7 +42,9 @@ type Config struct {
 	// Incompatible with ReplaceProc (a bank owns all nodes' state; see
 	// lifecycle.go).
 	Bank ProcessBank
-	// Sched may be nil: no unreliable edges are ever included.
+	// Sched may be nil: no unreliable edges are ever included. A non-nil
+	// Sched must be complete: it must also implement BatchLinkScheduler and
+	// SparseLinkScheduler, or New returns an error.
 	Sched LinkScheduler
 	// Reception, when non-nil, replaces the dual-graph scatter as the
 	// physical layer (see ReceptionModel). Mutually exclusive with Sched.
@@ -72,7 +74,7 @@ const (
 	incAll
 	// incMask: e.included holds the round's full inclusion mask.
 	incMask
-	// incSparse: query e.sparse.IncludedFor on transmitter-incident edges.
+	// incSparse: query e.sched.IncludedFor on transmitter-incident edges.
 	incSparse
 )
 
@@ -90,9 +92,19 @@ const parallelScatterMinTx = 32
 // reads before it walks their rows (see scatterInto).
 const scatterBlock = 64
 
-// rowBounds is one transmitter's reliable and unreliable row bounds,
-// [g0, g1) in the G CSR and [u0, u1) in the unreliable one.
-type rowBounds struct{ g0, g1, u0, u1 int32 }
+// rowBounds is one transmitter's reliable row, G's own, and its
+// unreliable row bounds [u0, u1) in the incidence.
+type rowBounds struct {
+	g      []int32
+	u0, u1 int32
+}
+
+// completeScheduler is the link scheduler surface the engine calls. New
+// accepts only a Config.Sched that implements all of it.
+type completeScheduler interface {
+	BatchLinkScheduler
+	SparseLinkScheduler
+}
 
 // scatterShard is one worker's private reception state for the parallel
 // scatter: reception slots over all nodes, all zero between rounds, plus
@@ -107,18 +119,17 @@ type scatterShard struct {
 
 // Engine executes rounds of a configuration.
 type Engine struct {
-	dual   *dualgraph.Dual
-	procs  []Process
-	bank   ProcessBank  // Config.Bank, or a *procBank over procs
-	flush  RoundFlusher // non-nil when bank also bulk-records (see batch.go)
-	sched  LinkScheduler
-	batch  BatchLinkScheduler  // non-nil when sched supports batch fills
-	sparse SparseLinkScheduler // non-nil when sched supports subset queries
-	recv   ReceptionModel      // non-nil when a model replaces the scatter
-	env    Environment
-	wrk    int
-	trace  *Trace
-	n      int
+	dual  *dualgraph.Dual
+	procs []Process
+	bank  ProcessBank       // Config.Bank, or a *procBank over procs
+	flush RoundFlusher      // non-nil when bank also bulk-records (see batch.go)
+	sched completeScheduler // nil when Config.Sched is
+	aware TransmitterAware  // non-nil when sched is adaptive
+	recv  ReceptionModel    // non-nil when a model replaces the scatter
+	env   Environment
+	wrk   int
+	trace *Trace
+	n     int
 
 	round int // last executed round; rounds are 1-indexed as in the paper
 
@@ -133,9 +144,8 @@ type Engine struct {
 	delta  int
 	deltaP int
 
-	// Flattened topology (shared with dual, read-only): the scatter kernel
-	// walks these instead of per-node adjacency slices.
-	gCSR dualgraph.CSR
+	// The unreliable incidence (shared with dual, read-only). The scatter
+	// reads G's rows from dual itself, since PatchNode edits them in place.
 	uCSR dualgraph.UnreliableCSR
 
 	// Per-round scratch, reused across rounds. The payload slot table keeps
@@ -145,7 +155,7 @@ type Engine struct {
 	// between rounds, 1 at the round's transmitters while it runs.
 	payloads []any
 	transmit []uint8
-	included []bool   // unreliable edge inclusion mask (incMask rounds only)
+	included []bool   // unreliable edge inclusion mask (incMask rounds; nil without sched)
 	txList   []int32  // this round's transmitters, ascending
 	rx       []RxSlot // per-node reception state written by the scatter
 	// recs holds one event recorder per node; nil for a BankInit bank that
@@ -157,8 +167,8 @@ type Engine struct {
 	// mid-run).
 	view RoundView
 
-	maxUDeg int                   // max unreliable degree, sizes IncludedFor scratch
-	incBuf  []bool                // sequential-path IncludedFor scratch
+	maxUDeg int                   // max unreliable degree, sizes IncludedFor scratch (0 without sched)
+	incBuf  []bool                // sequential-path IncludedFor scratch (nil without sched)
 	rows    []rowBounds           // sequential-path row-bounds scratch, allocated at the first scatter
 	recvOut []int32               // ReceptionModel per-node outcome scratch
 	sharded ShardedReceptionModel // non-nil when recv supports range resolution
@@ -212,6 +222,13 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Reception != nil && cfg.Sched != nil {
 		return nil, fmt.Errorf("sim: Config.Sched and Config.Reception are mutually exclusive")
 	}
+	var sched completeScheduler
+	if cfg.Sched != nil {
+		var ok bool
+		if sched, ok = cfg.Sched.(completeScheduler); !ok {
+			return nil, fmt.Errorf("sim: Config.Sched %T lacks IncludedBatch, Uniform or IncludedFor", cfg.Sched)
+		}
+	}
 	workers := 1
 	switch cfg.Driver {
 	case 0, DriverSequential:
@@ -238,13 +255,11 @@ func New(cfg Config) (*Engine, error) {
 		dual:     cfg.Dual,
 		procs:    cfg.Procs,
 		bank:     bank,
-		sched:    cfg.Sched,
+		sched:    sched,
 		env:      cfg.Env,
 		wrk:      workers,
 		trace:    trace,
 		n:        n,
-		gCSR:     cfg.Dual.ReliableCSR(),
-		uCSR:     cfg.Dual.UnreliableCSR(),
 		payloads: make([]any, n),
 		transmit: make([]uint8, n),
 		txList:   make([]int32, 0, n),
@@ -253,6 +268,7 @@ func New(cfg Config) (*Engine, error) {
 	e.view = RoundView{Payloads: e.payloads, Transmit: e.transmit, Rx: e.rx,
 		Reached: make([]uint64, (n+63)/64)}
 	e.seed = cfg.Seed
+	e.aware, _ = cfg.Sched.(TransmitterAware)
 	if f, ok := bank.(RoundFlusher); ok {
 		e.flush = f
 	}
@@ -263,25 +279,7 @@ func New(cfg Config) (*Engine, error) {
 			e.sharded = s
 		}
 	}
-	for u := 0; u < n; u++ {
-		if d := int(e.uCSR.Off[u+1] - e.uCSR.Off[u]); d > e.maxUDeg {
-			e.maxUDeg = d
-		}
-	}
-	if s, ok := cfg.Sched.(SparseLinkScheduler); ok {
-		// Sparse schedulers usually skip the full mask: uniform rounds skip
-		// per-edge resolution entirely, non-uniform rounds resolve
-		// transmitter-incident subsets into incBuf. The batch mask is kept
-		// as the dense-round fallback (see Step).
-		e.sparse = s
-		e.incBuf = make([]bool, e.maxUDeg)
-	}
-	if b, ok := cfg.Sched.(BatchLinkScheduler); ok {
-		e.batch = b
-	}
-	if e.sparse == nil || e.batch != nil {
-		e.included = make([]bool, len(cfg.Dual.UnreliableEdges()))
-	}
+	e.RefreshTopology()
 	// A per-node process or a recording bank may record events; a bank
 	// that initialises its own rows and records nothing never does.
 	if bi == nil || bi.RecordsEvents() {
@@ -321,8 +319,6 @@ func New(cfg Config) (*Engine, error) {
 			e.sharded.ResolveRange(e.round, e.txList, e.recvOut, lo, hi)
 		}
 	}
-	delta, deltaPrime := cfg.Dual.Delta(), cfg.Dual.DeltaPrime()
-	e.delta, e.deltaP = delta, deltaPrime
 	root := xrand.New(cfg.Seed)
 	for u := 0; u < n; u++ {
 		if bi != nil {
@@ -336,8 +332,8 @@ func New(cfg Config) (*Engine, error) {
 		rng := root.NodeStream(u)
 		env := &NodeEnv{
 			ID:         u,
-			Delta:      delta,
-			DeltaPrime: deltaPrime,
+			Delta:      e.delta,
+			DeltaPrime: e.deltaP,
 			R:          cfg.Dual.R,
 			Rng:        &rng,
 			Rec:        &e.recs[u],
@@ -383,25 +379,23 @@ func (e *Engine) Step() {
 
 	// Adaptive adversaries observe the fixed decisions before the topology
 	// is resolved (explicit model violation, see TransmitterAware).
-	if ta, ok := e.sched.(TransmitterAware); ok {
-		ta.ObserveTransmitters(t, e.transmit)
+	if e.aware != nil {
+		e.aware.ObserveTransmitters(t, e.transmit)
 	}
 
 	// Collect this round's transmitters (ascending): both the inclusion-
 	// mode choice below and the scatter consume the list.
 	e.txList = appendTransmitters(e.txList[:0], e.transmit)
 
-	// Resolve how the round topology's unreliable part is decided. Sparse
-	// schedulers collapse uniform rounds (Always/Never/Periodic/AntiDecay,
-	// and quiet Adaptive rounds) to a single flag — no mask is written at
-	// all — and defer non-uniform rounds to transmitter-incident subset
-	// queries inside the scatter, costing O(Σ u-deg over transmitters).
-	// When the transmitter set is so dense that subset queries would
-	// exceed one pass over the mask (an edge between two transmitters is
-	// queried from both endpoints), the batch fill is the cheaper path and
-	// the engine falls back to it. Batch-capable schedulers without subset
-	// queries fill the whole mask in one call; the shim queries the mask
-	// once per edge per round.
+	// Resolve how the round topology's unreliable part is decided. Uniform
+	// rounds (Always/Never/Periodic/AntiDecay, and quiet Adaptive rounds)
+	// collapse to a single flag — no mask is written at all — and
+	// non-uniform rounds defer to transmitter-incident subset queries
+	// inside the scatter, costing O(Σ u-deg over transmitters). When the
+	// transmitter set is so dense that subset queries would exceed one
+	// pass over the mask (an edge between two transmitters is queried from
+	// both endpoints), the batch fill is the cheaper path and the engine
+	// takes it.
 	// A reception model bypasses the whole dual-graph path: no link schedule
 	// is resolved and no scatter runs; the model fills the per-node outcome
 	// slots directly (see resolveModel).
@@ -412,32 +406,22 @@ func (e *Engine) Step() {
 	}
 
 	mode := incNone
-	if e.sparse != nil {
-		if v, ok := e.sparse.Uniform(t); ok {
+	if e.sched != nil {
+		if v, ok := e.sched.Uniform(t); ok {
 			if v {
 				mode = incAll
 			}
 		} else {
 			mode = incSparse
-			if e.batch != nil {
-				uDegSum := 0
-				for _, v := range e.txList {
-					uDegSum += int(e.uCSR.Off[v+1] - e.uCSR.Off[v])
-				}
-				if uDegSum > len(e.included) {
-					e.batch.IncludedBatch(t, e.included)
-					mode = incMask
-				}
+			uDegSum := 0
+			for _, v := range e.txList {
+				uDegSum += int(e.uCSR.Off[v+1] - e.uCSR.Off[v])
+			}
+			if uDegSum > len(e.included) {
+				e.sched.IncludedBatch(t, e.included)
+				mode = incMask
 			}
 		}
-	} else if e.batch != nil {
-		e.batch.IncludedBatch(t, e.included)
-		mode = incMask
-	} else if e.sched != nil {
-		for i := range e.included {
-			e.included[i] = e.sched.Included(t, i)
-		}
-		mode = incMask
 	}
 
 	// Step 3: receptions under the collision rule. Scatter from the
@@ -568,7 +552,7 @@ func (e *Engine) scatter(t int, mode inclusionMode) {
 func (e *Engine) scatterInto(t int, mode inclusionMode, txs []int32,
 	rx []RxSlot, touched *[]int32, incBuf []bool, rows []rowBounds) {
 
-	gOff, gTgt := e.gCSR.Off, e.gCSR.Targets
+	g := e.dual.G
 	uOff, uPeers, uEdges := e.uCSR.Off, e.uCSR.Peers, e.uCSR.Edges
 	reached := *touched
 	bump := func(u int32, s RxSlot) {
@@ -583,11 +567,11 @@ func (e *Engine) scatterInto(t int, mode inclusionMode, txs []int32,
 		blk := txs[:min(len(txs), len(rows))]
 		txs = txs[len(blk):]
 		for i, v := range blk {
-			rows[i] = rowBounds{gOff[v], gOff[v+1], uOff[v], uOff[v+1]}
+			rows[i] = rowBounds{g.Neighbors(int(v)), uOff[v], uOff[v+1]}
 		}
 		for i, v := range blk {
 			r, s := rows[i], Heard(v)
-			for _, u := range gTgt[r.g0:r.g1] {
+			for _, u := range r.g {
 				bump(u, s)
 			}
 			if mode == incNone || r.u0 == r.u1 {
@@ -606,7 +590,7 @@ func (e *Engine) scatterInto(t int, mode inclusionMode, txs []int32,
 				}
 			case incSparse:
 				buf := incBuf[:r.u1-r.u0]
-				e.sparse.IncludedFor(t, uEdges[r.u0:r.u1], buf)
+				e.sched.IncludedFor(t, uEdges[r.u0:r.u1], buf)
 				for i, u := range uPeers[r.u0:r.u1] {
 					if buf[i] {
 						bump(u, s)

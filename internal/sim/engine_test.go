@@ -122,6 +122,17 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("want error for unknown driver %d", driver)
 		}
 	}
+	// A scheduler must implement the batch and the sparse methods too.
+	type perEdgeOnly struct{ LinkScheduler }
+	type batchOnly struct{ BatchLinkScheduler }
+	type sparseOnly struct{ SparseLinkScheduler }
+	for _, s := range []LinkScheduler{perEdgeOnly{sched.Always{}}, batchOnly{sched.Always{}}, sparseOnly{sched.Always{}}} {
+		procs := []Process{newScriptProc(nil), newScriptProc(nil), newScriptProc(nil)}
+		if e, err := New(Config{Dual: d, Procs: procs, Sched: s}); err == nil {
+			e.Close()
+			t.Errorf("want error for incomplete scheduler %T", s)
+		}
+	}
 }
 
 func TestDeliveryBasic(t *testing.T) {

@@ -1,7 +1,8 @@
 // This file is the engine's node-lifecycle surface, the hooks the churn
 // layer (internal/churn) drives: SetDown silences a node at the physical
 // layer, ReplaceProc restarts its protocol state, and RefreshTopology
-// re-syncs the engine's flattened views after the dual graph was patched.
+// re-syncs the engine's view of the unreliable incidence after the dual
+// graph was patched.
 // All three must be called between rounds (they touch round-shared state);
 // the churn injector calls them from Environment.BeforeRound, which the
 // engine guarantees runs before any node acts in the round.
@@ -111,29 +112,33 @@ func (e *Engine) ReplaceProc(u int, p Process) {
 	e.drainRecorders(e.round)
 }
 
-// RefreshTopology re-reads the dual graph's flattened adjacency after a
-// PatchNode and resizes every structure whose shape depends on it: the
-// unreliable-edge inclusion mask, the IncludedFor scratch buffers (the
-// patched graph may have a larger max unreliable degree), and the Δ/Δ′
-// bounds handed to processes restarted from now on. Must be called after
-// every patch before the next round runs — PatchNode rewrites the CSR
-// backing arrays in place, so the engine's stale slice headers would
-// otherwise read torn topology.
+// RefreshTopology re-reads the dual graph's unreliable incidence after a
+// PatchNode and resizes every structure whose shape depends on it: with a
+// scheduler, the unreliable-edge inclusion mask and the IncludedFor
+// scratch buffers (the patched graph may have a larger max unreliable
+// degree); and the Δ/Δ′ bounds handed to processes restarted from now on.
+// Must be called after every patch before the next round runs — PatchNode
+// rewrites the incidence's backing arrays in place, so the engine's stale
+// slice headers would otherwise read torn topology. G's rows need no
+// refresh: the scatter reads them from the dual each round. New sizes the
+// same structures through this method.
 func (e *Engine) RefreshTopology() {
-	e.gCSR = e.dual.ReliableCSR()
 	e.uCSR = e.dual.UnreliableCSR()
 	e.delta, e.deltaP = e.dual.Delta(), e.dual.DeltaPrime()
+	if e.sched == nil {
+		return
+	}
 	e.maxUDeg = 0
 	for u := range e.n {
 		if d := int(e.uCSR.Off[u+1] - e.uCSR.Off[u]); d > e.maxUDeg {
 			e.maxUDeg = d
 		}
 	}
-	if e.sparse != nil && len(e.incBuf) < e.maxUDeg {
+	if len(e.incBuf) < e.maxUDeg {
 		e.incBuf = make([]bool, e.maxUDeg)
 	}
-	if e.included != nil && len(e.included) != len(e.dual.UnreliableEdges()) {
-		e.included = make([]bool, len(e.dual.UnreliableEdges()))
+	if m := e.dual.UnreliableEdgeCount(); len(e.included) != m {
+		e.included = make([]bool, m)
 	}
 	for _, sh := range e.shards {
 		if len(sh.incBuf) < e.maxUDeg {

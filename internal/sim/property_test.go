@@ -73,8 +73,14 @@ func TestCollisionRuleAgainstBruteForce(t *testing.T) {
 		e.Run(rounds)
 
 		// Brute force: for each round and listener, collect transmitting
-		// topology neighbors directly from the graphs and the schedule.
-		ue := d.UnreliableEdges()
+		// topology neighbors directly from the graphs and the schedule. An
+		// unreliable edge's index is its rank in G′ ∖ G in (U, V) order.
+		var ue []dualgraph.Edge
+		for _, e := range d.Gp.Edges() {
+			if !d.G.HasEdge(int(e.U), int(e.V)) {
+				ue = append(ue, e)
+			}
+		}
 		for round := 1; round <= rounds; round++ {
 			for u := 0; u < n; u++ {
 				var want reception

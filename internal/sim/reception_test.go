@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lbcast/internal/dualgraph"
+	"lbcast/internal/sched"
 )
 
 // stubModel is a scripted reception model: out[u] = script[t][u], with
@@ -118,15 +119,11 @@ func TestReceptionModelExcludesSched(t *testing.T) {
 	d := receptionDual(t, 2)
 	procs := []Process{&echoProc{}, &echoProc{}}
 	_, err := New(Config{Dual: d, Procs: procs,
-		Reception: &stubModel{}, Sched: alwaysSched{}})
+		Reception: &stubModel{}, Sched: sched.Always{}})
 	if err == nil {
 		t.Fatal("Config with both Sched and Reception accepted")
 	}
 }
-
-type alwaysSched struct{}
-
-func (alwaysSched) Included(int, int) bool { return true }
 
 // TestReceptionModelMultiRound: silence rounds leave every process at ⊥ and
 // the model runs under every driver with identical outcomes.

@@ -42,8 +42,11 @@ type Environment interface {
 	AfterRound(t int)
 }
 
-// LinkScheduler resolves which unreliable edges (indices into
-// Dual.UnreliableEdges) join the communication topology each round.
+// LinkScheduler resolves which unreliable edges (the edge indices of
+// dualgraph.UnreliableCSR) join the communication topology each round. It
+// is the type of Config.Sched, but the engine runs only a complete
+// scheduler, one that also implements BatchLinkScheduler and
+// SparseLinkScheduler; New refuses any other.
 //
 // An oblivious scheduler — the model assumed by the paper's upper bounds —
 // must answer as a pure function of (t, edge), fixed before the execution.
@@ -53,24 +56,21 @@ type LinkScheduler interface {
 	Included(t int, edge int) bool
 }
 
-// BatchLinkScheduler is an optional fast path for LinkScheduler: the engine
-// hands the scheduler the round's whole inclusion mask (indexed by
-// unreliable edge) to fill in one call, avoiding one interface dispatch per
-// edge per round. Implementations must overwrite every entry of mask and
-// must agree with Included: mask[i] == Included(t, i) for all i.
-//
-// Schedulers that do not implement it run through a per-edge compatibility
-// shim in the engine.
+// BatchLinkScheduler is the dense query of a complete scheduler: the
+// engine hands the scheduler the round's whole inclusion mask (indexed by
+// unreliable edge) to fill in one call, avoiding one interface dispatch
+// per edge. It does so in rounds whose transmitters' incident unreliable
+// edges outnumber the mask. Implementations must overwrite every entry of
+// mask and must agree with Included: mask[i] == Included(t, i) for all i.
 type BatchLinkScheduler interface {
 	LinkScheduler
 	IncludedBatch(t int, mask []bool)
 }
 
-// SparseLinkScheduler is an optional fast path beyond BatchLinkScheduler for
-// schedulers that can answer edge-subset queries. It makes sparse rounds
-// O(Σ deg over transmitters) end to end: instead of rewriting the full
-// O(|E′\E|) inclusion mask every round, the engine asks only about the edges
-// incident to this round's transmitters.
+// SparseLinkScheduler is the sparse query of a complete scheduler: it
+// makes sparse rounds O(Σ deg over transmitters) end to end. Instead of
+// rewriting the full O(|E′\E|) inclusion mask every round, the engine asks
+// only about the edges incident to this round's transmitters.
 //
 // Uniform is the cached-mask fast path: when the round's decision does not
 // depend on the edge (Always, Never, Periodic, AntiDecay, and Random at
